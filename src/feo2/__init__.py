@@ -4,164 +4,9 @@ A deterministic simulator plus the closed-form estimation theory behind it:
 two-group aggregation with a tunable private-group weight, adaptive clipping,
 an RDP accountant for the subsampled Gaussian mechanism, and proximal-tether
 personalization with known optimal tether strengths.
+
+The API lives in the submodules (``feo2.config.parse_config``,
+``feo2.simulate.run_experiment``, ...); the package root re-exports nothing.
 """
-
-from .accounting import (
-    DEFAULT_ORDERS,
-    InfinitePrivacyLoss,
-    PrivacyLedger,
-    account_round,
-    epsilon_at_delta,
-    rdp_increment,
-    solve_z,
-)
-from .aggregation import (
-    RoundSkipped,
-    apply_update,
-    dp_group_mean,
-    feo2_combine,
-    group_mean,
-)
-from .analytic import (
-    LAMBDA_CAP,
-    AnalyticParams,
-    UnboundedLambda,
-    bayes_global_oracle,
-    bayes_local_oracle,
-    gap_dpfedavg,
-    gap_fedavg,
-    lambda_star_general,
-    lambda_star_np,
-    lambda_star_p,
-    optimal_ratio,
-    server_variance_at,
-    server_variance_dpfedavg,
-    server_variance_fedavg,
-    server_variance_opt,
-)
-from .config import (
-    Algorithm,
-    ExperimentConfig,
-    FeO2Config,
-    PoolSpec,
-    PopulationKind,
-    PopulationSpec,
-    build_experiment_config,
-    config_to_dict,
-    manifest_hash,
-    parse_config,
-)
-from .datagen import (
-    IdxParseError,
-    Population,
-    build_population,
-    gen_blob_pool,
-    gen_label_shard_population,
-    gen_point_population,
-    gen_regression_population,
-    load_idx_images,
-    load_idx_labels,
-    load_idx_pair,
-    population_from_json,
-    population_to_json,
-)
-from .models import (
-    ClientRecord,
-    LabeledExamples,
-    LossKind,
-    NumericFailure,
-    PointSamples,
-    RegressionSamples,
-    client_update,
-    local_gradient,
-    local_loss,
-    model_dim_for,
-)
-from .personalization import DittoConfig, ditto_closed_form, ditto_step
-from .privacy import DpConfig, clip, gaussian_noise_vector, update_clip_norm
-from .rng import stream
-from .simulate import (
-    ExperimentResult,
-    RoundReport,
-    lambda_sweep,
-    monte_carlo_server_variance,
-    run_experiment,
-)
-
-__all__ = [
-    "DEFAULT_ORDERS",
-    "InfinitePrivacyLoss",
-    "PrivacyLedger",
-    "account_round",
-    "epsilon_at_delta",
-    "rdp_increment",
-    "solve_z",
-    "RoundSkipped",
-    "apply_update",
-    "dp_group_mean",
-    "feo2_combine",
-    "group_mean",
-    "LAMBDA_CAP",
-    "AnalyticParams",
-    "UnboundedLambda",
-    "bayes_global_oracle",
-    "bayes_local_oracle",
-    "gap_dpfedavg",
-    "gap_fedavg",
-    "lambda_star_general",
-    "lambda_star_np",
-    "lambda_star_p",
-    "optimal_ratio",
-    "server_variance_at",
-    "server_variance_dpfedavg",
-    "server_variance_fedavg",
-    "server_variance_opt",
-    "Algorithm",
-    "ExperimentConfig",
-    "FeO2Config",
-    "PoolSpec",
-    "PopulationKind",
-    "PopulationSpec",
-    "build_experiment_config",
-    "config_to_dict",
-    "manifest_hash",
-    "parse_config",
-    "IdxParseError",
-    "Population",
-    "build_population",
-    "gen_blob_pool",
-    "gen_label_shard_population",
-    "gen_point_population",
-    "gen_regression_population",
-    "load_idx_images",
-    "load_idx_labels",
-    "load_idx_pair",
-    "population_from_json",
-    "population_to_json",
-    "ClientRecord",
-    "LabeledExamples",
-    "LossKind",
-    "NumericFailure",
-    "PointSamples",
-    "RegressionSamples",
-    "client_update",
-    "local_gradient",
-    "local_loss",
-    "model_dim_for",
-    "DittoConfig",
-    "ditto_closed_form",
-    "ditto_step",
-    "DpConfig",
-    "clip",
-    "gaussian_noise_vector",
-    "update_clip_norm",
-    "stream",
-    "ExperimentResult",
-    "RoundReport",
-    "lambda_sweep",
-    "monte_carlo_server_variance",
-    "run_experiment",
-    "__version__",
-]
 
 __version__ = "0.1.0"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -12,21 +11,6 @@ from .privacy import gaussian_noise_vector
 
 class RoundSkipped(RuntimeError):
     """No usable update this round (e.g. r=0 with no opted-out client sampled)."""
-
-
-@dataclass
-class RoundCohort:
-    private_updates: list
-    nonprivate_updates: list
-    indicators: list
-    N_p_t: int
-    N_np_t: int
-
-    def __post_init__(self):
-        if self.N_p_t != len(self.private_updates) or self.N_np_t != len(self.nonprivate_updates):
-            raise ValueError("cohort counts disagree with update lists")
-        if self.N_p_t + self.N_np_t < 1:
-            raise ValueError("cohort must contain at least one client")
 
 
 def group_mean(updates: Sequence[np.ndarray]) -> np.ndarray:
@@ -42,8 +26,9 @@ def dp_group_mean(
     """Mean of clipped private updates plus N(0, (z*S/N_p)^2) per coordinate."""
     mean = group_mean(updates)
     for u in updates:
-        if np.linalg.norm(u) > S + 1e-9:
-            raise ValueError(f"private update norm {np.linalg.norm(u):.6g} exceeds clip bound {S}")
+        norm = np.linalg.norm(u)
+        if not norm <= S + 1e-9:  # negated so that a NaN norm fails too
+            raise ValueError(f"private update norm {norm:.6g} exceeds clip bound {S}")
     n = len(updates)
     return mean + gaussian_noise_vector(mean.shape[0], z * S / n, rng)
 

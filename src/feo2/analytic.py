@@ -30,11 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-#: Stand-in used by simulation code when a lambda* is unbounded (tau2 = 0);
-#: numerically indistinguishable from the pure-global limit.
-LAMBDA_CAP = 1e6
-
-
 class UnboundedLambda(ValueError):
     """The optimal tether strength diverges (e.g. identical clients, tau2 = 0)."""
 

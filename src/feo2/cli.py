@@ -65,8 +65,12 @@ def _jsonable(obj):
     return obj
 
 
+def _json_text(payload: dict) -> str:
+    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+    text = _json_text(payload)
     sys.stdout.write(text)
     if out:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -89,7 +93,12 @@ def _analytic_params(args) -> AnalyticParams:
     )
 
 
-def _add_param_flags(sub, with_dim: bool = False) -> None:
+def _add_analytic_verb(an_sub, name: str, fn, help: str, with_dim: bool = False):
+    """Register ``feo2 analytic <name>``: the model-parameter flags plus --out,
+    answered by ``fn(params, args)``. Returns the subparser for extra flags."""
+    sub = an_sub.add_parser(name, help=help, description=help)
+    sub.set_defaults(fn=_cmd_emit, payload_fn=lambda args: fn(_analytic_params(args), args))
+    sub.add_argument("--out", default=None)
     sub.add_argument("--N", type=float, required=True, help="total number of clients")
     sub.add_argument("--N-p", type=float, required=True, help="number of private clients")
     sub.add_argument("--gamma2", type=float, required=True, help="DP noise variance at the private mean")
@@ -99,6 +108,7 @@ def _add_param_flags(sub, with_dim: bool = False) -> None:
     sub.add_argument("--n-s", type=int, default=1, help="samples per client (alpha2 = beta2/n_s)")
     if with_dim:
         sub.add_argument("--dim", type=int, default=1, help="model dimension")
+    return sub
 
 
 def _maybe_inf(fn, *a):
@@ -153,9 +163,7 @@ def _cmd_run(args) -> int:
 
     manifest["finished_at"] = datetime.now(timezone.utc).isoformat()
     manifest["status"] = "failed" if failure is not None else "ok"
-    (out_dir / "manifest.json").write_text(
-        json.dumps(_jsonable(manifest), indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
     if failure is not None:
         print(f"run failed: {failure}", file=sys.stderr)
         return 1
@@ -167,44 +175,29 @@ def _cmd_run(args) -> int:
         "privacy": result.ledger.to_dict(),
         "config_sha256": manifest["config_sha256"],
     }
-    (out_dir / "summary.json").write_text(
-        json.dumps(_jsonable(summary), indent=2, allow_nan=False) + "\n", encoding="utf-8"
-    )
+    (out_dir / "summary.json").write_text(_json_text(summary), encoding="utf-8")
     return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_emit(args) -> int:
+    """Verbs that answer with one JSON payload, printed and written to --out if given."""
     try:
-        cfg = parse_config(args.config)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    _emit({"config": config_to_dict(cfg), "config_sha256": manifest_hash(cfg)}, args.out)
-    return 0
-
-
-def _cmd_solve_z(args) -> int:
-    try:
-        z = solve_z(args.epsilon, args.delta, args.q, args.rounds)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    _emit(
-        {"z": z, "epsilon": args.epsilon, "delta": args.delta, "q": args.q, "rounds": args.rounds},
-        args.out,
-    )
-    return 0
-
-
-def _cmd_analytic(args) -> int:
-    try:
-        p = _analytic_params(args)
-        payload = args.analytic_fn(p, args)
-    except (UnboundedLambda, ValueError, TypeError) as exc:
+        payload = args.payload_fn(args)
+    except _CONFIG_ERRORS as exc:  # UnboundedLambda is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     _emit(payload, args.out)
     return 0
+
+
+def _validate(args) -> dict:
+    cfg = parse_config(args.config)
+    return {"config": config_to_dict(cfg), "config_sha256": manifest_hash(cfg)}
+
+
+def _solve_z(args) -> dict:
+    z = solve_z(args.epsilon, args.delta, args.q, args.rounds)
+    return {"z": z, "epsilon": args.epsilon, "delta": args.delta, "q": args.q, "rounds": args.rounds}
 
 
 def _an_ratio(p: AnalyticParams, args) -> dict:
@@ -263,12 +256,7 @@ def _an_lambda_sweep(p: AnalyticParams, args) -> dict:
     pairs = lambda_sweep(p, focal_private, grid, args.trials, args.seed, aggregator=args.aggregator)
     rows = [{"lambda": lam, "loss": loss} for lam, loss in pairs]
     best = min(rows, key=lambda row: row["loss"])
-    if focal_private:
-        scenario = p
-    else:
-        scenario = AnalyticParams(
-            N=p.N, N_p=p.N_p - 1, tau2=p.tau2, beta2=p.beta2, gamma2=p.gamma2, n_s=p.n_s, d=p.d
-        )
+    scenario = p if focal_private else dataclasses.replace(p, N_p=p.N_p - 1)
     r = 1.0 if args.aggregator == "fedavg" else optimal_ratio(scenario)
     return {
         "focal": args.focal,
@@ -283,10 +271,7 @@ def _an_lambda_sweep(p: AnalyticParams, args) -> dict:
 def _an_rho_sweep(p: AnalyticParams, args) -> dict:
     rows = []
     for rho in np.round(np.arange(0.0, 1.0 + 1e-12, args.step), 10):
-        n_np = rho * p.N
-        q = AnalyticParams(
-            N=p.N, N_p=p.N - n_np, tau2=p.tau2, beta2=p.beta2, gamma2=p.gamma2, n_s=p.n_s, d=p.d
-        )
+        q = dataclasses.replace(p, N_p=p.N - rho * p.N)
         rows.append(
             {
                 "rho_np": float(rho),
@@ -318,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check a config and print its resolved form")
     val.add_argument("--config", required=True)
     val.add_argument("--out", default=None, help="also write the JSON here")
-    val.set_defaults(fn=_cmd_validate)
+    val.set_defaults(fn=_cmd_emit, payload_fn=_validate)
 
     sz = sub.add_parser("solve-z", help="noise multiplier for a target privacy budget")
     sz.add_argument("--epsilon", type=float, required=True)
@@ -326,33 +311,43 @@ def build_parser() -> argparse.ArgumentParser:
     sz.add_argument("--q", type=float, required=True, help="per-round sampling fraction")
     sz.add_argument("--rounds", type=int, required=True)
     sz.add_argument("--out", default=None)
-    sz.set_defaults(fn=_cmd_solve_z)
+    sz.set_defaults(fn=_cmd_emit, payload_fn=_solve_z)
 
     an = sub.add_parser("analytic", help="closed forms and Monte Carlo checks")
     an_sub = an.add_subparsers(dest="analytic_verb", required=True)
 
-    ratio = an_sub.add_parser("ratio", help="variance-optimal private-group weight r*")
-    _add_param_flags(ratio)
+    _add_analytic_verb(an_sub, "ratio", _an_ratio, "variance-optimal private-group weight r*")
 
-    var = an_sub.add_parser("variance", help="server estimator variance per aggregation rule")
-    _add_param_flags(var)
+    var = _add_analytic_verb(
+        an_sub, "variance", _an_variance, "server estimator variance per aggregation rule"
+    )
     var.add_argument("--r", type=float, default=None, help="also evaluate at this ratio")
 
-    gaps = an_sub.add_parser("gaps", help="variance gaps of FedAvg / DP-FedAvg to the optimum")
-    _add_param_flags(gaps)
+    _add_analytic_verb(
+        an_sub, "gaps", _an_gaps, "variance gaps of FedAvg / DP-FedAvg to the optimum"
+    )
 
-    lams = an_sub.add_parser("lambdas", help="optimal personalization tether per client class")
-    _add_param_flags(lams)
+    lams = _add_analytic_verb(
+        an_sub, "lambdas", _an_lambdas, "optimal personalization tether per client class"
+    )
     lams.add_argument("--r", type=float, default=None, help="also evaluate the general form at r")
 
-    rs = an_sub.add_parser("r-sweep", help="MC server variance over an r grid vs the closed form")
-    _add_param_flags(rs, with_dim=True)
+    rs = _add_analytic_verb(
+        an_sub,
+        "r-sweep",
+        _an_r_sweep,
+        "MC server variance over an r grid vs the closed form; 'mc' is summed over the "
+        "--dim coordinates, 'exact' and 'sigma2_opt' are per coordinate",
+        with_dim=True,
+    )
     rs.add_argument("--step", type=float, default=0.05)
     rs.add_argument("--trials", type=int, default=200_000)
     rs.add_argument("--seed", type=int, default=0)
 
-    ls = an_sub.add_parser("lambda-sweep", help="MC personalization loss over a lambda grid")
-    _add_param_flags(ls, with_dim=True)
+    ls = _add_analytic_verb(
+        an_sub, "lambda-sweep", _an_lambda_sweep, "MC personalization loss over a lambda grid",
+        with_dim=True,
+    )
     ls.add_argument("--focal", choices=("private", "opted-out"), default="private")
     ls.add_argument("--aggregator", choices=("feo2", "fedavg"), default="feo2")
     ls.add_argument("--lambda-min", type=float, default=0.0)
@@ -361,21 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--trials", type=int, default=100_000)
     ls.add_argument("--seed", type=int, default=0)
 
-    rho = an_sub.add_parser("rho-sweep", help="variance of each rule as the opt-out share varies")
-    _add_param_flags(rho)
+    rho = _add_analytic_verb(
+        an_sub, "rho-sweep", _an_rho_sweep, "variance of each rule as the opt-out share varies"
+    )
     rho.add_argument("--step", type=float, default=0.01)
-
-    for name, fn in (
-        ("ratio", _an_ratio),
-        ("variance", _an_variance),
-        ("gaps", _an_gaps),
-        ("lambdas", _an_lambdas),
-        ("r-sweep", _an_r_sweep),
-        ("lambda-sweep", _an_lambda_sweep),
-        ("rho-sweep", _an_rho_sweep),
-    ):
-        an_sub.choices[name].add_argument("--out", default=None)
-        an_sub.choices[name].set_defaults(fn=_cmd_analytic, analytic_fn=fn)
 
     return parser
 

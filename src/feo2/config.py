@@ -164,10 +164,6 @@ def build_experiment_config(raw: dict) -> ExperimentConfig:
     """Validate a plain mapping (parsed YAML/JSON) into an ExperimentConfig."""
     if not isinstance(raw, dict):
         raise ValueError("config root must be a mapping")
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"unknown key '{sorted(unknown)[0]}' at config root")
     if "population" not in raw:
         raise ValueError("missing required section 'population'")
     if "algorithm" not in raw:
@@ -198,11 +194,8 @@ def build_experiment_config(raw: dict) -> ExperimentConfig:
     if raw.get("ditto") is not None:
         ditto = _from_mapping(DittoConfig, raw["ditto"], "ditto")
 
-    scalar_keys = {"rounds", "cohort_fraction", "master_seed", "delta"}
-    scalars = {k: raw[k] for k in scalar_keys if k in raw}
-    return ExperimentConfig(
-        population=population, algorithm=algorithm, feo2=feo2, ditto=ditto, **scalars
-    )
+    sections = dict(population=population, algorithm=algorithm, feo2=feo2, ditto=ditto)
+    return _from_mapping(ExperimentConfig, dict(raw, **sections), "config root")
 
 
 def parse_config(path: str) -> ExperimentConfig:

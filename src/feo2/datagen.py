@@ -9,12 +9,13 @@ the evaluation helpers in `simulate` read them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .config import PoolSpec, PopulationKind, PopulationSpec
+from .config import PopulationKind, PopulationSpec
 from .models import (
     ClientRecord,
     LabeledExamples,
@@ -175,7 +176,7 @@ def build_population(spec: PopulationSpec) -> Population:
         return gen_point_population(spec)
     if spec.kind is PopulationKind.LINEAR_REGRESSION:
         return gen_regression_population(spec)
-    pool = spec.pool or PoolSpec()
+    pool = spec.pool
     if pool.idx_images is not None:
         source = load_idx_pair(pool.idx_images, pool.idx_labels)
     else:
@@ -197,37 +198,31 @@ def _read_u32(data: bytes, offset: int, path: str) -> int:
     return int.from_bytes(data[offset : offset + 4], "big")
 
 
-def load_idx_images(path: str) -> np.ndarray:
-    """Images from an IDX file as float rows in [0, 1], shape (n, rows*cols)."""
+def _read_idx(path: str, magic: int, n_dims: int) -> tuple[bytes, list[int]]:
+    """Bytes and header dimensions of an IDX file whose magic and length check out."""
     with open(path, "rb") as fh:
         data = fh.read()
-    magic = _read_u32(data, 0, path)
-    if magic != _IDX_IMAGES_MAGIC:
-        raise IdxParseError(f"{path}: bad magic 0x{magic:08x} at byte 0")
-    n = _read_u32(data, 4, path)
-    rows = _read_u32(data, 8, path)
-    cols = _read_u32(data, 12, path)
-    expected = 16 + n * rows * cols
+    found = _read_u32(data, 0, path)
+    if found != magic:
+        raise IdxParseError(f"{path}: bad magic 0x{found:08x} at byte 0")
+    dims = [_read_u32(data, 4 * (i + 1), path) for i in range(n_dims)]
+    expected = 4 * (n_dims + 1) + math.prod(dims)
     if len(data) < expected:
         raise IdxParseError(
             f"{path}: truncated at byte {len(data)}, expected {expected} bytes"
         )
+    return data, dims
+
+
+def load_idx_images(path: str) -> np.ndarray:
+    """Images from an IDX file as float rows in [0, 1], shape (n, rows*cols)."""
+    data, (n, rows, cols) = _read_idx(path, _IDX_IMAGES_MAGIC, 3)
     pixels = np.frombuffer(data, dtype=np.uint8, count=n * rows * cols, offset=16)
     return pixels.reshape(n, rows * cols).astype(np.float64) / 255.0
 
 
 def load_idx_labels(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    magic = _read_u32(data, 0, path)
-    if magic != _IDX_LABELS_MAGIC:
-        raise IdxParseError(f"{path}: bad magic 0x{magic:08x} at byte 0")
-    n = _read_u32(data, 4, path)
-    expected = 8 + n
-    if len(data) < expected:
-        raise IdxParseError(
-            f"{path}: truncated at byte {len(data)}, expected {expected} bytes"
-        )
+    data, (n,) = _read_idx(path, _IDX_LABELS_MAGIC, 1)
     labels = np.frombuffer(data, dtype=np.uint8, count=n, offset=8).astype(np.int64)
     if labels.size and labels.max() > 9:
         raise IdxParseError(f"{path}: label {labels.max()} outside [0, 9]")

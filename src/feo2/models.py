@@ -15,7 +15,7 @@ Models are flat float64 vectors everywhere; the softmax layer is stored as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Union
 
@@ -118,11 +118,9 @@ class ClientRecord:
 
 
 def model_dim_for(data: LocalDataset, kind: LossKind, n_classes: int = 10) -> int:
-    if kind is LossKind.POINT_ESTIMATION:
-        return data.dim
-    if kind is LossKind.LINEAR_REGRESSION:
-        return data.dim
-    return n_classes * (data.dim + 1)
+    if kind is LossKind.SOFTMAX_CLASSIFICATION:
+        return n_classes * (data.dim + 1)
+    return data.dim
 
 
 def _softmax_unpack(model: ModelVector, n_features: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,38 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class DpConfig:
-    """Noise/clipping knobs: multipliers z (updates) and z_b (indicator bits),
-    initial clip norm S0, target quantile kappa, clip learning factor eta_b,
-    and the DP delta used for reporting."""
-
-    z: float
-    z_b: float = 0.0
-    S0: float = 1.0
-    kappa: float = 0.5
-    eta_b: float = 0.2
-    delta: float = 1e-5
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise ValueError("z must be >= 0")
-        if self.z_b < 0:
-            raise ValueError("z_b must be >= 0")
-        if self.S0 <= 0:
-            raise ValueError("S0 must be > 0")
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must be in [0, 1]")
-        if self.eta_b <= 0:
-            raise ValueError("eta_b must be > 0")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
+from .config import FeO2Config
 
 
 def clip(v: np.ndarray, S: float) -> tuple[np.ndarray, int]:
@@ -47,6 +21,8 @@ def clip(v: np.ndarray, S: float) -> tuple[np.ndarray, int]:
         raise ValueError("clip norm must be positive")
     out = np.array(v, dtype=np.float64, copy=True)
     norm = float(np.linalg.norm(out))
+    if not math.isfinite(norm):
+        raise ValueError(f"cannot clip a vector of norm {norm}")
     b = 1 if norm <= S else 0
     while norm > S:
         out *= S / norm
@@ -64,20 +40,18 @@ def gaussian_noise_vector(dim: int, std: float, rng: np.random.Generator) -> np.
 
 
 def update_clip_norm(
-    S: float,
-    indicators: Sequence[int],
-    N_t: int,
-    cfg: DpConfig,
-    rng: np.random.Generator,
+    S: float, indicators: Sequence[int], cfg: FeO2Config, rng: np.random.Generator
 ) -> float:
     """Geometric step of the clip norm toward the kappa-quantile of update norms.
 
-    S' = S * exp(-eta_b * ((mean(b) + N(0, z_b^2 / N_t^2)) - kappa)).
+    S' = S * exp(-eta_b * ((mean(b) + N(0, z_b^2 / N_t^2)) - kappa)), with
+    N_t = len(indicators); z_b, kappa and eta_b come from ``cfg``.
     """
     if S <= 0:
         raise ValueError("S must be positive")
-    if N_t < 1 or len(indicators) != N_t:
-        raise ValueError("N_t must equal the number of indicators and be >= 1")
+    N_t = len(indicators)
+    if N_t < 1:
+        raise ValueError("need at least one indicator bit")
     b_mean = float(np.mean(indicators))
     if cfg.z_b > 0:
         b_mean += float(rng.normal(0.0, cfg.z_b / N_t))

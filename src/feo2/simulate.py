@@ -13,10 +13,11 @@ check the closed forms in `analytic` empirically.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import ClassVar, List, Sequence
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .aggregation import RoundSkipped, apply_update, dp_group_mean, feo2_combine
 from .analytic import AnalyticParams, optimal_ratio
 from .config import Algorithm, ExperimentConfig
 from .datagen import Population, build_population
-from .models import LabeledExamples, LossKind, client_update
-from .privacy import DpConfig, update_clip_norm
+from .models import LabeledExamples, LossKind, _softmax_probs, client_update
+from .privacy import update_clip_norm
 from .rng import stream
 
 
@@ -45,24 +46,14 @@ class RoundReport:
     delta_l: float
     epsilon: float
 
-    CSV_HEADER = "round,S,N_p_t,N_np_t,acc_g,acc_g_p,acc_g_np,acc_l_p,acc_l_np,delta_g,delta_l,epsilon"
+    CSV_HEADER: ClassVar[str]  # the field names in order; set below the class
 
     def csv_row(self) -> str:
-        vals = [
-            self.round,
-            self.S,
-            self.N_p_t,
-            self.N_np_t,
-            self.acc_g,
-            self.acc_g_p,
-            self.acc_g_np,
-            self.acc_l_p,
-            self.acc_l_np,
-            self.delta_g,
-            self.delta_l,
-            self.epsilon,
-        ]
+        vals = (getattr(self, f.name) for f in dataclasses.fields(self))
         return ",".join(repr(v) if isinstance(v, float) else str(v) for v in vals)
+
+
+RoundReport.CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RoundReport))
 
 
 @dataclass
@@ -74,10 +65,12 @@ class ExperimentResult:
 
 
 def _accuracy(model: np.ndarray, data: LabeledExamples) -> float:
-    from .models import _softmax_probs
-
     p = _softmax_probs(model, data.features)
     return 100.0 * float(np.mean(p.argmax(axis=1) == data.labels))
+
+
+def _squared_error(model: np.ndarray, truth: np.ndarray) -> float:
+    return float(np.sum((model - truth) ** 2))
 
 
 def _group_metric(values: Sequence[float]) -> float:
@@ -86,22 +79,24 @@ def _group_metric(values: Sequence[float]) -> float:
 
 def _evaluate(theta: np.ndarray, pop: Population) -> dict:
     """Per-round metrics. Classification: percent accuracy on test splits.
-    Quadratic kinds: squared error against the hidden truths (lower is better)."""
-    g_p, g_np, l_p, l_np = [], [], [], []
+    Quadratic kinds: squared error against the hidden truths (lower is better).
+
+    A client without a personal model is scored once: its local score is its
+    global score."""
     if pop.kind is LossKind.SOFTMAX_CLASSIFICATION:
+        score, targets = _accuracy, pop.client_tests
         acc_g = _accuracy(theta, pop.server_test)
-        for c in pop.clients:
-            test = pop.client_tests[c.id]
-            personal = c.personalized_model if c.personalized_model is not None else theta
-            (g_p if c.is_private else g_np).append(_accuracy(theta, test))
-            (l_p if c.is_private else l_np).append(_accuracy(personal, test))
     else:
-        acc_g = float(np.sum((theta - pop.truth_global) ** 2))
-        for c in pop.clients:
-            truth = pop.truth_clients[c.id]
-            personal = c.personalized_model if c.personalized_model is not None else theta
-            (g_p if c.is_private else g_np).append(float(np.sum((theta - truth) ** 2)))
-            (l_p if c.is_private else l_np).append(float(np.sum((personal - truth) ** 2)))
+        score, targets = _squared_error, pop.truth_clients
+        acc_g = _squared_error(theta, pop.truth_global)
+    g_p, g_np, l_p, l_np = [], [], [], []
+    for c in pop.clients:
+        target = targets[c.id]
+        on_global = score(theta, target)
+        personal = c.personalized_model
+        on_local = on_global if personal is None else score(personal, target)
+        (g_p if c.is_private else g_np).append(on_global)
+        (l_p if c.is_private else l_np).append(on_local)
     out = {
         "acc_g": acc_g,
         "acc_g_p": _group_metric(g_p),
@@ -116,14 +111,13 @@ def _evaluate(theta: np.ndarray, pop: Population) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> ExperimentResult:
     pop = build_population(cfg.population)
-    kind = pop.kind
     theta = np.zeros(pop.dim)
     S = cfg.feo2.S0
     z = cfg.feo2.z
-    dp_cfg = DpConfig(
-        z=z, z_b=cfg.feo2.z_b, S0=cfg.feo2.S0, kappa=cfg.feo2.kappa,
-        eta_b=cfg.feo2.eta_b, delta=cfg.delta,
-    )
+    # One aggregation rule for all three algorithms: FedAvg is r = 1 with z = 0
+    # (the config enforces z = 0), DP-FedAvg is r = 1 with every client private.
+    r = cfg.feo2.r if cfg.algorithm is Algorithm.FEO2 else 1.0
+    all_private = cfg.algorithm is Algorithm.DPFEDAVG
     ledger = PrivacyLedger()
     n = len(pop.clients)
     cohort_size = max(1, round(cfg.cohort_fraction * n))
@@ -135,39 +129,33 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 
         def one(client):
             rng = stream(cfg.master_seed, "client", t, client.id)
-            delta, b = client_update(theta, client, S, cfg.feo2, kind, cfg.ditto, rng)
-            return client.id, delta, b
+            return client_update(theta, client, S, cfg.feo2, pop.kind, cfg.ditto, rng)
 
+        # Both paths keep cohort order, so results line up with the sorted ids.
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as ex:
                 results = list(ex.map(one, cohort))
         else:
             results = [one(c) for c in cohort]
-        results.sort(key=lambda item: item[0])
 
-        by_id = {c.id: c for c in cohort}
         priv, nonpriv, indicators = [], [], []
-        for cid, delta, b in results:
+        for client, (delta, b) in zip(cohort, results):
             indicators.append(b)
-            treat_private = by_id[cid].is_private or cfg.algorithm is Algorithm.DPFEDAVG
-            (priv if treat_private else nonpriv).append(delta)
+            (priv if client.is_private or all_private else nonpriv).append(delta)
 
         delta_np = group_mean(nonpriv) if nonpriv else None
         delta_p = (
             dp_group_mean(priv, S, z, stream(cfg.master_seed, "noise", t)) if priv else None
         )
-        r = 1.0 if cfg.algorithm is Algorithm.FEDAVG else cfg.feo2.r
-        if cfg.algorithm is Algorithm.DPFEDAVG:
-            r = 1.0
         try:
             combined = feo2_combine(delta_np, delta_p, len(nonpriv), len(priv), r)
             theta = apply_update(theta, combined)
         except RoundSkipped:
             pass  # no usable update; clip norm and accounting still advance
 
-        S = update_clip_norm(S, indicators, len(indicators), dp_cfg, stream(cfg.master_seed, "clip", t))
+        S = update_clip_norm(S, indicators, cfg.feo2, stream(cfg.master_seed, "clip", t))
 
-        if z > 0 and (priv or cfg.algorithm is Algorithm.DPFEDAVG):
+        if z > 0 and priv:
             ledger = account_round(ledger, cfg.cohort_fraction, z)
         epsilon = epsilon_at_delta(ledger, cfg.delta)[0] if z > 0 else float("inf")
 
@@ -187,7 +175,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 def monte_carlo_server_variance(
     p: AnalyticParams, r: float, trials: int, seed: int
 ) -> float:
-    """Empirical MSE of the two-group estimator of the global truth at ratio r.
+    """Empirical MSE of the two-group estimator of the global truth at ratio r,
+    summed over the ``p.d`` coordinates: d times the per-coordinate closed
+    forms in `analytic` (`server_variance_at` and the rest).
 
     Group means are sampled from their exact Gaussian laws (truth at zero by
     location invariance): the opted-out mean has variance sigma_c2/N_np, the
@@ -245,9 +235,7 @@ def lambda_sweep(
         Np_t, Nnp_t = p.N_p, p.N_np
     else:
         Np_t, Nnp_t = p.N_p - 1, p.N_np + 1
-    scenario = AnalyticParams(
-        N=p.N, N_p=Np_t, tau2=p.tau2, beta2=p.beta2, gamma2=p.gamma2, n_s=p.n_s, d=p.d
-    )
+    scenario = dataclasses.replace(p, N_p=Np_t)
     r = 1.0 if aggregator == "fedavg" else optimal_ratio(scenario)
     i_j = r if focal_client_private else 1.0
     W = Nnp_t + r * Np_t

@@ -35,6 +35,12 @@ def test_dp_group_mean_rejects_unclipped_updates():
         dp_group_mean(ups, S=1.0, z=1.0, rng=stream(0, "n"))
 
 
+def test_dp_group_mean_rejects_non_finite_updates():
+    # A NaN norm fails "norm > S" as well as "norm <= S"; it must count as out of bound.
+    with pytest.raises(ValueError, match="exceeds clip bound"):
+        dp_group_mean([np.array([np.nan, 0.0])], S=1.0, z=1.0, rng=stream(0, "n"))
+
+
 def test_dp_group_mean_noise_scale():
     # empirical std of the injected noise ~ z*S/n
     n, z, S = 4, 2.0, 1.5

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from feo2.privacy import DpConfig, clip, gaussian_noise_vector, update_clip_norm
+from feo2.config import FeO2Config, build_experiment_config
+from feo2.privacy import clip, gaussian_noise_vector, update_clip_norm
 from feo2.rng import stream
 
 vectors = hnp.arrays(
@@ -46,6 +47,13 @@ def test_clip_rejects_nonpositive_bound():
         clip(np.ones(2), 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_clip_rejects_non_finite_input(bad):
+    # NaN fails every comparison with S, so an unchecked NaN vector comes back unscaled.
+    with pytest.raises(ValueError, match="norm"):
+        clip(np.array([bad, 1.0]), 1.0)
+
+
 def test_noise_zero_std_is_exactly_zero():
     out = gaussian_noise_vector(5, 0.0, stream(0, "n"))
     assert np.array_equal(out, np.zeros(5))
@@ -58,16 +66,16 @@ def test_noise_std_matches_request():
 
 
 def test_clip_norm_update_noiseless_formula():
-    cfg = DpConfig(z=1.0, z_b=0.0, kappa=0.5, eta_b=0.2)
+    cfg = FeO2Config(z=1.0, z_b=0.0, kappa=0.5, eta_b=0.2)
     bits = [1, 1, 1, 0]
-    got = update_clip_norm(2.0, bits, 4, cfg, stream(0, "c"))
+    got = update_clip_norm(2.0, bits, cfg, stream(0, "c"))
     assert got == pytest.approx(2.0 * math.exp(-0.2 * (0.75 - 0.5)), abs=1e-15)
 
 
 def test_clip_norm_update_with_noise_is_reproducible():
-    cfg = DpConfig(z=1.0, z_b=3.0, kappa=0.5, eta_b=0.2)
-    a = update_clip_norm(1.0, [1, 0], 2, cfg, stream(5, "c"))
-    b = update_clip_norm(1.0, [1, 0], 2, cfg, stream(5, "c"))
+    cfg = FeO2Config(z=1.0, z_b=3.0, kappa=0.5, eta_b=0.2)
+    a = update_clip_norm(1.0, [1, 0], cfg, stream(5, "c"))
+    b = update_clip_norm(1.0, [1, 0], cfg, stream(5, "c"))
     assert a == b
     # manual reconstruction with the same stream
     noise = float(stream(5, "c").normal(0.0, 3.0 / 2.0))
@@ -75,24 +83,28 @@ def test_clip_norm_update_with_noise_is_reproducible():
 
 
 def test_clip_norm_update_validates_counts():
-    cfg = DpConfig(z=0.0)
+    cfg = FeO2Config()
     with pytest.raises(ValueError):
-        update_clip_norm(1.0, [1, 1], 3, cfg, stream(0, "c"))
+        update_clip_norm(1.0, [], cfg, stream(0, "c"))
     with pytest.raises(ValueError):
-        update_clip_norm(-1.0, [1], 1, cfg, stream(0, "c"))
+        update_clip_norm(-1.0, [1], cfg, stream(0, "c"))
 
 
+# The DP knobs live on FeO2Config (section "feo2") and delta on ExperimentConfig.
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(z=-0.1),
-        dict(z=1.0, z_b=-1.0),
-        dict(z=1.0, S0=0.0),
-        dict(z=1.0, kappa=1.5),
-        dict(z=1.0, eta_b=0.0),
-        dict(z=1.0, delta=0.0),
+        dict(feo2=dict(z=-0.1)),
+        dict(feo2=dict(z=1.0, z_b=-1.0)),
+        dict(feo2=dict(z=1.0, S0=0.0)),
+        dict(feo2=dict(z=1.0, kappa=1.5)),
+        dict(feo2=dict(z=1.0, eta_b=0.0)),
+        dict(delta=0.0),
     ],
 )
 def test_dp_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        DpConfig(**kwargs)
+    raw = {"population": {"kind": "point_estimation", "n_clients": 4, "rho_np": 0.5}}
+    raw.update(algorithm="feo2", **kwargs)
+    bad_key = list(kwargs.get("feo2", kwargs))[-1]
+    with pytest.raises(ValueError, match=bad_key):
+        build_experiment_config(raw)

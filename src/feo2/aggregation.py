@@ -2,33 +2,34 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .privacy import gaussian_noise_vector
+from .privacy import gaussian_noise_vector, row_norms
 
 
 class RoundSkipped(RuntimeError):
     """No usable update this round (e.g. r=0 with no opted-out client sampled)."""
 
 
-def group_mean(updates: Sequence[np.ndarray]) -> np.ndarray:
-    if len(updates) == 0:
+def group_mean(updates: np.ndarray) -> np.ndarray:
+    """Mean of a (clients, dim) stack of updates."""
+    stack = np.asarray(updates, dtype=np.float64)
+    if len(stack) == 0:
         raise RoundSkipped("empty group has no mean")
-    stack = np.stack([np.asarray(u, dtype=np.float64) for u in updates])
     return stack.mean(axis=0)
 
 
 def dp_group_mean(
-    updates: Sequence[np.ndarray], S: float, z: float, rng: np.random.Generator
+    updates: np.ndarray, S: float, z: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Mean of clipped private updates plus N(0, (z*S/N_p)^2) per coordinate."""
+    """Mean of a (clients, dim) stack of clipped updates plus N(0, (z*S/N_p)^2) noise."""
     mean = group_mean(updates)
-    for u in updates:
-        norm = np.linalg.norm(u)
-        if not norm <= S + 1e-9:  # negated so that a NaN norm fails too
-            raise ValueError(f"private update norm {norm:.6g} exceeds clip bound {S}")
+    norms = row_norms(np.asarray(updates, dtype=np.float64))
+    over = norms[~(norms <= S + 1e-9)]  # negated so that a NaN norm fails too
+    if over.size:
+        raise ValueError(f"private update norm {over[0]:.6g} exceeds clip bound {S}")
     n = len(updates)
     return mean + gaussian_noise_vector(mean.shape[0], z * S / n, rng)
 

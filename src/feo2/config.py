@@ -169,6 +169,8 @@ def build_experiment_config(raw: dict) -> ExperimentConfig:
     if "algorithm" not in raw:
         raise ValueError("missing required key 'algorithm'")
 
+    if not isinstance(raw["population"], dict):
+        raise ValueError("section 'population' must be a mapping")
     pop_raw = dict(raw["population"])
     if "kind" not in pop_raw:
         raise ValueError("missing required key 'kind' in section 'population'")

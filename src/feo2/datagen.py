@@ -4,6 +4,9 @@ Generators are pure functions of (spec, seed). Hidden truths (the global and
 per-client parameters behind the synthetic data) live on the Population
 object, not on client datasets, so training code paths never see them; only
 the evaluation helpers in `simulate` read them.
+
+Generators give every client the same number of examples and stack each split
+once on a leading client axis; client datasets and test sets are views of it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .models import (
     LossKind,
     PointSamples,
     RegressionSamples,
+    stack_datasets,
 )
 from .rng import stream
 
@@ -38,9 +42,16 @@ class Population:
     dim: int  # model dimension
     n_classes: int = 0
     truth_global: Optional[np.ndarray] = None
-    truth_clients: Optional[List[np.ndarray]] = None
+    truth_clients: Optional[np.ndarray] = None  # (clients, d)
     client_tests: Optional[List[LabeledExamples]] = None
-    server_test: Optional[LabeledExamples] = None
+    server_test: Optional[LabeledExamples] = None  # the client test splits pooled in client order
+    # The clients' training sets as laid out by `stack_datasets` (stacked when not given)
+    train_x: Optional[np.ndarray] = None
+    train_y: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.train_x is None:
+            self.train_x, self.train_y = stack_datasets([c.dataset for c in self.clients])
 
 
 def _privacy_flags(n: int, n_np: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,7 +79,8 @@ def gen_point_population(spec: PopulationSpec) -> Population:
         clients=clients,
         dim=d,
         truth_global=phi,
-        truth_clients=[phi_j[j] for j in range(n)],
+        truth_clients=phi_j,
+        train_x=obs,
     )
 
 
@@ -84,22 +96,24 @@ def gen_regression_population(spec: PopulationSpec) -> Population:
     n, n_s, d = spec.n_clients, spec.samples_per_client, spec.d
     phi = rng.normal(0.0, 1.0, d)
     phi_j = phi + rng.normal(0.0, np.sqrt(spec.tau2), (n, d))
-    clients_data = []
+    designs, responses = np.empty((n, n_s, d)), np.empty((n, n_s))
     for j in range(n):
         # orthonormal columns scaled by sqrt(n_s) give F^T F = n_s I exactly
         q, rr = np.linalg.qr(rng.normal(size=(n_s, d)))
         q = q * np.sign(np.diag(rr))
-        F = np.sqrt(n_s) * q
-        x = F @ phi_j[j] + rng.normal(0.0, np.sqrt(spec.beta2), n_s)
-        clients_data.append(RegressionSamples(F, x))
+        designs[j] = np.sqrt(n_s) * q
+        responses[j] = designs[j] @ phi_j[j] + rng.normal(0.0, np.sqrt(spec.beta2), n_s)
     flags = _privacy_flags(n, spec.n_np, rng)
-    clients = [ClientRecord(j, bool(flags[j]), clients_data[j]) for j in range(n)]
+    data = [RegressionSamples(designs[j], responses[j]) for j in range(n)]
+    clients = [ClientRecord(j, bool(flags[j]), data[j]) for j in range(n)]
     return Population(
         kind=LossKind.LINEAR_REGRESSION,
         clients=clients,
         dim=d,
         truth_global=phi,
-        truth_clients=[phi_j[j] for j in range(n)],
+        truth_clients=phi_j,
+        train_x=designs,
+        train_y=responses,
     )
 
 
@@ -135,12 +149,10 @@ def gen_label_shard_population(spec: PopulationSpec, source: LabeledExamples) ->
             )
     shard_labels = rng.choice(labels_present, size=n)
     n_test = max(1, round(0.2 * n_samp))
-    train_sets, test_sets = [], []
-    for j in range(n):
-        picked = rng.choice(by_label[int(shard_labels[j])], size=n_samp, replace=False)
-        train_idx, test_idx = picked[: n_samp - n_test], picked[n_samp - n_test :]
-        train_sets.append(LabeledExamples(source.features[train_idx], source.labels[train_idx]))
-        test_sets.append(LabeledExamples(source.features[test_idx], source.labels[test_idx]))
+    picked = np.stack([rng.choice(by_label[int(k)], n_samp, replace=False) for k in shard_labels])
+    train_idx, test_idx = picked[:, : n_samp - n_test], picked[:, n_samp - n_test :]
+    train_x, train_y = source.features[train_idx], source.labels[train_idx]
+    test_x, test_y = source.features[test_idx], source.labels[test_idx]
 
     if spec.skew_label is not None:
         candidates = np.flatnonzero(shard_labels == spec.skew_label)
@@ -155,19 +167,19 @@ def gen_label_shard_population(spec: PopulationSpec, source: LabeledExamples) ->
     else:
         flags = _privacy_flags(n, spec.n_np, rng)
 
-    clients = [ClientRecord(j, bool(flags[j]), train_sets[j]) for j in range(n)]
+    clients = [
+        ClientRecord(j, bool(flags[j]), LabeledExamples(train_x[j], train_y[j])) for j in range(n)
+    ]
     n_classes = int(labels_present.max()) + 1
-    server_test = LabeledExamples(
-        np.concatenate([t.features for t in test_sets]),
-        np.concatenate([t.labels for t in test_sets]),
-    )
     return Population(
         kind=LossKind.SOFTMAX_CLASSIFICATION,
         clients=clients,
         dim=n_classes * (source.dim + 1),
         n_classes=n_classes,
-        client_tests=test_sets,
-        server_test=server_test,
+        client_tests=[LabeledExamples(test_x[j], test_y[j]) for j in range(n)],
+        server_test=LabeledExamples(test_x.reshape(-1, source.dim), test_y.reshape(-1)),
+        train_x=train_x,
+        train_y=train_y,
     )
 
 
@@ -295,9 +307,7 @@ def population_from_json(blob: str) -> Population:
         dim=obj["dim"],
         n_classes=obj["n_classes"],
         truth_global=None if obj["truth_global"] is None else np.array(obj["truth_global"]),
-        truth_clients=None
-        if obj["truth_clients"] is None
-        else [np.array(t) for t in obj["truth_clients"]],
+        truth_clients=None if obj["truth_clients"] is None else np.array(obj["truth_clients"]),
         client_tests=None
         if obj["client_tests"] is None
         else [_dataset_from_obj(t) for t in obj["client_tests"]],

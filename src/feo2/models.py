@@ -11,13 +11,16 @@ Three model families are supported:
 
 Models are flat float64 vectors everywhere; the softmax layer is stored as
 ``concat(W.ravel(), b)`` with ``W`` of shape (classes, features).
+
+Training runs on a whole cohort at once: (clients, examples, features) data
+stacks and (clients, dim) model stacks, whose rows never mix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -117,29 +120,48 @@ class ClientRecord:
     personalized_model: Optional[ModelVector] = None
 
 
+@dataclass
+class Cohort:
+    """One round's clients on a leading axis, in cohort order."""
+
+    ids: np.ndarray  # client ids, for error messages
+    private: np.ndarray  # True where the client stays private; picks its Ditto lambda
+    x: np.ndarray  # (clients, n, f) inputs, laid out as by `stack_datasets`
+    y: Optional[np.ndarray]  # (clients, n) targets; None for point estimation
+    personal: Optional[np.ndarray] = None  # (clients, dim) personal models, stepped by Ditto
+
+
+def stack_datasets(datasets: Sequence[LocalDataset]) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Equal-size client datasets on a leading axis: inputs (clients, n, f) (observations,
+    designs or features) and targets (clients, n) (responses, labels, or None)."""
+    x = [getattr(d, "features", None) for d in datasets]
+    if x[0] is None:
+        x = [d.observations.reshape(d.n_s, -1) for d in datasets]
+    y = [getattr(d, "responses", getattr(d, "labels", None)) for d in datasets]
+    if len({len(a) for a in x}) != 1:
+        raise ValueError(f"client datasets differ in size: {sorted({len(a) for a in x})}")
+    return np.stack(x), None if y[0] is None else np.stack(y)
+
+
 def model_dim_for(data: LocalDataset, kind: LossKind, n_classes: int = 10) -> int:
     if kind is LossKind.SOFTMAX_CLASSIFICATION:
         return n_classes * (data.dim + 1)
     return data.dim
 
 
-def _softmax_unpack(model: ModelVector, n_features: int) -> tuple[np.ndarray, np.ndarray]:
-    if model.size % (n_features + 1) != 0:
-        raise ValueError(
-            f"model of size {model.size} does not fit a linear layer over {n_features} features"
-        )
-    n_classes = model.size // (n_features + 1)
-    w = model[: n_classes * n_features].reshape(n_classes, n_features)
-    b = model[n_classes * n_features :]
-    return w, b
-
-
 def _softmax_probs(model: ModelVector, x: np.ndarray) -> np.ndarray:
-    w, b = _softmax_unpack(model, x.shape[1])
-    logits = x @ w.T + b
-    logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
+    """Class probabilities of one model on (n, f) inputs, or of a (clients, dim)
+    stack on (clients, n, f) inputs."""
+    size, f = model.shape[-1], x.shape[-1]
+    if size % (f + 1) != 0:
+        raise ValueError(f"model of size {size} does not fit a linear layer over {f} features")
+    c = size // (f + 1)
+    w = model[..., : c * f].reshape(*model.shape[:-1], c, f)
+    p = np.matmul(x, np.swapaxes(w, -1, -2))
+    p += model[..., None, c * f :]
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     return p
 
 
@@ -170,78 +192,73 @@ def local_loss(model: ModelVector, data: LocalDataset, kind: LossKind) -> float:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def local_gradient(model: ModelVector, data: LocalDataset, kind: LossKind) -> ModelVector:
-    model = np.asarray(model, dtype=np.float64)
+def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], kind) -> np.ndarray:
+    """Gradient of each client's mean local loss at its own row of ``models``
+    (clients, dim); ``x`` and ``y`` are laid out as by `stack_datasets`."""
     if kind is LossKind.POINT_ESTIMATION:
-        target = np.atleast_1d(data.observations.mean(axis=0))
-        return model - target
+        return models - x.mean(axis=1)
     if kind is LossKind.LINEAR_REGRESSION:
-        resid = data.features @ model - data.responses
-        return (data.features.T @ resid) / data.n_s
+        resid = np.matmul(x, models[:, :, None])[:, :, 0] - y
+        return np.matmul(np.swapaxes(x, 1, 2), resid[:, :, None])[:, :, 0] / x.shape[1]
     if kind is LossKind.SOFTMAX_CLASSIFICATION:
-        p = _softmax_probs(model, data.features)
-        y = np.zeros_like(p)
-        y[np.arange(data.n), data.labels] = 1.0
-        err = (p - y) / data.n
-        gw = err.T @ data.features
-        gb = err.sum(axis=0)
-        return np.concatenate([gw.ravel(), gb])
+        p = _softmax_probs(models, x)
+        m, n = y.shape
+        p[np.arange(m)[:, None], np.arange(n), y] -= 1.0  # minus the one-hot labels
+        err = np.divide(p, n, out=p)
+        gw = np.matmul(np.swapaxes(err, 1, 2), x)
+        gb = err.sum(axis=1)
+        return np.concatenate([gw.reshape(m, -1), gb], axis=1)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _batches(
-    data: LocalDataset, batch_size: Optional[int], rng: Optional[np.random.Generator]
-) -> Iterator[LocalDataset]:
-    """Full batch when batch_size is None, else shuffled mini-batches."""
+def _batches(x, y, batch_size: Optional[int], rngs) -> Iterator[tuple]:
+    """Full batch when batch_size is None, else one pass of mini-batches, with
+    row i shuffled by a permutation from ``rngs[i]`` (in order when rngs is None)."""
     if batch_size is None:
-        yield data
+        yield x, y
         return
-    n = data.n if isinstance(data, LabeledExamples) else data.n_s
-    order = np.arange(n) if rng is None else rng.permutation(n)
+    m, n = x.shape[:2]
+    order = np.stack([np.arange(n)] * m if rngs is None else [r.permutation(n) for r in rngs])
+    rows = np.arange(m)[:, None]
     for lo in range(0, n, batch_size):
-        idx = order[lo : lo + batch_size]
-        if isinstance(data, PointSamples):
-            yield PointSamples(data.observations[idx])
-        elif isinstance(data, RegressionSamples):
-            yield RegressionSamples(data.features[idx], data.responses[idx])
-        else:
-            yield LabeledExamples(data.features[idx], data.labels[idx])
+        idx = order[:, lo : lo + batch_size]
+        yield x[rows, idx], None if y is None else y[rows, idx]
 
 
 def client_update(
-    global_model: ModelVector,
-    client: ClientRecord,
-    clip_norm: float,
-    cfg,
-    kind: LossKind,
-    ditto=None,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[ModelVector, int]:
-    """Run the local training loop and return (clipped delta, indicator bit).
-
-    ``cfg`` supplies epochs / eta / batch_size. The indicator is 1 iff the raw
-    delta's L2 norm was within ``clip_norm`` before clipping. When ``ditto`` is
-    given, the client's personalized model takes one proximal step per batch,
-    regularized toward the broadcast ``global_model``.
-    """
+    global_model: ModelVector, cohort: Cohort, clip_norm: float, cfg, kind: LossKind, ditto=None,
+    rngs: Optional[Sequence[np.random.Generator]] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Train every cohort client at once; return (clipped deltas (clients, dim), bits)
+    with bit 1 iff the raw delta's L2 norm was within ``clip_norm``. ``cfg`` gives
+    epochs / eta / batch_size, ``rngs`` one mini-batch generator per client. With
+    ``ditto``, each personal model (``cohort.personal``, else the broadcast
+    ``global_model``) takes one proximal step per batch. A non-finite delta or
+    personal model raises `NumericFailure` naming the first such client."""
     from .personalization import ditto_step
-    from .privacy import clip
+    from .privacy import clip_rows
 
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
-    theta = np.array(global_model, dtype=np.float64, copy=True)
-    if ditto is not None and client.personalized_model is None:
-        client.personalized_model = np.array(global_model, dtype=np.float64, copy=True)
+    global_model = np.asarray(global_model, dtype=np.float64)
+    theta = np.repeat(global_model[None, :], len(cohort.ids), axis=0)
+    personal = cohort.personal
+    if ditto is not None:
+        personal = theta.copy() if personal is None else personal
+        lam = np.where(cohort.private, ditto.lambda_p, ditto.lambda_np).astype(np.float64)[:, None]
+        eta_p = 1.0 / (1.0 + lam) if ditto.eta_p is None else ditto.eta_p
     for _ in range(cfg.epochs):
-        for batch in _batches(client.dataset, cfg.batch_size, rng):
-            theta = theta - cfg.eta * local_gradient(theta, batch, kind)
+        for xb, yb in _batches(cohort.x, cohort.y, cfg.batch_size, rngs):
+            grad = local_gradient(theta, xb, yb, kind)
+            theta -= np.multiply(cfg.eta, grad, out=grad)
             if ditto is not None:
-                lam = ditto.lambda_p if client.is_private else ditto.lambda_np
-                eta_p = ditto.eta_p if ditto.eta_p is not None else 1.0 / (1.0 + lam)
-                client.personalized_model = ditto_step(
-                    client.personalized_model, global_model, batch, kind, lam, eta_p
-                )
-    delta = theta - global_model
-    if not np.all(np.isfinite(delta)):
-        raise NumericFailure(f"non-finite update from client {client.id}")
-    return clip(delta, clip_norm)
+                personal = ditto_step(personal, global_model, xb, yb, kind, lam, eta_p)
+    cohort.personal = personal
+    delta = np.subtract(theta, global_model, out=theta)
+    finite = np.isfinite(delta).all(axis=1)
+    personal_ok = np.ones_like(finite) if ditto is None else np.isfinite(personal).all(axis=1)
+    if not (finite & personal_ok).all():
+        i = int(np.argmin(finite & personal_ok))
+        what = "update" if personal_ok[i] else "personalized model"
+        raise NumericFailure(f"non-finite {what} from client {cohort.ids[i]}")
+    return clip_rows(delta, clip_norm)

@@ -4,7 +4,8 @@ Each client keeps a personal model ``theta_j`` trained on
 ``f_j(theta_j) + (lambda/2) * ||theta_j - theta_global||^2``. For the
 quadratic families one gradient step with ``eta_p = 1/(1+lambda)`` lands
 exactly on the minimizer ``(phi_hat_j + lambda*theta_global)/(1+lambda)``,
-which is also available directly as `ditto_closed_form`.
+which is also available directly as `ditto_closed_form`. `ditto_step` steps a
+cohort's personal models at once; `models.client_update` checks them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import LocalDataset, LossKind, local_gradient
+from .models import LossKind, local_gradient
 
 
 @dataclass(frozen=True)
@@ -33,22 +34,22 @@ class DittoConfig:
 def ditto_step(
     theta_j: np.ndarray,
     theta_global: np.ndarray,
-    data: LocalDataset,
+    x: np.ndarray,
+    y: Optional[np.ndarray],
     kind: LossKind,
-    lam: float,
-    eta_p: float,
+    lam,
+    eta_p,
 ) -> np.ndarray:
-    """One proximal gradient step: theta_j - eta_p*(grad f_j + lam*(theta_j - theta_global))."""
-    if lam < 0:
+    """One proximal step of each row of ``theta_j`` (clients, dim) on its client's
+    data: theta_j - eta_p*(grad f_j + lam*(theta_j - theta_global)). ``lam`` and
+    ``eta_p`` are scalars or per-client columns (clients, 1)."""
+    if np.any(np.asarray(lam) < 0):
         raise ValueError("lambda must be >= 0")
-    if eta_p <= 0:
+    if np.any(np.asarray(eta_p) <= 0):
         raise ValueError("eta_p must be > 0")
     theta_j = np.asarray(theta_j, dtype=np.float64)
-    g = local_gradient(theta_j, data, kind) + lam * (theta_j - np.asarray(theta_global))
-    out = theta_j - eta_p * g
-    if not np.all(np.isfinite(out)):
-        raise ValueError("personalized step produced non-finite values")
-    return out
+    g = local_gradient(theta_j, x, y, kind) + lam * (theta_j - np.asarray(theta_global))
+    return theta_j - eta_p * g
 
 
 def ditto_closed_form(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -10,24 +9,36 @@ import numpy as np
 from .config import FeO2Config
 
 
-def clip(v: np.ndarray, S: float) -> tuple[np.ndarray, int]:
-    """Scale ``v`` onto the L2 ball of radius ``S``; also report whether it already fit.
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """L2 norm of each row, bitwise equal to ``np.linalg.norm(row)``: the root of a
+    one-row dot product (``np.linalg.norm(rows, axis=1)`` can differ in the last bit)."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
-    Returns (clipped, b) with b = 1 iff ||v|| <= S before clipping. The
-    rescale loop guards against the scaled norm landing a few ulps above S,
-    which makes a second clip a bitwise no-op (idempotent).
-    """
+
+def clip_rows(rows: np.ndarray, S: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row onto the L2 ball of radius ``S``; return (clipped, b) with
+    b[i] = 1 iff ||rows[i]|| <= S before clipping. The rescale loop guards
+    against a scaled norm landing a few ulps above S, which makes a second clip
+    a bitwise no-op (idempotent). Rows are clipped independently."""
     if S <= 0:
         raise ValueError("clip norm must be positive")
-    out = np.array(v, dtype=np.float64, copy=True)
-    norm = float(np.linalg.norm(out))
-    if not math.isfinite(norm):
-        raise ValueError(f"cannot clip a vector of norm {norm}")
-    b = 1 if norm <= S else 0
-    while norm > S:
-        out *= S / norm
-        norm = float(np.linalg.norm(out))
+    out = np.array(rows, dtype=np.float64, copy=True)
+    norms = row_norms(out)
+    if not np.isfinite(norms).all():
+        raise ValueError(f"cannot clip a vector of norm {norms[~np.isfinite(norms)][0]}")
+    b = (norms <= S).astype(np.int64)
+    over = np.flatnonzero(norms > S)
+    while over.size:
+        out[over] *= (S / norms[over])[:, None]
+        norms[over] = row_norms(out[over])
+        over = over[norms[over] > S]
     return out, b
+
+
+def clip(v: np.ndarray, S: float) -> tuple[np.ndarray, int]:
+    """`clip_rows` of the single vector ``v``: (clipped, b) with b = 1 iff ||v|| <= S."""
+    out, b = clip_rows(np.reshape(np.asarray(v, dtype=np.float64), (1, -1)), S)
+    return out[0], int(b[0])
 
 
 def gaussian_noise_vector(dim: int, std: float, rng: np.random.Generator) -> np.ndarray:

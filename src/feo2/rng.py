@@ -2,8 +2,9 @@
 
 Every random draw in the package comes from a generator derived here, keyed
 by a master seed plus a path of integers (round index, client id) and short
-purpose strings. Streams depend only on their key, never on execution order,
-so client work can run on any number of workers without changing results.
+purpose strings. Streams depend only on their key, never on execution order:
+each client's mini-batch order has its own stream, so a cohort trains as one
+batch or in chunks with the same results.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Round orchestration and Monte Carlo harnesses.
 
-`run_experiment` executes the full federated loop: cohort sampling, parallel
-client updates, two-group aggregation with optional noising, adaptive clip
-norm, privacy accounting, and per-round evaluation. Every random draw comes
-from a stream keyed on (master_seed, purpose, round, client), so reports are
-byte-stable regardless of worker count.
+`run_experiment` executes the full federated loop: cohort sampling, one batched
+client step per round, two-group aggregation with optional noising, adaptive
+clip norm, privacy accounting, and evaluation of all clients at once. Every
+random draw comes from a stream keyed on (master_seed, purpose, round, client)
+and clients never mix, so reports are byte-stable for any number of workers.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
@@ -17,7 +17,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import ClassVar, List, Sequence
+from typing import ClassVar, List, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .aggregation import RoundSkipped, apply_update, dp_group_mean, feo2_combine
 from .analytic import AnalyticParams, optimal_ratio
 from .config import Algorithm, ExperimentConfig
 from .datagen import Population, build_population
-from .models import LabeledExamples, LossKind, _softmax_probs, client_update
+from .models import Cohort, LossKind, NumericFailure, _softmax_probs, client_update
 from .privacy import update_clip_norm
 from .rng import stream
 
@@ -64,45 +64,40 @@ class ExperimentResult:
     population: Population
 
 
-def _accuracy(model: np.ndarray, data: LabeledExamples) -> float:
-    p = _softmax_probs(model, data.features)
-    return 100.0 * float(np.mean(p.argmax(axis=1) == data.labels))
-
-
-def _squared_error(model: np.ndarray, truth: np.ndarray) -> float:
-    return float(np.sum((model - truth) ** 2))
-
-
-def _group_metric(values: Sequence[float]) -> float:
+def _group_metric(values: np.ndarray) -> float:
     return float(np.mean(values)) if len(values) else float("nan")
 
 
-def _evaluate(theta: np.ndarray, pop: Population) -> dict:
+def _evaluate(theta, pop: Population, is_private, personal: Optional[np.ndarray], trained) -> dict:
     """Per-round metrics. Classification: percent accuracy on test splits.
     Quadratic kinds: squared error against the hidden truths (lower is better).
 
-    A client without a personal model is scored once: its local score is its
-    global score."""
+    The global model is scored once, on the pooled server test set split into
+    the clients' equal segments, and the personal models of the ``trained``
+    clients in one batched pass. Any other client's local score is its global score."""
+    n, ids = len(pop.clients), np.flatnonzero(trained)
     if pop.kind is LossKind.SOFTMAX_CLASSIFICATION:
-        score, targets = _accuracy, pop.client_tests
-        acc_g = _accuracy(theta, pop.server_test)
+        x, labels = pop.server_test.features, pop.server_test.labels
+        hits = _softmax_probs(theta, x).argmax(axis=1) == labels
+        acc_g = 100.0 * float(np.mean(hits))
+        hits, local_hits = hits.reshape(n, -1), hits.reshape(n, -1).copy()
+        if ids.size:
+            probs = _softmax_probs(personal[ids], x.reshape(n, -1, x.shape[1])[ids])
+            local_hits[ids] = probs.argmax(axis=2) == labels.reshape(n, -1)[ids]
+        on_global, on_local = 100.0 * hits.mean(axis=1), 100.0 * local_hits.mean(axis=1)
     else:
-        score, targets = _squared_error, pop.truth_clients
-        acc_g = _squared_error(theta, pop.truth_global)
-    g_p, g_np, l_p, l_np = [], [], [], []
-    for c in pop.clients:
-        target = targets[c.id]
-        on_global = score(theta, target)
-        personal = c.personalized_model
-        on_local = on_global if personal is None else score(personal, target)
-        (g_p if c.is_private else g_np).append(on_global)
-        (l_p if c.is_private else l_np).append(on_local)
+        acc_g = float(np.sum((theta - pop.truth_global) ** 2))
+        models = np.repeat(theta[None, :], n, axis=0)
+        if ids.size:
+            models[ids] = personal[ids]
+        on_global = np.sum((theta - pop.truth_clients) ** 2, axis=1)
+        on_local = np.sum((models - pop.truth_clients) ** 2, axis=1)
     out = {
         "acc_g": acc_g,
-        "acc_g_p": _group_metric(g_p),
-        "acc_g_np": _group_metric(g_np),
-        "acc_l_p": _group_metric(l_p),
-        "acc_l_np": _group_metric(l_np),
+        "acc_g_p": _group_metric(on_global[is_private]),
+        "acc_g_np": _group_metric(on_global[~is_private]),
+        "acc_l_p": _group_metric(on_local[is_private]),
+        "acc_l_np": _group_metric(on_local[~is_private]),
     }
     out["delta_g"] = out["acc_g_np"] - out["acc_g_p"]
     out["delta_l"] = out["acc_l_np"] - out["acc_l_p"]
@@ -112,60 +107,71 @@ def _evaluate(theta: np.ndarray, pop: Population) -> dict:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> ExperimentResult:
     pop = build_population(cfg.population)
     theta = np.zeros(pop.dim)
-    S = cfg.feo2.S0
-    z = cfg.feo2.z
+    S, z, seed = cfg.feo2.S0, cfg.feo2.z, cfg.master_seed
     # One aggregation rule for all three algorithms: FedAvg is r = 1 with z = 0
     # (the config enforces z = 0), DP-FedAvg is r = 1 with every client private.
     r = cfg.feo2.r if cfg.algorithm is Algorithm.FEO2 else 1.0
-    all_private = cfg.algorithm is Algorithm.DPFEDAVG
     ledger = PrivacyLedger()
     n = len(pop.clients)
+    is_private = np.array([c.is_private for c in pop.clients], dtype=bool)
+    in_private_group = np.ones(n, dtype=bool) if cfg.algorithm is Algorithm.DPFEDAVG else is_private
     cohort_size = max(1, round(cfg.cohort_fraction * n))
+    # Ditto state: every client's personal model, valid where ``trained``.
+    personal = None if cfg.ditto is None else np.zeros((n, pop.dim))
+    trained = np.zeros(n, dtype=bool)
     reports: List[RoundReport] = []
 
-    for t in range(cfg.rounds):
-        ids = np.sort(stream(cfg.master_seed, "cohort", t).choice(n, cohort_size, replace=False))
-        cohort = [pop.clients[i] for i in ids]
+    def train(ids, t, theta, S):
+        """The batched client step of round t for the sorted cohort rows ``ids``."""
+        mini = cfg.feo2.batch_size is not None
+        rngs = [stream(seed, "client", t, i) for i in ids.tolist()] if mini else None
+        # Consecutive ids (all clients under full participation) are sliced, not copied.
+        rows = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == len(ids) else ids
+        start = None if personal is None else np.where(trained[rows, None], personal[rows], theta)
+        y = None if pop.train_y is None else pop.train_y[rows]
+        cohort = Cohort(ids, is_private[rows], pop.train_x[rows], y, start)
+        out = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, rngs)
+        if personal is not None:
+            personal[rows], trained[rows] = cohort.personal, True
+        return out
 
-        def one(client):
-            rng = stream(cfg.master_seed, "client", t, client.id)
-            return client_update(theta, client, S, cfg.feo2, pop.kind, cfg.ditto, rng)
+    # Threads take contiguous chunks of the sorted cohort; none starts while workers is 1.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run_chunks = pool.map if workers > 1 else map
+        for t in range(cfg.rounds):
+            ids = np.sort(stream(seed, "cohort", t).choice(n, cohort_size, replace=False))
+            chunks = [c for c in np.array_split(ids, workers) if c.size]
+            try:
+                results = run_chunks(lambda c: train(c, t, theta, S), chunks)
+                deltas, indicators = map(np.concatenate, zip(*results))
+            except NumericFailure as exc:
+                raise NumericFailure(f"{exc} in round {t}") from None
 
-        # Both paths keep cohort order, so results line up with the sorted ids.
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(one, cohort))
-        else:
-            results = [one(c) for c in cohort]
+            grouped = in_private_group[ids]
+            priv, nonpriv = deltas[grouped], deltas[~grouped]
+            delta_np = group_mean(nonpriv) if len(nonpriv) else None
+            delta_p = dp_group_mean(priv, S, z, stream(seed, "noise", t)) if len(priv) else None
+            try:
+                combined = feo2_combine(delta_np, delta_p, len(nonpriv), len(priv), r)
+                theta = apply_update(theta, combined)
+            except RoundSkipped:
+                pass  # no usable update; clip norm and accounting still advance
 
-        priv, nonpriv, indicators = [], [], []
-        for client, (delta, b) in zip(cohort, results):
-            indicators.append(b)
-            (priv if client.is_private or all_private else nonpriv).append(delta)
+            S = update_clip_norm(S, indicators, cfg.feo2, stream(seed, "clip", t))
 
-        delta_np = group_mean(nonpriv) if nonpriv else None
-        delta_p = (
-            dp_group_mean(priv, S, z, stream(cfg.master_seed, "noise", t)) if priv else None
-        )
-        try:
-            combined = feo2_combine(delta_np, delta_p, len(nonpriv), len(priv), r)
-            theta = apply_update(theta, combined)
-        except RoundSkipped:
-            pass  # no usable update; clip norm and accounting still advance
+            if z > 0 and len(priv):
+                ledger = account_round(ledger, cfg.cohort_fraction, z)
+            epsilon = epsilon_at_delta(ledger, cfg.delta)[0] if z > 0 else float("inf")
 
-        S = update_clip_norm(S, indicators, cfg.feo2, stream(cfg.master_seed, "clip", t))
-
-        if z > 0 and priv:
-            ledger = account_round(ledger, cfg.cohort_fraction, z)
-        epsilon = epsilon_at_delta(ledger, cfg.delta)[0] if z > 0 else float("inf")
-
-        metrics = _evaluate(theta, pop)
-        report = RoundReport(
-            round=t, S=S, N_p_t=len(priv), N_np_t=len(nonpriv), epsilon=epsilon, **metrics
-        )
-        reports.append(report)
-        if on_round is not None:
-            on_round(report)
+            metrics = _evaluate(theta, pop, is_private, personal, trained)
+            report = RoundReport(
+                round=t, S=S, N_p_t=len(priv), N_np_t=len(nonpriv), epsilon=epsilon, **metrics
+            )
+            reports.append(report)
+            if on_round is not None:
+                on_round(report)
+    for j in np.flatnonzero(trained):
+        pop.clients[j].personalized_model = personal[j]
     return ExperimentResult(reports, ledger, theta, pop)
 
 

@@ -94,6 +94,12 @@ def test_missing_sections_are_reported():
         build_experiment_config({"population": GOOD["population"]})
 
 
+@pytest.mark.parametrize("population", [5, [1, 2], "abc"])
+def test_population_section_must_be_a_mapping(population):
+    with pytest.raises(ValueError, match="section 'population' must be a mapping"):
+        build_experiment_config(dict(GOOD, population=population))
+
+
 def test_fedavg_requires_zero_noise():
     with pytest.raises(ValueError, match="z = 0"):
         build_experiment_config(dict(GOOD, algorithm="fedavg"))

@@ -2,7 +2,9 @@
 
 Gradients are checked against central finite differences (the oracle knows
 nothing about the closed forms), and the quadratic families additionally
-against their hand-derived expressions.
+against their hand-derived expressions. The batched functions are called on
+one-client stacks here; tests/test_batched.py checks that stacking changes no
+row.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from feo2.config import FeO2Config
 from feo2.models import (
     ClientRecord,
+    Cohort,
     LabeledExamples,
     LossKind,
     NumericFailure,
@@ -24,6 +27,7 @@ from feo2.models import (
     local_gradient,
     local_loss,
     model_dim_for,
+    stack_datasets,
 )
 from feo2.rng import stream
 
@@ -44,6 +48,22 @@ def _labeled(rng, n=12, d=4, classes=3):
     return LabeledExamples(rng.normal(size=(n, d)), rng.integers(0, classes, size=n))
 
 
+def _grad(theta, data, kind):
+    """local_gradient of one client."""
+    x, y = stack_datasets([data])
+    return local_gradient(theta[None], x, y, kind)[0]
+
+
+def _update(theta, client, clip_norm, cfg, kind, ditto=None, rng=None):
+    """client_update of a one-client cohort: (delta, bit, personal model or None)."""
+    x, y = stack_datasets([client.dataset])
+    cohort = Cohort(np.array([client.id]), np.array([client.is_private]), x, y)
+    rngs = None if rng is None else [rng]
+    deltas, bits = client_update(theta, cohort, clip_norm, cfg, kind, ditto, rngs)
+    personal = None if cohort.personal is None else cohort.personal[0]
+    return deltas[0], int(bits[0]), personal
+
+
 def test_as_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
         as_vector([1.0, np.inf])
@@ -54,7 +74,7 @@ def test_point_loss_closed_form():
     theta = np.array([0.0, 0.0])
     # mean is (2, 4); loss = 0.5 * (4 + 16)
     assert local_loss(theta, data, LossKind.POINT_ESTIMATION) == pytest.approx(10.0, abs=1e-14)
-    g = local_gradient(theta, data, LossKind.POINT_ESTIMATION)
+    g = _grad(theta, data, LossKind.POINT_ESTIMATION)
     assert np.allclose(g, [-2.0, -4.0], atol=1e-14)
 
 
@@ -78,7 +98,7 @@ def test_gradient_matches_finite_differences(kind):
     else:
         data = _labeled(rng)
     theta = rng.normal(size=model_dim_for(data, kind, n_classes=3))
-    got = local_gradient(theta, data, kind)
+    got = _grad(theta, data, kind)
     want = numeric_gradient(lambda t: local_loss(t, data, kind), theta)
     assert np.allclose(got, want, atol=1e-7), np.abs(got - want).max()
 
@@ -100,7 +120,7 @@ def test_regression_gradient_zero_at_least_squares_solution():
     F = np.sqrt(12) * q * np.sign(np.diag(r))
     phi = rng.normal(size=4)
     data = RegressionSamples(F, F @ phi)
-    g = local_gradient(phi, data, LossKind.LINEAR_REGRESSION)
+    g = _grad(phi, data, LossKind.LINEAR_REGRESSION)
     assert np.allclose(g, 0.0, atol=1e-12)
 
 
@@ -121,7 +141,7 @@ def test_one_step_full_batch_lands_on_sample_mean(obs, theta):
     mean(obs) - theta (before clipping)."""
     client = ClientRecord(0, True, PointSamples(obs))
     cfg = FeO2Config(eta=1.0, epochs=1, batch_size=None)
-    delta, b = client_update(theta, client, 1e9, cfg, LossKind.POINT_ESTIMATION)
+    delta, b, _ = _update(theta, client, 1e9, cfg, LossKind.POINT_ESTIMATION)
     assert np.allclose(delta, obs.mean(axis=0) - theta, atol=1e-9)
     assert b == 1
 
@@ -129,7 +149,7 @@ def test_one_step_full_batch_lands_on_sample_mean(obs, theta):
 def test_clip_indicator_reflects_raw_norm():
     client = ClientRecord(0, True, PointSamples(np.full((3, 2), 10.0)))
     cfg = FeO2Config(eta=1.0)
-    delta, b = client_update(np.zeros(2), client, 0.5, cfg, LossKind.POINT_ESTIMATION)
+    delta, b, _ = _update(np.zeros(2), client, 0.5, cfg, LossKind.POINT_ESTIMATION)
     assert b == 0
     assert np.linalg.norm(delta) <= 0.5
 
@@ -138,9 +158,10 @@ def test_minibatches_partition_the_data():
     from feo2.models import _batches
 
     data = _labeled(stream(11, "b"), n=10, d=3, classes=2)
-    batches = list(_batches(data, 4, stream(11, "order")))
-    assert [b.n for b in batches] == [4, 4, 2]
-    seen = np.concatenate([b.features for b in batches])
+    x, y = stack_datasets([data])
+    batches = list(_batches(x, y, 4, [stream(11, "order")]))
+    assert [yb.shape[1] for _, yb in batches] == [4, 4, 2]
+    seen = np.concatenate([xb[0] for xb, _ in batches])
     assert np.allclose(np.sort(seen, axis=0), np.sort(data.features, axis=0))
 
 
@@ -149,8 +170,8 @@ def test_minibatch_order_is_stream_determined():
     cfg = FeO2Config(eta=0.3, epochs=2, batch_size=3)
     client_a = ClientRecord(0, True, data)
     client_b = ClientRecord(0, True, data)
-    da, _ = client_update(np.zeros(2), client_a, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
-    db, _ = client_update(np.zeros(2), client_b, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
+    da, _, _ = _update(np.zeros(2), client_a, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
+    db, _, _ = _update(np.zeros(2), client_b, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
     assert np.array_equal(da, db)
 
 
@@ -160,7 +181,7 @@ def test_divergent_training_raises_numeric_failure():
     client = ClientRecord(3, False, _point(stream(1, "nf"), n_s=4, d=2))
     cfg = FeO2Config(eta=4.0, epochs=3000)  # |1 - eta| > 1 compounds to overflow
     with pytest.raises(NumericFailure, match="client 3"):
-        client_update(np.zeros(2), client, 1.0, cfg, LossKind.POINT_ESTIMATION)
+        _update(np.zeros(2), client, 1.0, cfg, LossKind.POINT_ESTIMATION)
 
 
 def test_ditto_initializes_personal_model_from_broadcast():
@@ -170,7 +191,7 @@ def test_ditto_initializes_personal_model_from_broadcast():
     cfg = FeO2Config(eta=1.0)
     theta0 = np.array([0.5, -0.25])
     assert client.personalized_model is None
-    client_update(theta0, client, 1e6, cfg, LossKind.POINT_ESTIMATION, ditto=DittoConfig(1.0, 1.0))
+    *_, personal = _update(theta0, client, 1e6, cfg, LossKind.POINT_ESTIMATION, ditto=DittoConfig(1.0, 1.0))
     # one proximal step with eta_p = 1/(1+lam) from theta0:
     target = (client.dataset.observations.mean(axis=0) + 1.0 * theta0) / 2.0
-    assert np.allclose(client.personalized_model, target, atol=1e-12)
+    assert np.allclose(personal, target, atol=1e-12)

@@ -202,12 +202,13 @@ def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], k
         return np.matmul(np.swapaxes(x, 1, 2), resid[:, :, None])[:, :, 0] / x.shape[1]
     if kind is LossKind.SOFTMAX_CLASSIFICATION:
         p = _softmax_probs(models, x)
-        m, n = y.shape
+        (m, n), c, f = y.shape, p.shape[2], x.shape[2]
         p[np.arange(m)[:, None], np.arange(n), y] -= 1.0  # minus the one-hot labels
         err = np.divide(p, n, out=p)
-        gw = np.matmul(np.swapaxes(err, 1, 2), x)
-        gb = err.sum(axis=1)
-        return np.concatenate([gw.reshape(m, -1), gb], axis=1)
+        grad = np.empty(models.shape)  # weight gradients (c, f) per row, then bias gradients
+        np.matmul(np.swapaxes(err, 1, 2), x, out=grad[:, : c * f].reshape(m, c, f))
+        err.sum(axis=1, out=grad[:, c * f :])
+        return grad
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -242,9 +243,8 @@ def client_update(
         raise ValueError("clip_norm must be positive")
     global_model = np.asarray(global_model, dtype=np.float64)
     theta = np.repeat(global_model[None, :], len(cohort.ids), axis=0)
-    personal = cohort.personal
+    personal = theta.copy() if ditto is not None and cohort.personal is None else cohort.personal
     if ditto is not None:
-        personal = theta.copy() if personal is None else personal
         lam = np.where(cohort.private, ditto.lambda_p, ditto.lambda_np).astype(np.float64)[:, None]
         eta_p = 1.0 / (1.0 + lam) if ditto.eta_p is None else ditto.eta_p
     for _ in range(cfg.epochs):

@@ -27,11 +27,11 @@ def clip_rows(rows: np.ndarray, S: float) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(norms).all():
         raise ValueError(f"cannot clip a vector of norm {norms[~np.isfinite(norms)][0]}")
     b = (norms <= S).astype(np.int64)
-    over = np.flatnonzero(norms > S)
-    while over.size:
-        out[over] *= (S / norms[over])[:, None]
-        norms[over] = row_norms(out[over])
-        over = over[norms[over] > S]
+    over = norms > S
+    while over.any():
+        out *= np.where(over, S / np.maximum(norms, S), 1.0)[:, None]  # rows that fit: times 1
+        norms = row_norms(out)
+        over = norms > S
     return out, b
 
 

@@ -87,9 +87,7 @@ def _evaluate(theta, pop: Population, is_private, personal: Optional[np.ndarray]
         on_global, on_local = 100.0 * hits.mean(axis=1), 100.0 * local_hits.mean(axis=1)
     else:
         acc_g = float(np.sum((theta - pop.truth_global) ** 2))
-        models = np.repeat(theta[None, :], n, axis=0)
-        if ids.size:
-            models[ids] = personal[ids]
+        models = theta if personal is None else np.where(trained[:, None], personal, theta)
         on_global = np.sum((theta - pop.truth_clients) ** 2, axis=1)
         on_local = np.sum((models - pop.truth_clients) ** 2, axis=1)
     out = {
@@ -149,24 +147,24 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 
             grouped = in_private_group[ids]
             priv, nonpriv = deltas[grouped], deltas[~grouped]
-            delta_np = group_mean(nonpriv) if len(nonpriv) else None
-            delta_p = dp_group_mean(priv, S, z, stream(seed, "noise", t)) if len(priv) else None
+            N_p, N_np = len(priv), len(nonpriv)
+            delta_np = group_mean(nonpriv) if N_np else None
+            delta_p = dp_group_mean(priv, S, z, stream(seed, "noise", t)) if N_p else None
+            del deltas, priv, nonpriv  # not held while the next round trains
             try:
-                combined = feo2_combine(delta_np, delta_p, len(nonpriv), len(priv), r)
+                combined = feo2_combine(delta_np, delta_p, N_np, N_p, r)
                 theta = apply_update(theta, combined)
             except RoundSkipped:
                 pass  # no usable update; clip norm and accounting still advance
 
             S = update_clip_norm(S, indicators, cfg.feo2, stream(seed, "clip", t))
 
-            if z > 0 and len(priv):
+            if z > 0 and N_p:
                 ledger = account_round(ledger, cfg.cohort_fraction, z)
             epsilon = epsilon_at_delta(ledger, cfg.delta)[0] if z > 0 else float("inf")
 
             metrics = _evaluate(theta, pop, is_private, personal, trained)
-            report = RoundReport(
-                round=t, S=S, N_p_t=len(priv), N_np_t=len(nonpriv), epsilon=epsilon, **metrics
-            )
+            report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)
             reports.append(report)
             if on_round is not None:
                 on_round(report)

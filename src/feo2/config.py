@@ -1,6 +1,7 @@
 """Experiment configuration: dataclasses, file parsing, validation, hashing.
 
-Config files are YAML (JSON is a YAML subset, so plain JSON files load too).
+Config files are YAML (JSON is a YAML subset, so plain JSON files load too;
+floats follow YAML 1.2, so ``1e-5`` and JSON's ``1e-05`` are numbers).
 Parsing is strict: unknown keys and out-of-range values are rejected with the
 offending key named, and a parsed config serializes back to the exact mapping
 that reproduces it (`config_to_dict` / `build_experiment_config` round-trip).
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -200,10 +202,22 @@ def build_experiment_config(raw: dict) -> ExperimentConfig:
     return _from_mapping(ExperimentConfig, dict(raw, **sections), "config root")
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats, which need no dot: ``1e-5``
+    and JSON's ``1e-05`` are strings to YAML 1.1."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate a config file (YAML or JSON)."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        raw = yaml.load(fh, Loader=_Loader)
     return build_experiment_config(raw)
 
 

@@ -8,7 +8,9 @@ and clients never mix, so reports are byte-stable for any number of workers.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
-check the closed forms in `analytic` empirically.
+check the closed forms in `analytic` empirically. Both losses are quadratic
+in the swept parameter, so each reduces one set of draws to three trial-mean
+inner products and evaluates every grid point from them (one draw per sweep).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar, List, Optional, Sequence
 
 import numpy as np
@@ -176,6 +179,27 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 # --- Monte Carlo harnesses --------------------------------------------------
 
 
+def _mean_dot(u: Optional[np.ndarray], v: Optional[np.ndarray]) -> float:
+    """Trial mean of the row inner products of two (trials, d) draws; an
+    empty group (None) contributes 0."""
+    if u is None or v is None:
+        return 0.0
+    return float(np.einsum("ij,ij->", u, v)) / len(u)
+
+
+@lru_cache(maxsize=32)
+def _server_moments(
+    seed: int, trials: int, d: int, sd_np: Optional[float], sd_p: Optional[float]
+) -> tuple[float, float, float]:
+    """<X,X>, <X,Y>, <Y,Y> for the opted-out group mean X and the private group
+    mean Y, drawn in that order from the ``server-variance`` stream (a group
+    with no law, None, is empty and not drawn). Only the three floats are kept."""
+    rng = stream(seed, "server-variance")
+    x = rng.normal(0.0, sd_np, (trials, d)) if sd_np is not None else None
+    y = rng.normal(0.0, sd_p, (trials, d)) if sd_p is not None else None
+    return _mean_dot(x, x), _mean_dot(x, y), _mean_dot(y, y)
+
+
 def monte_carlo_server_variance(
     p: AnalyticParams, r: float, trials: int, seed: int
 ) -> float:
@@ -184,26 +208,27 @@ def monte_carlo_server_variance(
     forms in `analytic` (`server_variance_at` and the rest).
 
     Group means are sampled from their exact Gaussian laws (truth at zero by
-    location invariance): the opted-out mean has variance sigma_c2/N_np, the
-    private mean sigma_c2/N_p + gamma2 per coordinate. Identical seeds reuse
-    identical draws, so sweeps over r share common random numbers.
+    location invariance): the opted-out mean X has variance sigma_c2/N_np, the
+    private mean Y sigma_c2/N_p + gamma2 per coordinate. The estimate is
+    a*X + b*Y with a = N_np/W and b = r*N_p/W, so its mean squared norm is
+    a^2<X,X> + 2ab<X,Y> + b^2<Y,Y> over the trials' moments. The draws do not
+    depend on r: identical seeds reuse identical draws, so sweeps over r share
+    common random numbers, and the moments are cached per (seed, trials, d,
+    group laws), so a sweep draws once.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must be in [0, 1]")
-    N_np, N_p, d = p.N_np, p.N_p, p.d
+    N_np, N_p = p.N_np, p.N_p
     W = N_np + r * N_p
     if W <= 0:
         raise ValueError("estimator undefined: zero total weight")
-    rng = stream(seed, "server-variance")
-    est = np.zeros((trials, d))
-    if N_np > 0:
-        est += (N_np / W) * rng.normal(0.0, math.sqrt(p.sigma_c2 / N_np), (trials, d))
-    if N_p > 0:
-        sd_p = math.sqrt(p.sigma_c2 / N_p + p.gamma2)
-        est += (r * N_p / W) * rng.normal(0.0, sd_p, (trials, d))
-    return float(np.mean(np.sum(est**2, axis=1)))
+    sd_np = math.sqrt(p.sigma_c2 / N_np) if N_np > 0 else None
+    sd_p = math.sqrt(p.sigma_c2 / N_p + p.gamma2) if N_p > 0 else None
+    xx, xy, yy = _server_moments(seed, trials, p.d, sd_np, sd_p)
+    a, b = N_np / W, r * N_p / W
+    return a * a * xx + 2.0 * a * b * xy + b * b * yy
 
 
 def lambda_sweep(
@@ -224,11 +249,20 @@ def lambda_sweep(
     N_p*gamma2. ``aggregator`` picks the global estimate: "feo2" uses the
     variance-optimal ratio for the scenario's counts, "fedavg" uses r=1.
 
+    The personal estimate's error is (e + lam*g)/(1 + lam), with e the focal
+    client's own error and g the global estimate's error, so the loss at every
+    lambda is (A + 2*lam*B + lam^2*C)/(1 + lam)^2 from the trial means
+    A = <e,e>, B = <e,g>, C = <g,g> of one set of draws.
+
     Identical seeds share draws across arms, so comparisons between
     aggregators and between privacy choices are common-random-number paired.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if len(lambda_grid) == 0:
         raise ValueError("lambda grid must be nonempty")
+    if min(lambda_grid) < 0:
+        raise ValueError("lambda must be >= 0")
     if aggregator not in ("feo2", "fedavg"):
         raise ValueError("aggregator must be 'feo2' or 'fedavg'")
     if p.N_p < 1:
@@ -251,12 +285,8 @@ def lambda_sweep(
     truth = rng.normal(0.0, math.sqrt(p.tau2), (trials, d))  # focal phi_j (phi at zero)
     own_err = rng.normal(0.0, math.sqrt(p.alpha2), (trials, d))
     others_unit = rng.normal(0.0, 1.0, (trials, d))
-    phi_hat = truth + own_err
-    theta_g = (i_j / W) * phi_hat + math.sqrt(var_others) * others_unit
-
-    out = []
-    for lam in lambda_grid:
-        personal = (phi_hat + lam * theta_g) / (1.0 + lam)
-        loss = float(np.mean(np.sum((personal - truth) ** 2, axis=1)))
-        out.append((float(lam), loss))
-    return out
+    # g: error of the global estimate theta_g against the focal client's truth
+    g = (i_j / W) * (truth + own_err) + math.sqrt(var_others) * others_unit - truth
+    A, B, C = _mean_dot(own_err, own_err), _mean_dot(own_err, g), _mean_dot(g, g)
+    lams = [float(lam) for lam in lambda_grid]
+    return [(lam, (A + 2.0 * lam * B + lam * lam * C) / (1.0 + lam) ** 2) for lam in lams]

@@ -127,3 +127,34 @@ def test_solve_z_unreachable_target():
         solve_z(1e-9, 1e-5, 1.0, 10_000)
     with pytest.raises(ValueError):
         solve_z(-1.0, 1e-5, 0.1, 10)
+
+
+# repr of rdp_increment(q, z, PINNED_ORDERS), recorded before the series'
+# loop invariants were hoisted: rounds.csv bytes depend on every bit.
+PINNED_ORDERS = (1.25, 2.0, 7.75, 63.75, 512.0)
+PINNED = {
+    (0.02, 1.1): "(0.00031334240805352883, 0.0005139412670767698, 0.0026972923182509573, "
+    "22.368609205080983, 207.65056930613628)",
+    (0.05, 0.7): "(0.007880721635345107, 0.01660361839550486, 4.4686415181285435, "
+    "62.00754738124587, 519.4473848285106)",
+    (0.01, 3.0): "(7.338255515394061e-06, 1.1751837821062747e-05, 4.585757801367564e-05, "
+    "0.00040578299913727073, 23.830262183728394)",
+    (0.1, 1.5): "(0.0033506720256735005, 0.005580634229679797, 0.034996744292210676, "
+    "11.827386990524404, 111.47068664741975)",
+}
+
+
+@pytest.mark.parametrize("q, z", list(PINNED))
+def test_increment_bits_are_pinned(q, z):
+    assert repr(rdp_increment(q, z, PINNED_ORDERS)) == PINNED[(q, z)]
+
+
+@pytest.mark.parametrize(
+    "target, q, rounds",
+    [(2.0, 0.02, 100), (1.0, 0.05, 200), (4.0, 0.01, 1000), (8.0, 0.1, 50), (2.0, 1.0, 100)],
+)
+def test_solve_z_hits_target_within_an_evaluation_budget(target, q, rounds):
+    rdp_increment.cache_clear()
+    z = solve_z(target, 1e-5, q, rounds)
+    assert rdp_increment.cache_info().misses <= 12
+    assert abs(_eps(q, z, rounds) - target) < 1e-3

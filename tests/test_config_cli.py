@@ -58,6 +58,16 @@ def test_full_config_parses(tmp_path):
     assert cfg.rounds == 3
 
 
+def test_floats_without_a_dot_load_as_floats(tmp_path):
+    # json.dumps writes 1e-5 as "1e-05"; YAML 1.1 reads both forms as strings.
+    as_json = tmp_path / "cfg.json"
+    as_json.write_text(json.dumps(dict(GOOD, delta=1e-5)), encoding="utf-8")
+    as_yaml = tmp_path / "cfg.yaml"
+    as_yaml.write_text(yaml.safe_dump(GOOD) + "delta: 1e-5\n", encoding="utf-8")
+    for path in (as_json, as_yaml):
+        assert parse_config(str(path)).delta == 1e-5
+
+
 def test_config_round_trips_through_plain_dict():
     cfg = build_experiment_config(GOOD)
     again = build_experiment_config(config_to_dict(cfg))

@@ -30,7 +30,7 @@ GOLDEN = {
 
 
 # (config, SHA-256 of rounds.csv, SHA-256 of summary.json), run from a JSON file.
-# Each leaves delta at its default 1e-5: the YAML loader reads JSON's "1e-05" as a string.
+# Each leaves delta at its default 1e-5.
 INLINE = {
     "label_shard_minibatch_ditto": (
         {

@@ -3,6 +3,7 @@ worker counts, group bookkeeping per algorithm, and the Monte Carlo harnesses
 against their closed forms."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -221,6 +222,67 @@ def test_mc_server_variance_multidimensional_scales_with_trace():
     assert mc == pytest.approx(4 * server_variance_at(p1, 0.5), rel=0.03)
 
 
+def _direct_server_variance(p, r, trials, seed):
+    """Per-trial reference: combine each trial's group means, then square."""
+    rng = stream(seed, "server-variance")
+    W = p.N_np + r * p.N_p
+    est = np.zeros((trials, p.d))
+    if p.N_np > 0:
+        est += (p.N_np / W) * rng.normal(0.0, math.sqrt(p.sigma_c2 / p.N_np), (trials, p.d))
+    if p.N_p > 0:
+        sd_p = math.sqrt(p.sigma_c2 / p.N_p + p.gamma2)
+        est += (r * p.N_p / W) * rng.normal(0.0, sd_p, (trials, p.d))
+    return float(np.mean(np.sum(est**2, axis=1)))
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("N_p", [0, 30, 40])
+def test_mc_server_variance_moments_match_per_trial_evaluation(d, N_p):
+    p = AnalyticParams.from_sigma_c2(N=40, N_p=N_p, sigma_c2=1.0, gamma2=0.05, d=d)
+    for r in (0.0, optimal_ratio(p), 1.0):
+        if p.N_np + r * p.N_p == 0:
+            continue  # all clients private at r = 0: no estimator
+        want = _direct_server_variance(p, r, 2000, seed=5)
+        assert monte_carlo_server_variance(p, r, 2000, seed=5) == pytest.approx(want, rel=1e-12)
+
+
+def test_mc_server_variance_cache_keeps_sweeps_apart():
+    base = AnalyticParams.from_sigma_c2(N=40, N_p=30, sigma_c2=1.0, gamma2=0.05, d=2)
+    # same seed and trials; only the private group's law or the dimension differs
+    for p in (base, dataclasses.replace(base, gamma2=0.5), dataclasses.replace(base, d=3), base):
+        want = _direct_server_variance(p, 0.4, 1000, seed=8)
+        assert monte_carlo_server_variance(p, 0.4, 1000, seed=8) == pytest.approx(want, rel=1e-12)
+
+
+def _direct_lambda_sweep(p, focal_private, grid, trials, seed, aggregator):
+    """Per-lambda reference: form every trial's personal estimate, then score it."""
+    Np_t, Nnp_t = (p.N_p, p.N_np) if focal_private else (p.N_p - 1, p.N_np + 1)
+    scenario = dataclasses.replace(p, N_p=Np_t)
+    r = 1.0 if aggregator == "fedavg" else optimal_ratio(scenario)
+    i_j = r if focal_private else 1.0
+    W = Nnp_t + r * Np_t
+    var_others = (p.N_np * p.sigma_c2 + r**2 * (p.N_p - 1) * (p.sigma_c2 + Np_t * p.gamma2)) / W**2
+    rng = stream(seed, "lambda-sweep")
+    truth = rng.normal(0.0, math.sqrt(p.tau2), (trials, p.d))
+    phi_hat = truth + rng.normal(0.0, math.sqrt(p.alpha2), (trials, p.d))
+    theta_g = (i_j / W) * phi_hat + math.sqrt(var_others) * rng.normal(0.0, 1.0, (trials, p.d))
+    return [
+        float(np.mean(np.sum(((phi_hat + lam * theta_g) / (1.0 + lam) - truth) ** 2, axis=1)))
+        for lam in grid
+    ]
+
+
+@pytest.mark.parametrize("focal_private", [True, False])
+@pytest.mark.parametrize("aggregator", ["feo2", "fedavg"])
+def test_lambda_sweep_moments_match_per_lambda_evaluation(focal_private, aggregator):
+    p = AnalyticParams(N=100, N_p=95, tau2=0.5, beta2=0.25, gamma2=1.0, d=3)
+    grid = [0.0, 0.05, 0.4, 1.0, 3.0, 50.0]
+    got = lambda_sweep(p, focal_private, grid, 3000, seed=6, aggregator=aggregator)
+    want = _direct_lambda_sweep(p, focal_private, grid, 3000, 6, aggregator)
+    assert [lam for lam, _ in got] == grid
+    assert [loss for _, loss in got] == pytest.approx(want, rel=1e-12)
+
+
 def test_lambda_sweep_shape_and_determinism():
     p = AnalyticParams(N=30, N_p=20, tau2=0.5, beta2=0.25, gamma2=0.3)
     grid = [0.0, 0.5, 1.0]
@@ -241,6 +303,10 @@ def test_lambda_sweep_validation():
     p = AnalyticParams(N=10, N_p=5, tau2=0.5, beta2=1.0, gamma2=0.1)
     with pytest.raises(ValueError):
         lambda_sweep(p, True, [], 100, 0)
+    with pytest.raises(ValueError):
+        lambda_sweep(p, True, [0.5], 0, 0)
+    with pytest.raises(ValueError):
+        lambda_sweep(p, True, [0.5, -1.0], 100, 0)
     with pytest.raises(ValueError):
         lambda_sweep(p, True, [0.5], 100, 0, aggregator="median")
     empty = AnalyticParams(N=10, N_p=0, tau2=0.5, beta2=1.0, gamma2=0.1)

@@ -9,6 +9,18 @@ Integer orders use the exact binomial expansion of the log moment; fractional
 orders use the two-sided series with Gaussian tail terms. Both are computed
 in log space to stay finite at large orders (the raw moment overflows float64
 around order 64 already for modest q/z).
+
+``solve_z`` needs epsilon of ``rounds`` identical rounds at many trial z, and
+the minimum over orders is set by a narrow band of them, so it evaluates only
+the orders that can still attain it. Scanning up from a start order stops
+once ``rounds * rdp(a)`` alone reaches the best epsilon so far: Rényi
+divergence is non-decreasing in the order (van Erven & Harremoës, IEEE T-IT
+2014) and the delta term is positive, so no higher order can do better.
+Scanning down stops once ``log(1/delta)/(a - 1)`` alone exceeds it: that term
+grows as the order falls and rdp >= 0. Every value is the one the full curve
+gives, bit for bit, ties included. Rounding in the computed rdp cannot break
+the upward rule: a higher order would have to undercut it by its whole delta
+term, at least log(1/delta)/511.
 """
 
 from __future__ import annotations
@@ -183,6 +195,43 @@ def epsilon_at_delta(ledger: PrivacyLedger, delta: float) -> tuple[float, float]
     return best_eps, best_order
 
 
+def _epsilon_at(
+    q: float, z: float, rounds: int, delta: float, start: int | None = None
+) -> tuple[float, float]:
+    """(epsilon, best order) of ``rounds`` (q, z) rounds on DEFAULT_ORDERS.
+
+    Equal, bit for bit, to ``epsilon_at_delta`` on the ledger whose rdp is
+    ``rounds * rdp_increment(q, z, DEFAULT_ORDERS)``, ties going to the lower
+    order, but evaluates only the orders the module docstring's two stop rules
+    leave. ``start`` (an index; by default the argmin of the closed-form
+    stand-in ``rounds * min(2 q^2, 1/2) * a / z^2`` for the rdp) sets only
+    where the scans begin, never the result.
+    """
+    orders = DEFAULT_ORDERS
+    log_inv = math.log(1.0 / delta)
+    if start is None:
+        slope = rounds * min(2.0 * q * q, 0.5) / z**2
+        guess = [slope * a + log_inv / (a - 1.0) for a in orders]
+        start = guess.index(min(guess))
+    best = rounds * _rdp_one_order(q, z, orders[start]) + log_inv / (orders[start] - 1.0)
+    best_i = start
+    for i in range(start + 1, len(orders)):
+        loss = rounds * _rdp_one_order(q, z, orders[i])
+        if loss >= best:
+            break
+        eps = loss + log_inv / (orders[i] - 1.0)
+        if eps < best:
+            best, best_i = eps, i
+    for i in range(start - 1, -1, -1):
+        slack = log_inv / (orders[i] - 1.0)
+        if slack > best:
+            break
+        eps = rounds * _rdp_one_order(q, z, orders[i]) + slack
+        if eps <= best:
+            best, best_i = eps, i
+    return best, orders[best_i]
+
+
 def solve_z(
     target_epsilon: float,
     delta: float,
@@ -199,17 +248,29 @@ def solve_z(
     false position on (log z, log epsilon), where the curve is close to a line,
     so a solve takes about 7-10 accountant evaluations, both ends included. A
     step that leaves the bracket falls back to the bracket's midpoint.
+
+    Each evaluation computes only the orders that can attain the minimum
+    (``_epsilon_at``): up from a start order until ``rounds * rdp(a)`` reaches
+    the best epsilon so far, down until ``log(1/delta)/(a - 1)`` exceeds it.
+    rdp is non-decreasing in the order and non-negative, so the skipped orders
+    cannot win and epsilon(z) is the full curve's, bit for bit. Raises
+    ValueError for arguments out of range, and when 200 steps do not meet tol.
     """
     if target_epsilon <= 0:
         raise ValueError("target epsilon must be > 0")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must be in (0, 1]")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0 < z_lo < z_hi:
+        raise ValueError(f"need 0 < z_lo < z_hi, got z_lo={z_lo}, z_hi={z_hi}")
 
     def eps_of(z: float) -> float:
-        ledger = PrivacyLedger()
-        inc = rdp_increment(q, z, ledger.orders)
-        total = tuple(rounds * i for i in inc)
-        return epsilon_at_delta(PrivacyLedger(ledger.orders, total, rounds), delta)[0]
+        return _epsilon_at(q, z, rounds, delta)[0]
 
     eps_lo, eps_hi = eps_of(z_lo), eps_of(z_hi)
     if not (eps_hi <= target_epsilon <= eps_lo):
@@ -240,4 +301,7 @@ def solve_z(
             if kept == -1:
                 f_lo *= 0.5
             kept = -1
-    return math.exp(0.5 * (lo + hi))
+    raise ValueError(
+        f"no z within tol={tol} of target epsilon {target_epsilon} after 200 steps "
+        f"(bracket z in [{math.exp(lo):.17g}, {math.exp(hi):.17g}])"
+    )

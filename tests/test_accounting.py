@@ -5,11 +5,15 @@ oracles that share no code with the implementation."""
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import feo2.accounting
 from feo2.accounting import (
     DEFAULT_ORDERS,
     InfinitePrivacyLoss,
     PrivacyLedger,
+    _epsilon_at,
     account_round,
     epsilon_at_delta,
     rdp_increment,
@@ -129,6 +133,55 @@ def test_solve_z_unreachable_target():
         solve_z(-1.0, 1e-5, 0.1, 10)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1.0}, "tol"),
+        ({"z_lo": 0.0}, "z_lo"),
+        ({"z_lo": 100.0, "z_hi": 0.1}, "z_lo"),
+        ({"z_lo": 5.0, "z_hi": 5.0}, "z_lo"),
+        ({"q": 0.0}, r"q must be in \(0, 1\]"),
+        ({"q": 1.2}, r"q must be in \(0, 1\]"),
+        ({"delta": 0.0}, r"delta must be in \(0, 1\)"),
+        ({"delta": 1.0}, r"delta must be in \(0, 1\)"),
+    ],
+)
+def test_solve_z_names_the_bad_argument(kwargs, match):
+    args = {"target_epsilon": 2.0, "delta": 1e-5, "q": 0.02, "rounds": 100, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        solve_z(**args)
+
+
+def test_solve_z_raises_when_the_step_cap_runs_out():
+    # |epsilon - target| < 1e-300 asks for the target's exact bits.
+    with pytest.raises(ValueError, match="after 200 steps"):
+        solve_z(2.0, 1e-5, 1.0, 100, tol=1e-300)
+
+
+def _full_curve(q, z, rounds, delta):
+    """epsilon_at_delta on the rounds-fold ledger: every order evaluated."""
+    inc = rdp_increment(q, z, DEFAULT_ORDERS)
+    ledger = PrivacyLedger(DEFAULT_ORDERS, tuple(rounds * i for i in inc), rounds)
+    return epsilon_at_delta(ledger, delta)
+
+
+@given(
+    q=st.floats(1e-4, 1.0),
+    z=st.floats(0.1, 100.0),
+    rounds=st.integers(1, 10_000),
+    delta=st.floats(1e-10, 1e-2),
+    start=st.one_of(st.none(), st.integers(0, len(DEFAULT_ORDERS) - 1)),
+)
+@example(q=1.0, z=0.7, rounds=100, delta=1e-5, start=0)
+@example(q=1.0, z=30.0, rounds=1, delta=1e-2, start=len(DEFAULT_ORDERS) - 1)
+@example(q=1e-4, z=100.0, rounds=1, delta=1e-10, start=0)
+def test_pruned_epsilon_equals_the_full_curve_bitwise(q, z, rounds, delta, start):
+    eps, order = _epsilon_at(q, z, rounds, delta, start)
+    want_eps, want_order = _full_curve(q, z, rounds, delta)
+    assert (repr(eps), order) == (repr(want_eps), want_order)
+
+
 # repr of rdp_increment(q, z, PINNED_ORDERS), recorded before the series'
 # loop invariants were hoisted: rounds.csv bytes depend on every bit.
 PINNED_ORDERS = (1.25, 2.0, 7.75, 63.75, 512.0)
@@ -153,8 +206,34 @@ def test_increment_bits_are_pinned(q, z):
     "target, q, rounds",
     [(2.0, 0.02, 100), (1.0, 0.05, 200), (4.0, 0.01, 1000), (8.0, 0.1, 50), (2.0, 1.0, 100)],
 )
-def test_solve_z_hits_target_within_an_evaluation_budget(target, q, rounds):
+def test_solve_z_hits_target_within_an_evaluation_budget(target, q, rounds, monkeypatch):
+    calls = 0
+    one_order = feo2.accounting._rdp_one_order
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return one_order(*args)
+
+    monkeypatch.setattr(feo2.accounting, "_rdp_one_order", counted)
     rdp_increment.cache_clear()
     z = solve_z(target, 1e-5, q, rounds)
     assert rdp_increment.cache_info().misses <= 12
+    assert calls <= 3 * len(DEFAULT_ORDERS)  # three full curves
     assert abs(_eps(q, z, rounds) - target) < 1e-3
+
+
+# repr of solve_z at the plan's targets before the per-order pruning: the
+# pruned accountant must return the same z, bit for bit.
+PINNED_Z = {
+    (2.0, 0.02, 100): "1.0662007617822822",
+    (1.0, 0.05, 200): "3.689363234146904",
+    (4.0, 0.01, 1000): "0.8256404643428811",
+    (8.0, 0.1, 50): "0.9087860132910895",
+    (2.0, 1.0, 100): "24.994748760642405",
+}
+
+
+@pytest.mark.parametrize("target, q, rounds", list(PINNED_Z))
+def test_solve_z_bits_are_pinned(target, q, rounds):
+    assert repr(solve_z(target, 1e-5, q, rounds)) == PINNED_Z[(target, q, rounds)]

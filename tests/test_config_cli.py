@@ -208,13 +208,17 @@ def test_validate_prints_resolved_config(tmp_path, capsys):
 def test_solve_z_verb_roundtrip(tmp_path, capsys):
     rc = main(["solve-z", "--epsilon", "4.0", "--delta", "1e-5", "--q", "0.05", "--rounds", "30"])
     assert rc == 0
-    z = json.loads(capsys.readouterr().out)["z"]
-    from feo2.accounting import PrivacyLedger, account_round, epsilon_at_delta
+    payload = json.loads(capsys.readouterr().out)
+    z = payload["z"]
+    from feo2.accounting import PrivacyLedger, account_round, epsilon_at_delta, rdp_increment
 
     ledger = PrivacyLedger()
     for _ in range(30):
         ledger = account_round(ledger, 0.05, z)
     assert epsilon_at_delta(ledger, 1e-5)[0] == pytest.approx(4.0, abs=1e-3)
+    inc = rdp_increment(0.05, z, ledger.orders)
+    composed = PrivacyLedger(ledger.orders, tuple(30 * i for i in inc), 30)
+    assert (payload["achieved_epsilon"], payload["order"]) == epsilon_at_delta(composed, 1e-5)
 
 
 def test_solve_z_unreachable_exits_2(capsys):

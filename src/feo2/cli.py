@@ -111,6 +111,13 @@ def _add_analytic_verb(an_sub, name: str, fn, help: str, with_dim: bool = False)
     return sub
 
 
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi (inclusive), rounded to 10 decimals."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"--step must be a positive finite number, got {step}")
+    return np.round(np.arange(lo, hi + 1e-12, step), 10)
+
+
 def _maybe_inf(fn, *a):
     try:
         return fn(*a)
@@ -238,7 +245,7 @@ def _an_lambdas(p: AnalyticParams, args) -> dict:
 
 
 def _an_r_sweep(p: AnalyticParams, args) -> dict:
-    grid = list(np.round(np.arange(0.0, 1.0 + 1e-12, args.step), 10))
+    grid = list(_grid(0.0, 1.0, args.step))
     r_star = optimal_ratio(p)
     if all(abs(r_star - g) > 1e-12 for g in grid):
         grid = sorted(grid + [r_star])
@@ -255,7 +262,7 @@ def _an_r_sweep(p: AnalyticParams, args) -> dict:
 
 
 def _an_lambda_sweep(p: AnalyticParams, args) -> dict:
-    grid = list(np.round(np.arange(args.lambda_min, args.lambda_max + 1e-12, args.step), 10))
+    grid = list(_grid(args.lambda_min, args.lambda_max, args.step))
     focal_private = args.focal == "private"
     pairs = lambda_sweep(p, focal_private, grid, args.trials, args.seed, aggregator=args.aggregator)
     rows = [{"lambda": lam, "loss": loss} for lam, loss in pairs]
@@ -274,7 +281,7 @@ def _an_lambda_sweep(p: AnalyticParams, args) -> dict:
 
 def _an_rho_sweep(p: AnalyticParams, args) -> dict:
     rows = []
-    for rho in np.round(np.arange(0.0, 1.0 + 1e-12, args.step), 10):
+    for rho in _grid(0.0, 1.0, args.step):
         q = dataclasses.replace(p, N_p=p.N - rho * p.N)
         rows.append(
             {

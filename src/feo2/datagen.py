@@ -1,33 +1,22 @@
-"""Synthetic population generators, IDX ingestion, and population snapshots.
+"""Synthetic population generators and IDX ingestion.
 
-Generators are pure functions of (spec, seed). Hidden truths (the global and
-per-client parameters behind the synthetic data) live on the Population
-object, not on client datasets, so training code paths never see them; only
-the evaluation helpers in `simulate` read them.
-
-Generators give every client the same number of examples and stack each split
-once on a leading client axis; client datasets and test sets are views of it.
+Generators are pure functions of (spec, seed). A `Population` is every
+client's data stacked on a leading client axis plus one privacy flag per
+client; every client holds the same number of examples. Hidden truths (the
+global and per-client parameters behind the synthetic data) sit in their own
+fields, which training never reads; only the evaluation in `simulate` does.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from .config import PopulationKind, PopulationSpec
-from .models import (
-    ClientRecord,
-    LabeledExamples,
-    LocalDataset,
-    LossKind,
-    PointSamples,
-    RegressionSamples,
-    stack_datasets,
-)
+from .models import LabeledExamples, LossKind
 from .rng import stream
 
 
@@ -38,20 +27,22 @@ class IdxParseError(ValueError):
 @dataclass
 class Population:
     kind: LossKind
-    clients: List[ClientRecord]
     dim: int  # model dimension
+    private: np.ndarray  # (clients,) True where the client stays private
+    train_x: np.ndarray  # (clients, n, f): observations, designs or features
+    train_y: Optional[np.ndarray] = None  # (clients, n): responses or labels; None for points
     n_classes: int = 0
+    # label shard only: each client's test split, (clients, n_test, f) and (clients, n_test)
+    test_x: Optional[np.ndarray] = None
+    test_y: Optional[np.ndarray] = None
     truth_global: Optional[np.ndarray] = None
     truth_clients: Optional[np.ndarray] = None  # (clients, d)
-    client_tests: Optional[List[LabeledExamples]] = None
-    server_test: Optional[LabeledExamples] = None  # the client test splits pooled in client order
-    # The clients' training sets as laid out by `stack_datasets` (stacked when not given)
-    train_x: Optional[np.ndarray] = None
-    train_y: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        if self.train_x is None:
-            self.train_x, self.train_y = stack_datasets([c.dataset for c in self.clients])
+    @property
+    def server_test(self) -> tuple[np.ndarray, np.ndarray]:
+        """The client test splits pooled in client order: (clients * n_test, f)
+        features and their labels, as views of ``test_x`` and ``test_y``."""
+        return self.test_x.reshape(-1, self.test_x.shape[2]), self.test_y.reshape(-1)
 
 
 def _privacy_flags(n: int, n_np: int, rng: np.random.Generator) -> np.ndarray:
@@ -69,18 +60,13 @@ def gen_point_population(spec: PopulationSpec) -> Population:
     phi = rng.normal(0.0, 1.0, d)
     phi_j = phi + rng.normal(0.0, np.sqrt(spec.tau2), (n, d))
     obs = phi_j[:, None, :] + rng.normal(0.0, np.sqrt(spec.beta2), (n, n_s, d))
-    flags = _privacy_flags(n, spec.n_np, rng)
-    clients = [
-        ClientRecord(j, bool(flags[j]), PointSamples(obs[j, :, 0] if d == 1 else obs[j]))
-        for j in range(n)
-    ]
     return Population(
         kind=LossKind.POINT_ESTIMATION,
-        clients=clients,
         dim=d,
+        private=_privacy_flags(n, spec.n_np, rng),
+        train_x=obs,
         truth_global=phi,
         truth_clients=phi_j,
-        train_x=obs,
     )
 
 
@@ -103,17 +89,14 @@ def gen_regression_population(spec: PopulationSpec) -> Population:
         q = q * np.sign(np.diag(rr))
         designs[j] = np.sqrt(n_s) * q
         responses[j] = designs[j] @ phi_j[j] + rng.normal(0.0, np.sqrt(spec.beta2), n_s)
-    flags = _privacy_flags(n, spec.n_np, rng)
-    data = [RegressionSamples(designs[j], responses[j]) for j in range(n)]
-    clients = [ClientRecord(j, bool(flags[j]), data[j]) for j in range(n)]
     return Population(
         kind=LossKind.LINEAR_REGRESSION,
-        clients=clients,
         dim=d,
-        truth_global=phi,
-        truth_clients=phi_j,
+        private=_privacy_flags(n, spec.n_np, rng),
         train_x=designs,
         train_y=responses,
+        truth_global=phi,
+        truth_clients=phi_j,
     )
 
 
@@ -167,19 +150,16 @@ def gen_label_shard_population(spec: PopulationSpec, source: LabeledExamples) ->
     else:
         flags = _privacy_flags(n, spec.n_np, rng)
 
-    clients = [
-        ClientRecord(j, bool(flags[j]), LabeledExamples(train_x[j], train_y[j])) for j in range(n)
-    ]
     n_classes = int(labels_present.max()) + 1
     return Population(
         kind=LossKind.SOFTMAX_CLASSIFICATION,
-        clients=clients,
         dim=n_classes * (source.dim + 1),
-        n_classes=n_classes,
-        client_tests=[LabeledExamples(test_x[j], test_y[j]) for j in range(n)],
-        server_test=LabeledExamples(test_x.reshape(-1, source.dim), test_y.reshape(-1)),
+        private=flags,
         train_x=train_x,
         train_y=train_y,
+        n_classes=n_classes,
+        test_x=test_x,
+        test_y=test_y,
     )
 
 
@@ -249,67 +229,3 @@ def load_idx_pair(images_path: str, labels_path: str) -> LabeledExamples:
             f"image/label count mismatch: {images.shape[0]} images, {labels.size} labels"
         )
     return LabeledExamples(images, labels)
-
-
-# --- population snapshots ---------------------------------------------------
-
-
-def _dataset_to_obj(data: LocalDataset) -> dict:
-    if isinstance(data, PointSamples):
-        return {"type": "point", "observations": data.observations.tolist()}
-    if isinstance(data, RegressionSamples):
-        return {
-            "type": "regression",
-            "features": data.features.tolist(),
-            "responses": data.responses.tolist(),
-        }
-    return {"type": "labeled", "features": data.features.tolist(), "labels": data.labels.tolist()}
-
-
-def _dataset_from_obj(obj: dict) -> LocalDataset:
-    if obj["type"] == "point":
-        return PointSamples(np.array(obj["observations"]))
-    if obj["type"] == "regression":
-        return RegressionSamples(np.array(obj["features"]), np.array(obj["responses"]))
-    return LabeledExamples(np.array(obj["features"]), np.array(obj["labels"], dtype=np.int64))
-
-
-def population_to_json(pop: Population) -> str:
-    """Snapshot a population (including the privacy split) for exact reuse."""
-    obj = {
-        "kind": pop.kind.value,
-        "dim": pop.dim,
-        "n_classes": pop.n_classes,
-        "clients": [
-            {"id": c.id, "is_private": c.is_private, "dataset": _dataset_to_obj(c.dataset)}
-            for c in pop.clients
-        ],
-        "truth_global": None if pop.truth_global is None else pop.truth_global.tolist(),
-        "truth_clients": None
-        if pop.truth_clients is None
-        else [t.tolist() for t in pop.truth_clients],
-        "client_tests": None
-        if pop.client_tests is None
-        else [_dataset_to_obj(t) for t in pop.client_tests],
-        "server_test": None if pop.server_test is None else _dataset_to_obj(pop.server_test),
-    }
-    return json.dumps(obj)
-
-
-def population_from_json(blob: str) -> Population:
-    obj = json.loads(blob)
-    return Population(
-        kind=LossKind(obj["kind"]),
-        clients=[
-            ClientRecord(c["id"], c["is_private"], _dataset_from_obj(c["dataset"]))
-            for c in obj["clients"]
-        ],
-        dim=obj["dim"],
-        n_classes=obj["n_classes"],
-        truth_global=None if obj["truth_global"] is None else np.array(obj["truth_global"]),
-        truth_clients=None if obj["truth_clients"] is None else np.array(obj["truth_clients"]),
-        client_tests=None
-        if obj["client_tests"] is None
-        else [_dataset_from_obj(t) for t in obj["client_tests"]],
-        server_test=None if obj["server_test"] is None else _dataset_from_obj(obj["server_test"]),
-    )

@@ -1,4 +1,4 @@
-"""Model families, local losses/gradients, and the client-side update step.
+"""Model families, their local gradients, and the client-side update step.
 
 Three model families are supported:
 
@@ -13,14 +13,15 @@ Models are flat float64 vectors everywhere; the softmax layer is stored as
 ``concat(W.ravel(), b)`` with ``W`` of shape (classes, features).
 
 Training runs on a whole cohort at once: (clients, examples, features) data
-stacks and (clients, dim) model stacks, whose rows never mix.
+stacks and (clients, dim) model stacks, whose rows never mix. `LabeledExamples`
+is the labelled sample pool that label-shard populations are drawn from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,56 +38,6 @@ class LossKind(str, Enum):
     SOFTMAX_CLASSIFICATION = "softmax_classification"
 
 
-def as_vector(values) -> ModelVector:
-    """Coerce to a finite 1-D float64 array."""
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("model vector contains non-finite entries")
-    return v
-
-
-@dataclass
-class PointSamples:
-    observations: np.ndarray  # shape (n_s,) or (n_s, d)
-
-    def __post_init__(self):
-        self.observations = np.atleast_1d(np.asarray(self.observations, dtype=np.float64))
-        if self.observations.shape[0] < 1:
-            raise ValueError("PointSamples needs n_s >= 1")
-
-    @property
-    def n_s(self) -> int:
-        return self.observations.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.observations.ndim == 1 else self.observations.shape[1]
-
-
-@dataclass
-class RegressionSamples:
-    features: np.ndarray  # (n_s, d)
-    responses: np.ndarray  # (n_s,)
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.responses = np.asarray(self.responses, dtype=np.float64).reshape(-1)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
-        if self.features.shape[0] != self.responses.shape[0]:
-            raise ValueError("features and responses disagree on the sample count")
-        if self.features.shape[0] < 1:
-            raise ValueError("RegressionSamples needs n_s >= 1")
-
-    @property
-    def n_s(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
-
 @dataclass
 class LabeledExamples:
     features: np.ndarray  # (n, d)
@@ -101,23 +52,8 @@ class LabeledExamples:
             raise ValueError("features and labels disagree on the example count")
 
     @property
-    def n(self) -> int:
-        return self.labels.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-
-LocalDataset = Union[PointSamples, RegressionSamples, LabeledExamples]
-
-
-@dataclass
-class ClientRecord:
-    id: int
-    is_private: bool
-    dataset: LocalDataset
-    personalized_model: Optional[ModelVector] = None
 
 
 @dataclass
@@ -126,27 +62,9 @@ class Cohort:
 
     ids: np.ndarray  # client ids, for error messages
     private: np.ndarray  # True where the client stays private; picks its Ditto lambda
-    x: np.ndarray  # (clients, n, f) inputs, laid out as by `stack_datasets`
-    y: Optional[np.ndarray]  # (clients, n) targets; None for point estimation
+    x: np.ndarray  # (clients, n, f) inputs: observations, designs or features
+    y: Optional[np.ndarray]  # (clients, n) responses or labels; None for point estimation
     personal: Optional[np.ndarray] = None  # (clients, dim) personal models, stepped by Ditto
-
-
-def stack_datasets(datasets: Sequence[LocalDataset]) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Equal-size client datasets on a leading axis: inputs (clients, n, f) (observations,
-    designs or features) and targets (clients, n) (responses, labels, or None)."""
-    x = [getattr(d, "features", None) for d in datasets]
-    if x[0] is None:
-        x = [d.observations.reshape(d.n_s, -1) for d in datasets]
-    y = [getattr(d, "responses", getattr(d, "labels", None)) for d in datasets]
-    if len({len(a) for a in x}) != 1:
-        raise ValueError(f"client datasets differ in size: {sorted({len(a) for a in x})}")
-    return np.stack(x), None if y[0] is None else np.stack(y)
-
-
-def model_dim_for(data: LocalDataset, kind: LossKind, n_classes: int = 10) -> int:
-    if kind is LossKind.SOFTMAX_CLASSIFICATION:
-        return n_classes * (data.dim + 1)
-    return data.dim
 
 
 def _softmax_probs(model: ModelVector, x: np.ndarray) -> np.ndarray:
@@ -165,36 +83,9 @@ def _softmax_probs(model: ModelVector, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def local_loss(model: ModelVector, data: LocalDataset, kind: LossKind) -> float:
-    """Mean local objective of ``model`` on ``data``. Nonnegative."""
-    model = np.asarray(model, dtype=np.float64)
-    if kind is LossKind.POINT_ESTIMATION:
-        if not isinstance(data, PointSamples):
-            raise ValueError("point-estimation loss needs PointSamples")
-        target = data.observations.mean(axis=0)
-        diff = model - np.atleast_1d(target)
-        if diff.shape != model.shape:
-            raise ValueError("model/data dimension mismatch")
-        return 0.5 * float(diff @ diff)
-    if kind is LossKind.LINEAR_REGRESSION:
-        if not isinstance(data, RegressionSamples):
-            raise ValueError("linear-regression loss needs RegressionSamples")
-        if model.shape[0] != data.dim:
-            raise ValueError("model/data dimension mismatch")
-        resid = data.features @ model - data.responses
-        return float(resid @ resid) / (2.0 * data.n_s)
-    if kind is LossKind.SOFTMAX_CLASSIFICATION:
-        if not isinstance(data, LabeledExamples):
-            raise ValueError("softmax loss needs LabeledExamples")
-        p = _softmax_probs(model, data.features)
-        picked = p[np.arange(data.n), data.labels]
-        return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
 def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], kind) -> np.ndarray:
     """Gradient of each client's mean local loss at its own row of ``models``
-    (clients, dim); ``x`` and ``y`` are laid out as by `stack_datasets`."""
+    (clients, dim); ``x`` and ``y`` are laid out as in `Cohort`."""
     if kind is LossKind.POINT_ESTIMATION:
         return models - x.mean(axis=1)
     if kind is LossKind.LINEAR_REGRESSION:

@@ -61,26 +61,32 @@ RoundReport.CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RoundReport
 
 @dataclass
 class ExperimentResult:
+    """A finished run. ``personal_models`` is None without Ditto; with it, row j
+    is client j's personal model, or the final global model for a client that
+    was never sampled (the model `_evaluate` scores for it)."""
+
     reports: List[RoundReport]
     ledger: PrivacyLedger
     global_model: np.ndarray
     population: Population
+    personal_models: Optional[np.ndarray]
 
 
 def _group_metric(values: np.ndarray) -> float:
     return float(np.mean(values)) if len(values) else float("nan")
 
 
-def _evaluate(theta, pop: Population, is_private, personal: Optional[np.ndarray], trained) -> dict:
+def _evaluate(theta, pop: Population, personal: Optional[np.ndarray], trained) -> dict:
     """Per-round metrics. Classification: percent accuracy on test splits.
     Quadratic kinds: squared error against the hidden truths (lower is better).
 
     The global model is scored once, on the pooled server test set split into
     the clients' equal segments, and the personal models of the ``trained``
     clients in one batched pass. Any other client's local score is its global score."""
-    n, ids = len(pop.clients), np.flatnonzero(trained)
+    is_private, ids = pop.private, np.flatnonzero(trained)
+    n = len(is_private)
     if pop.kind is LossKind.SOFTMAX_CLASSIFICATION:
-        x, labels = pop.server_test.features, pop.server_test.labels
+        x, labels = pop.server_test
         hits = _softmax_probs(theta, x).argmax(axis=1) == labels
         acc_g = 100.0 * float(np.mean(hits))
         hits, local_hits = hits.reshape(n, -1), hits.reshape(n, -1).copy()
@@ -113,9 +119,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     # (the config enforces z = 0), DP-FedAvg is r = 1 with every client private.
     r = cfg.feo2.r if cfg.algorithm is Algorithm.FEO2 else 1.0
     ledger = PrivacyLedger()
-    n = len(pop.clients)
-    is_private = np.array([c.is_private for c in pop.clients], dtype=bool)
-    in_private_group = np.ones(n, dtype=bool) if cfg.algorithm is Algorithm.DPFEDAVG else is_private
+    n = len(pop.private)
+    in_private_group = np.ones(n, dtype=bool) if cfg.algorithm is Algorithm.DPFEDAVG else pop.private
     cohort_size = max(1, round(cfg.cohort_fraction * n))
     # Ditto state: every client's personal model, valid where ``trained``.
     personal = None if cfg.ditto is None else np.zeros((n, pop.dim))
@@ -130,7 +135,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
         rows = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == len(ids) else ids
         start = None if personal is None else np.where(trained[rows, None], personal[rows], theta)
         y = None if pop.train_y is None else pop.train_y[rows]
-        cohort = Cohort(ids, is_private[rows], pop.train_x[rows], y, start)
+        cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, start)
         out = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, rngs)
         if personal is not None:
             personal[rows], trained[rows] = cohort.personal, True
@@ -166,14 +171,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
                 ledger = account_round(ledger, cfg.cohort_fraction, z)
             epsilon = epsilon_at_delta(ledger, cfg.delta)[0] if z > 0 else float("inf")
 
-            metrics = _evaluate(theta, pop, is_private, personal, trained)
+            metrics = _evaluate(theta, pop, personal, trained)
             report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)
             reports.append(report)
             if on_round is not None:
                 on_round(report)
-    for j in np.flatnonzero(trained):
-        pop.clients[j].personalized_model = personal[j]
-    return ExperimentResult(reports, ledger, theta, pop)
+    personal_models = None if personal is None else np.where(trained[:, None], personal, theta)
+    return ExperimentResult(reports, ledger, theta, pop, personal_models)
 
 
 # --- Monte Carlo harnesses --------------------------------------------------

@@ -9,6 +9,8 @@ agreement is meaningful.
 import mpmath as mp
 import numpy as np
 
+from feo2.models import LossKind, _softmax_probs
+
 
 def rdp_subsampled_gaussian_quadrature(q: float, sigma: float, alpha: float, dps: int = 60) -> float:
     """RDP of the Poisson-subsampled Gaussian by direct numerical integration.
@@ -91,3 +93,21 @@ def numeric_gradient(fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
         dn[i] -= h
         out[i] = (fn(up) - fn(dn)) / (2 * h)
     return out
+
+
+def local_loss(model: np.ndarray, x: np.ndarray, y, kind: LossKind) -> float:
+    """Mean local objective of ``model`` on one client's inputs ``x`` (n, f) and
+    targets ``y`` (n,) (None for point estimation). Nonnegative. The objective
+    whose gradient `feo2.models.local_gradient` computes."""
+    model = np.asarray(model, dtype=np.float64)
+    if kind is LossKind.POINT_ESTIMATION:
+        diff = model - x.mean(axis=0)
+        return 0.5 * float(diff @ diff)
+    if kind is LossKind.LINEAR_REGRESSION:
+        resid = x @ model - y
+        return float(resid @ resid) / (2.0 * len(y))
+    if kind is LossKind.SOFTMAX_CLASSIFICATION:
+        p = _softmax_probs(model, x)
+        picked = p[np.arange(len(y)), y]
+        return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    raise ValueError(f"unknown loss kind {kind!r}")

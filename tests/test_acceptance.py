@@ -44,7 +44,6 @@ from feo2.config import (
     PopulationSpec,
 )
 from feo2.datagen import build_population
-from feo2.models import PointSamples
 from feo2.personalization import DittoConfig, ditto_closed_form
 from feo2.privacy import clip
 from feo2.rng import stream
@@ -110,12 +109,13 @@ def test_criterion_02_gap_identities_hold_and_are_nonnegative():
     _gate(2, ok, f"identity devs {worst_f:.2e}/{worst_d:.2e} <= 1e-12 over 10^4 draws, min gap {min_gap:.2e} >= 0")
 
 
-def _local_solution(dataset):
-    """Least-squares solution of a quadratic local objective."""
-    if isinstance(dataset, PointSamples):
-        return np.atleast_1d(dataset.observations.mean(axis=0))
+def _local_solution(x, y):
+    """Least-squares solution of a quadratic local objective on one client's
+    inputs ``x`` (n_s, d) and responses ``y`` (None for point estimation)."""
+    if y is None:
+        return x.mean(axis=0)
     # designs satisfy F^T F = n_s I, so LS reduces to F^T x / n_s
-    return dataset.features.T @ dataset.responses / dataset.n_s
+    return x.T @ y / len(y)
 
 
 def test_criterion_03_one_round_matches_closed_forms():
@@ -156,10 +156,12 @@ def test_criterion_03_one_round_matches_closed_forms():
 
         pop = build_population(cfg.population)
         theta0 = np.zeros(pop.dim)
+        ys = [None] * len(pop.private) if pop.train_y is None else pop.train_y
+        solutions = [_local_solution(x, y) for x, y in zip(pop.train_x, ys)]
         priv, nonpriv = [], []
-        for c in pop.clients:
-            delta, _ = clip(_local_solution(c.dataset) - theta0, cfg.feo2.S0)
-            (priv if c.is_private else nonpriv).append(delta)
+        for solution, private in zip(solutions, pop.private):
+            delta, _ = clip(solution - theta0, cfg.feo2.S0)
+            (priv if private else nonpriv).append(delta)
         mean_np = np.mean(nonpriv, axis=0) if nonpriv else None
         mean_p = None
         if priv:
@@ -173,12 +175,10 @@ def test_criterion_03_one_round_matches_closed_forms():
             expected = theta0
         worst_global = max(worst_global, float(np.max(np.abs(res.global_model - expected))))
 
-        for c_sim, c_ref in zip(res.population.clients, pop.clients):
-            lam = cfg.ditto.lambda_p if c_ref.is_private else cfg.ditto.lambda_np
-            want = ditto_closed_form(_local_solution(c_ref.dataset), theta0, lam)
-            worst_personal = max(
-                worst_personal, float(np.max(np.abs(c_sim.personalized_model - want)))
-            )
+        for personal, solution, private in zip(res.personal_models, solutions, pop.private):
+            lam = cfg.ditto.lambda_p if private else cfg.ditto.lambda_np
+            want = ditto_closed_form(solution, theta0, lam)
+            worst_personal = max(worst_personal, float(np.max(np.abs(personal - want))))
     ok = worst_global <= 1e-12 and worst_personal <= 1e-12
     _gate(3, ok, f"100 instances: global dev {worst_global:.2e}, personal dev {worst_personal:.2e}, both <= 1e-12")
 

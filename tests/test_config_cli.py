@@ -2,11 +2,18 @@
 (verbs, artifacts, exit codes)."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 import yaml
 
+from feo2.analytic import (
+    AnalyticParams,
+    server_variance_dpfedavg,
+    server_variance_fedavg,
+    server_variance_opt,
+)
 from feo2.cli import main
 from feo2.config import (
     Algorithm,
@@ -275,6 +282,44 @@ def test_analytic_r_sweep_argmin(capsys):
     rs = [row["r"] for row in payload["rows"]]
     assert rs == sorted(rs)
     assert payload["r_star"] in rs
+
+
+@pytest.mark.parametrize("step", ["0", "-0.1"])
+@pytest.mark.parametrize("verb", ["r-sweep", "lambda-sweep", "rho-sweep"])
+def test_analytic_sweeps_reject_a_step_that_is_not_positive(verb, step, capsys):
+    rc = main(
+        [
+            "analytic", verb, "--N", "100", "--N-p", "95", "--sigma-c2", "1.0",
+            "--gamma2", "0.01", "--step", step,
+        ]
+    )
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--step" in out.err
+
+
+def test_analytic_rho_sweep_rows_match_the_closed_forms(capsys):
+    rc = main(
+        [
+            "analytic", "rho-sweep", "--N", "100", "--N-p", "95", "--sigma-c2", "1",
+            "--gamma2", "0.01", "--step", "0.5",
+        ]
+    )
+    assert rc == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["rho_np"] for row in rows] == [0.0, 0.5, 1.0]
+    base = AnalyticParams.from_sigma_c2(N=100.0, N_p=95.0, sigma_c2=1.0, gamma2=0.01)
+    for row in rows:
+        p = dataclasses.replace(base, N_p=base.N - row["rho_np"] * base.N)
+        assert row["opt"] == server_variance_opt(p)
+        assert row["fedavg"] == server_variance_fedavg(p)
+        assert row["dpfedavg"] == server_variance_dpfedavg(p)
+    # all private (rho 0) or none private (rho 1): the three rules coincide
+    for row, value in ((rows[0], 0.02), (rows[-1], 0.01)):
+        assert row["opt"] == row["fedavg"] == row["dpfedavg"] == pytest.approx(value, rel=1e-12)
+    for row in rows[1:-1]:
+        assert row["opt"] <= row["fedavg"] and row["opt"] <= row["dpfedavg"]
 
 
 def test_analytic_out_flag_writes_file(tmp_path, capsys):

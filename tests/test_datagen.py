@@ -14,8 +14,6 @@ from feo2.datagen import (
     load_idx_images,
     load_idx_labels,
     load_idx_pair,
-    population_from_json,
-    population_to_json,
 )
 from feo2.models import LossKind
 
@@ -34,18 +32,12 @@ def test_point_population_shapes_and_split():
     pop = gen_point_population(spec)
     assert pop.kind is LossKind.POINT_ESTIMATION
     assert pop.dim == 3
-    assert len(pop.clients) == 20
-    assert sum(not c.is_private for c in pop.clients) == 5
+    assert pop.private.shape == (20,)
+    assert int(np.sum(~pop.private)) == 5
     assert pop.truth_global.shape == (3,)
     assert len(pop.truth_clients) == 20
-    for c in pop.clients:
-        assert c.dataset.observations.shape == (10, 3)
-        assert c.personalized_model is None
-
-
-def test_point_population_scalar_case_uses_flat_arrays():
-    pop = gen_point_population(_spec(PopulationKind.POINT_ESTIMATION, d=1))
-    assert pop.clients[0].dataset.observations.shape == (10,)
+    assert pop.train_x.shape == (20, 10, 3)
+    assert pop.train_y is None
 
 
 def test_point_population_deterministic_in_seed():
@@ -53,8 +45,8 @@ def test_point_population_deterministic_in_seed():
     b = gen_point_population(_spec(PopulationKind.POINT_ESTIMATION, seed=9))
     c = gen_point_population(_spec(PopulationKind.POINT_ESTIMATION, seed=10))
     assert np.array_equal(a.truth_global, b.truth_global)
-    assert np.array_equal(a.clients[4].dataset.observations, b.clients[4].dataset.observations)
-    assert [x.is_private for x in a.clients] == [x.is_private for x in b.clients]
+    assert np.array_equal(a.train_x[4], b.train_x[4])
+    assert np.array_equal(a.private, b.private)
     assert not np.array_equal(a.truth_global, c.truth_global)
 
 
@@ -67,8 +59,7 @@ def test_zero_spread_population_shares_the_truth():
 def test_regression_designs_are_orthogonal():
     spec = _spec(PopulationKind.LINEAR_REGRESSION, d=4, samples_per_client=12)
     pop = gen_regression_population(spec)
-    for c in pop.clients:
-        F = c.dataset.features
+    for F in pop.train_x:
         assert np.allclose(F.T @ F, 12 * np.eye(4), atol=1e-9)
 
 
@@ -104,13 +95,13 @@ def test_label_shard_clients_hold_one_label():
     assert pop.kind is LossKind.SOFTMAX_CLASSIFICATION
     assert pop.n_classes == 5
     assert pop.dim == 5 * 7
-    for c, test in zip(pop.clients, pop.client_tests):
-        train_labels = set(c.dataset.labels.tolist())
+    for train_y, test_y in zip(pop.train_y, pop.test_y):
+        train_labels = set(train_y.tolist())
         assert len(train_labels) == 1
-        assert set(test.labels.tolist()) == train_labels
-        assert c.dataset.n == 8  # 80% of 10
-        assert test.n == 2
-    assert pop.server_test.n == 30 * 2
+        assert set(test_y.tolist()) == train_labels
+        assert train_y.size == 8  # 80% of 10
+        assert test_y.size == 2
+    assert pop.server_test[1].size == 30 * 2
 
 
 def test_label_shard_skew_pins_opted_out_clients():
@@ -119,10 +110,10 @@ def test_label_shard_skew_pins_opted_out_clients():
     )
     pool = gen_blob_pool(4, 200, 6, 3.0, seed=5)
     pop = gen_label_shard_population(spec, pool)
-    opted_out = [c for c in pop.clients if not c.is_private]
+    opted_out = np.flatnonzero(~pop.private)
     assert len(opted_out) == 4
-    for c in opted_out:
-        assert set(c.dataset.labels.tolist()) == {2}
+    for j in opted_out:
+        assert set(pop.train_y[j].tolist()) == {2}
 
 
 def test_label_shard_insufficient_pool_raises():
@@ -242,31 +233,4 @@ def test_build_population_from_idx_pool(tmp_path):
     pop = build_population(spec)
     assert pop.n_classes == 4
     assert pop.dim == 4 * 10
-    assert pop.server_test.features.shape[1] == 9
-
-
-# --- snapshots ---------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "kind", [PopulationKind.POINT_ESTIMATION, PopulationKind.LINEAR_REGRESSION, PopulationKind.LABEL_SHARD]
-)
-def test_population_snapshot_round_trip(kind):
-    pop = build_population(_spec(kind, n_clients=6, samples_per_client=10))
-    back = population_from_json(population_to_json(pop))
-    assert back.kind == pop.kind
-    assert back.dim == pop.dim
-    assert [c.is_private for c in back.clients] == [c.is_private for c in pop.clients]
-    for a, b in zip(pop.clients, back.clients):
-        if kind is PopulationKind.LABEL_SHARD:
-            assert np.array_equal(a.dataset.features, b.dataset.features)
-            assert np.array_equal(a.dataset.labels, b.dataset.labels)
-        elif kind is PopulationKind.LINEAR_REGRESSION:
-            assert np.array_equal(a.dataset.features, b.dataset.features)
-            assert np.array_equal(a.dataset.responses, b.dataset.responses)
-        else:
-            assert np.array_equal(a.dataset.observations, b.dataset.observations)
-    if pop.truth_global is not None:
-        assert np.array_equal(back.truth_global, pop.truth_global)
-    if pop.server_test is not None:
-        assert np.array_equal(back.server_test.features, pop.server_test.features)
+    assert pop.server_test[0].shape[1] == 9

@@ -14,66 +14,58 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from feo2.config import FeO2Config
-from feo2.models import (
-    ClientRecord,
-    Cohort,
-    LabeledExamples,
-    LossKind,
-    NumericFailure,
-    PointSamples,
-    RegressionSamples,
-    as_vector,
-    client_update,
-    local_gradient,
-    local_loss,
-    model_dim_for,
-    stack_datasets,
-)
+from feo2.models import Cohort, LossKind, NumericFailure, client_update, local_gradient
 from feo2.rng import stream
 
-from oracles import numeric_gradient
+from oracles import local_loss, numeric_gradient
 
 finite_floats = st.floats(-5, 5, allow_nan=False, allow_infinity=False)
 
 
+# One client's data is a pair (x, y): inputs (n, f) and targets (n,), or None
+# for point estimation.
+
+
 def _point(rng, n_s=6, d=3):
-    return PointSamples(rng.normal(size=(n_s, d)))
+    return rng.normal(size=(n_s, d)), None
 
 
 def _regression(rng, n_s=8, d=3):
-    return RegressionSamples(rng.normal(size=(n_s, d)), rng.normal(size=n_s))
+    return rng.normal(size=(n_s, d)), rng.normal(size=n_s)
 
 
 def _labeled(rng, n=12, d=4, classes=3):
-    return LabeledExamples(rng.normal(size=(n, d)), rng.integers(0, classes, size=n))
+    return rng.normal(size=(n, d)), rng.integers(0, classes, size=n)
+
+
+def _stack(data):
+    """One client's (x, y) as a one-client stack."""
+    x, y = data
+    return x[None], None if y is None else y[None]
 
 
 def _grad(theta, data, kind):
     """local_gradient of one client."""
-    x, y = stack_datasets([data])
-    return local_gradient(theta[None], x, y, kind)[0]
+    return local_gradient(theta[None], *_stack(data), kind)[0]
 
 
-def _update(theta, client, clip_norm, cfg, kind, ditto=None, rng=None):
+def _cohort(data, client_id=0, private=True):
+    return Cohort(np.array([client_id]), np.array([private]), *_stack(data))
+
+
+def _update(theta, cohort, clip_norm, cfg, kind, ditto=None, rng=None):
     """client_update of a one-client cohort: (delta, bit, personal model or None)."""
-    x, y = stack_datasets([client.dataset])
-    cohort = Cohort(np.array([client.id]), np.array([client.is_private]), x, y)
     rngs = None if rng is None else [rng]
     deltas, bits = client_update(theta, cohort, clip_norm, cfg, kind, ditto, rngs)
     personal = None if cohort.personal is None else cohort.personal[0]
     return deltas[0], int(bits[0]), personal
 
 
-def test_as_vector_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        as_vector([1.0, np.inf])
-
-
 def test_point_loss_closed_form():
-    data = PointSamples(np.array([[1.0, 3.0], [3.0, 5.0]]))
+    data = np.array([[1.0, 3.0], [3.0, 5.0]]), None
     theta = np.array([0.0, 0.0])
     # mean is (2, 4); loss = 0.5 * (4 + 16)
-    assert local_loss(theta, data, LossKind.POINT_ESTIMATION) == pytest.approx(10.0, abs=1e-14)
+    assert local_loss(theta, *data, LossKind.POINT_ESTIMATION) == pytest.approx(10.0, abs=1e-14)
     g = _grad(theta, data, LossKind.POINT_ESTIMATION)
     assert np.allclose(g, [-2.0, -4.0], atol=1e-14)
 
@@ -82,8 +74,8 @@ def test_regression_loss_normalization():
     rng = stream(5, "t")
     data = _regression(rng, n_s=10, d=2)
     theta = rng.normal(size=2)
-    resid = data.features @ theta - data.responses
-    assert local_loss(theta, data, LossKind.LINEAR_REGRESSION) == pytest.approx(
+    resid = data[0] @ theta - data[1]
+    assert local_loss(theta, *data, LossKind.LINEAR_REGRESSION) == pytest.approx(
         float(resid @ resid) / 20.0
     )
 
@@ -97,9 +89,10 @@ def test_gradient_matches_finite_differences(kind):
         data = _regression(rng)
     else:
         data = _labeled(rng)
-    theta = rng.normal(size=model_dim_for(data, kind, n_classes=3))
+    f = data[0].shape[1]
+    theta = rng.normal(size=3 * (f + 1) if kind is LossKind.SOFTMAX_CLASSIFICATION else f)
     got = _grad(theta, data, kind)
-    want = numeric_gradient(lambda t: local_loss(t, data, kind), theta)
+    want = numeric_gradient(lambda t: local_loss(t, *data, kind), theta)
     assert np.allclose(got, want, atol=1e-7), np.abs(got - want).max()
 
 
@@ -109,7 +102,7 @@ def test_softmax_probs_are_probabilities():
     rng = stream(3, "probs")
     data = _labeled(rng, n=30, d=5, classes=4)
     theta = rng.normal(size=4 * 6) * 50  # large logits stress the shift
-    p = _softmax_probs(theta, data.features)
+    p = _softmax_probs(theta, data[0])
     assert np.all(p >= 0)
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
@@ -119,17 +112,8 @@ def test_regression_gradient_zero_at_least_squares_solution():
     q, r = np.linalg.qr(rng.normal(size=(12, 4)))
     F = np.sqrt(12) * q * np.sign(np.diag(r))
     phi = rng.normal(size=4)
-    data = RegressionSamples(F, F @ phi)
-    g = _grad(phi, data, LossKind.LINEAR_REGRESSION)
+    g = _grad(phi, (F, F @ phi), LossKind.LINEAR_REGRESSION)
     assert np.allclose(g, 0.0, atol=1e-12)
-
-
-def test_dimension_mismatch_raises():
-    data = PointSamples(np.ones((4, 2)))
-    with pytest.raises(ValueError):
-        local_loss(np.zeros(5), data, LossKind.POINT_ESTIMATION)
-    with pytest.raises(ValueError):
-        local_loss(np.zeros(3), _regression(stream(0, "x"), d=2), LossKind.LINEAR_REGRESSION)
 
 
 @given(
@@ -139,17 +123,17 @@ def test_dimension_mismatch_raises():
 def test_one_step_full_batch_lands_on_sample_mean(obs, theta):
     """eta = 1, one epoch, full batch: the raw point-estimation delta is exactly
     mean(obs) - theta (before clipping)."""
-    client = ClientRecord(0, True, PointSamples(obs))
+    cohort = _cohort((obs, None))
     cfg = FeO2Config(eta=1.0, epochs=1, batch_size=None)
-    delta, b, _ = _update(theta, client, 1e9, cfg, LossKind.POINT_ESTIMATION)
+    delta, b, _ = _update(theta, cohort, 1e9, cfg, LossKind.POINT_ESTIMATION)
     assert np.allclose(delta, obs.mean(axis=0) - theta, atol=1e-9)
     assert b == 1
 
 
 def test_clip_indicator_reflects_raw_norm():
-    client = ClientRecord(0, True, PointSamples(np.full((3, 2), 10.0)))
+    cohort = _cohort((np.full((3, 2), 10.0), None))
     cfg = FeO2Config(eta=1.0)
-    delta, b, _ = _update(np.zeros(2), client, 0.5, cfg, LossKind.POINT_ESTIMATION)
+    delta, b, _ = _update(np.zeros(2), cohort, 0.5, cfg, LossKind.POINT_ESTIMATION)
     assert b == 0
     assert np.linalg.norm(delta) <= 0.5
 
@@ -158,40 +142,40 @@ def test_minibatches_partition_the_data():
     from feo2.models import _batches
 
     data = _labeled(stream(11, "b"), n=10, d=3, classes=2)
-    x, y = stack_datasets([data])
-    batches = list(_batches(x, y, 4, [stream(11, "order")]))
+    batches = list(_batches(*_stack(data), 4, [stream(11, "order")]))
     assert [yb.shape[1] for _, yb in batches] == [4, 4, 2]
     seen = np.concatenate([xb[0] for xb, _ in batches])
-    assert np.allclose(np.sort(seen, axis=0), np.sort(data.features, axis=0))
+    assert np.allclose(np.sort(seen, axis=0), np.sort(data[0], axis=0))
 
 
 def test_minibatch_order_is_stream_determined():
     data = _point(stream(2, "d"), n_s=9, d=2)
     cfg = FeO2Config(eta=0.3, epochs=2, batch_size=3)
-    client_a = ClientRecord(0, True, data)
-    client_b = ClientRecord(0, True, data)
-    da, _, _ = _update(np.zeros(2), client_a, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
-    db, _, _ = _update(np.zeros(2), client_b, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
+    cohort_a = _cohort(data)
+    cohort_b = _cohort(data)
+    da, _, _ = _update(np.zeros(2), cohort_a, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
+    db, _, _ = _update(np.zeros(2), cohort_b, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
     assert np.array_equal(da, db)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_divergent_training_raises_numeric_failure():
-    client = ClientRecord(3, False, _point(stream(1, "nf"), n_s=4, d=2))
+    cohort = _cohort(_point(stream(1, "nf"), n_s=4, d=2), client_id=3, private=False)
     cfg = FeO2Config(eta=4.0, epochs=3000)  # |1 - eta| > 1 compounds to overflow
     with pytest.raises(NumericFailure, match="client 3"):
-        _update(np.zeros(2), client, 1.0, cfg, LossKind.POINT_ESTIMATION)
+        _update(np.zeros(2), cohort, 1.0, cfg, LossKind.POINT_ESTIMATION)
 
 
 def test_ditto_initializes_personal_model_from_broadcast():
     from feo2.personalization import DittoConfig
 
-    client = ClientRecord(0, True, _point(stream(8, "di"), n_s=5, d=2))
+    obs, _ = _point(stream(8, "di"), n_s=5, d=2)
+    cohort = _cohort((obs, None))
     cfg = FeO2Config(eta=1.0)
     theta0 = np.array([0.5, -0.25])
-    assert client.personalized_model is None
-    *_, personal = _update(theta0, client, 1e6, cfg, LossKind.POINT_ESTIMATION, ditto=DittoConfig(1.0, 1.0))
+    assert cohort.personal is None
+    *_, personal = _update(theta0, cohort, 1e6, cfg, LossKind.POINT_ESTIMATION, ditto=DittoConfig(1.0, 1.0))
     # one proximal step with eta_p = 1/(1+lam) from theta0:
-    target = (client.dataset.observations.mean(axis=0) + 1.0 * theta0) / 2.0
+    target = (obs.mean(axis=0) + 1.0 * theta0) / 2.0
     assert np.allclose(personal, target, atol=1e-12)

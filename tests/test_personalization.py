@@ -8,17 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from feo2.models import LossKind, PointSamples, RegressionSamples, stack_datasets
+from feo2.models import LossKind
 from feo2.personalization import DittoConfig, ditto_closed_form, ditto_step
 from feo2.rng import stream
 
 unit = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
 
 
-def _step(theta_j, theta_global, data, kind, lam, eta_p):
-    """ditto_step of one client."""
-    x, y = stack_datasets([data])
-    return ditto_step(theta_j[None], theta_global, x, y, kind, lam, eta_p)[0]
+def _step(theta_j, theta_global, x, y, kind, lam, eta_p):
+    """ditto_step of one client with inputs ``x`` (n, f) and targets ``y`` (n,) or None."""
+    y = None if y is None else y[None]
+    return ditto_step(theta_j[None], theta_global, x[None], y, kind, lam, eta_p)[0]
 
 
 @given(
@@ -28,8 +28,7 @@ def _step(theta_j, theta_global, data, kind, lam, eta_p):
     lam=st.floats(0.0, 50.0),
 )
 def test_one_step_hits_minimizer_from_anywhere(start, ref, obs, lam):
-    data = PointSamples(obs)
-    got = _step(start, ref, data, LossKind.POINT_ESTIMATION, lam, 1.0 / (1.0 + lam))
+    got = _step(start, ref, obs, None, LossKind.POINT_ESTIMATION, lam, 1.0 / (1.0 + lam))
     want = ditto_closed_form(obs.mean(axis=0), ref, lam)
     assert np.allclose(got, want, atol=1e-10)
 
@@ -39,11 +38,10 @@ def test_one_step_hits_minimizer_regression():
     q, rr = np.linalg.qr(rng.normal(size=(8, 3)))
     F = np.sqrt(8) * q * np.sign(np.diag(rr))
     x = rng.normal(size=8)
-    data = RegressionSamples(F, x)
     phi_hat = F.T @ x / 8.0
     ref = rng.normal(size=3)
     lam = 0.7
-    got = _step(rng.normal(size=3), ref, data, LossKind.LINEAR_REGRESSION, lam, 1.0 / (1.0 + lam))
+    got = _step(rng.normal(size=3), ref, F, x, LossKind.LINEAR_REGRESSION, lam, 1.0 / (1.0 + lam))
     assert np.allclose(got, ditto_closed_form(phi_hat, ref, lam), atol=1e-12)
 
 
@@ -58,19 +56,19 @@ def test_closed_form_endpoints():
 def test_off_schedule_step_is_not_the_minimizer():
     # with any other step size the exactness breaks — guards against the
     # eta_p default silently changing
-    data = PointSamples(np.array([[1.0], [3.0]]))
+    obs = np.array([[1.0], [3.0]])
     ref = np.array([0.0])
-    got = _step(np.array([5.0]), ref, data, LossKind.POINT_ESTIMATION, 1.0, 0.3)
+    got = _step(np.array([5.0]), ref, obs, None, LossKind.POINT_ESTIMATION, 1.0, 0.3)
     want = ditto_closed_form(np.array([2.0]), ref, 1.0)
     assert not np.allclose(got, want, atol=1e-6)
 
 
 def test_ditto_step_validation():
-    data = PointSamples(np.ones((2, 1)))
+    obs = np.ones((2, 1))
     with pytest.raises(ValueError):
-        _step(np.zeros(1), np.zeros(1), data, LossKind.POINT_ESTIMATION, -0.1, 0.5)
+        _step(np.zeros(1), np.zeros(1), obs, None, LossKind.POINT_ESTIMATION, -0.1, 0.5)
     with pytest.raises(ValueError):
-        _step(np.zeros(1), np.zeros(1), data, LossKind.POINT_ESTIMATION, 0.1, 0.0)
+        _step(np.zeros(1), np.zeros(1), obs, None, LossKind.POINT_ESTIMATION, 0.1, 0.0)
 
 
 def test_ditto_config_defaults_and_validation():

@@ -12,7 +12,7 @@ from feo2.aggregation import feo2_combine, group_mean
 from feo2.analytic import AnalyticParams, optimal_ratio, server_variance_at
 from feo2.config import Algorithm, ExperimentConfig, FeO2Config, PopulationKind, PopulationSpec
 from feo2.datagen import build_population
-from feo2.personalization import DittoConfig
+from feo2.personalization import DittoConfig, ditto_closed_form
 from feo2.privacy import clip, gaussian_noise_vector
 from feo2.rng import stream
 from feo2.simulate import (
@@ -52,9 +52,9 @@ def test_one_round_matches_hand_computation():
 
     S = cfg.feo2.S0
     priv, nonpriv = [], []
-    for c in pop.clients:  # cohort_fraction 1 and sorted ids = everyone in order
-        delta, _ = clip(c.dataset.observations.mean(axis=0), S)
-        (priv if c.is_private else nonpriv).append(delta)
+    for obs, private in zip(pop.train_x, pop.private):  # cohort_fraction 1: everyone in order
+        delta, _ = clip(obs.mean(axis=0), S)
+        (priv if private else nonpriv).append(delta)
     noise = gaussian_noise_vector(2, cfg.feo2.z * S / len(priv), stream(3, "noise", 0))
     expected = feo2_combine(
         group_mean(nonpriv), group_mean(priv) + noise, len(nonpriv), len(priv), cfg.feo2.r
@@ -63,6 +63,33 @@ def test_one_round_matches_hand_computation():
     rep = res.reports[0]
     assert rep.N_p_t == len(priv) and rep.N_np_t == len(nonpriv)
     assert rep.acc_g == pytest.approx(float(np.sum((expected - pop.truth_global) ** 2)), abs=1e-12)
+
+
+def test_personal_models_under_sampled_cohorts():
+    # Full-batch Ditto with eta_p = 1/(1 + lambda) lands on the tethered
+    # minimizer, so a sampled client's personal model is fixed by its data and
+    # the global model broadcast in the last round that sampled it.
+    ditto = DittoConfig(lambda_p=0.5, lambda_np=2.0)
+    cfg = _point_cfg(rounds=4, cohort_fraction=0.3, ditto=ditto)
+    res = run_experiment(cfg)
+    pop = res.population
+    n = len(pop.private)
+    broadcast, theta = {}, np.zeros(pop.dim)
+    for t in range(cfg.rounds):
+        for j in stream(cfg.master_seed, "cohort", t).choice(n, 3, replace=False).tolist():
+            broadcast[j] = theta
+        theta = run_experiment(dataclasses.replace(cfg, rounds=t + 1)).global_model
+    assert np.array_equal(theta, res.global_model)
+    assert 0 < len(broadcast) < n
+    assert res.personal_models.shape == (n, pop.dim)
+    for j, row in enumerate(res.personal_models):
+        if j in broadcast:
+            lam = ditto.lambda_p if pop.private[j] else ditto.lambda_np
+            want = ditto_closed_form(pop.train_x[j].mean(axis=0), broadcast[j], lam)
+            assert np.allclose(row, want, rtol=0.0, atol=1e-12)
+        else:
+            assert np.array_equal(row, res.global_model)
+    assert run_experiment(dataclasses.replace(cfg, ditto=None)).personal_models is None
 
 
 def test_reports_are_worker_invariant():
@@ -101,7 +128,7 @@ def test_fedavg_is_plain_averaging():
     cfg = _point_cfg(algorithm=Algorithm.FEDAVG, feo2=FeO2Config(r=1.0, z=0.0, S0=1e9))
     res = run_experiment(cfg)
     pop = build_population(cfg.population)
-    means = np.stack([c.dataset.observations.mean(axis=0) for c in pop.clients])
+    means = np.stack([obs.mean(axis=0) for obs in pop.train_x])
     assert np.allclose(res.global_model, means.mean(axis=0), atol=1e-12)
     assert res.reports[0].epsilon == float("inf")
 

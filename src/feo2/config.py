@@ -34,6 +34,15 @@ class PopulationKind(str, Enum):
     LABEL_SHARD = "label_shard"
 
 
+def _require_ints(obj, *names: str) -> None:
+    """Reject a field of ``names`` that is neither None nor a Python int (bools
+    are ints to Python, but ``rounds: true`` is not a count)."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PoolSpec:
     """Where label-shard sample pools come from: synthetic class blobs by
@@ -47,6 +56,7 @@ class PoolSpec:
     idx_labels: Optional[str] = None
 
     def __post_init__(self):
+        _require_ints(self, "classes", "per_class", "feature_dim")
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ValueError("idx_images and idx_labels must be given together")
         if self.idx_images is None:
@@ -70,12 +80,15 @@ class PopulationSpec:
     pool: Optional[PoolSpec] = None
 
     def __post_init__(self):
+        _require_ints(self, "n_clients", "samples_per_client", "seed", "d", "skew_label")
         if self.n_clients < 1:
             raise ValueError("n_clients must be >= 1")
         if not 0.0 <= self.rho_np <= 1.0:
             raise ValueError("rho_np must be in [0, 1]")
         if self.samples_per_client < 1:
             raise ValueError("samples_per_client must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.tau2 < 0 or self.beta2 < 0:
             raise ValueError("tau2 and beta2 must be >= 0")
         if self.d < 1:
@@ -112,6 +125,7 @@ class FeO2Config:
     batch_size: Optional[int] = None
 
     def __post_init__(self):
+        _require_ints(self, "epochs", "batch_size")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("r must be in [0, 1]")
         if self.z < 0 or self.z_b < 0:
@@ -142,8 +156,11 @@ class ExperimentConfig:
     delta: float = 1e-5
 
     def __post_init__(self):
+        _require_ints(self, "rounds", "master_seed")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if not 0.0 < self.cohort_fraction <= 1.0:
             raise ValueError("cohort_fraction must be in (0, 1]")
         if not 0.0 < self.delta < 1.0:

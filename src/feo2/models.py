@@ -67,9 +67,9 @@ class Cohort:
     personal: Optional[np.ndarray] = None  # (clients, dim) personal models, stepped by Ditto
 
 
-def _softmax_probs(model: ModelVector, x: np.ndarray) -> np.ndarray:
-    """Class probabilities of one model on (n, f) inputs, or of a (clients, dim)
-    stack on (clients, n, f) inputs."""
+def _logits(model: ModelVector, x: np.ndarray) -> np.ndarray:
+    """Class scores x·Wᵀ + b of one model on (n, f) inputs, or of a (clients, dim)
+    stack on (clients, n, f) inputs; their argmax is the predicted class."""
     size, f = model.shape[-1], x.shape[-1]
     if size % (f + 1) != 0:
         raise ValueError(f"model of size {size} does not fit a linear layer over {f} features")
@@ -77,6 +77,12 @@ def _softmax_probs(model: ModelVector, x: np.ndarray) -> np.ndarray:
     w = model[..., : c * f].reshape(*model.shape[:-1], c, f)
     p = np.matmul(x, np.swapaxes(w, -1, -2))
     p += model[..., None, c * f :]
+    return p
+
+
+def _softmax_probs(model: ModelVector, x: np.ndarray) -> np.ndarray:
+    """Class probabilities, laid out as in `_logits`."""
+    p = _logits(model, x)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

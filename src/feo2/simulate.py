@@ -2,7 +2,8 @@
 
 `run_experiment` executes the full federated loop: cohort sampling, one batched
 client step per round, two-group aggregation with optional noising, adaptive
-clip norm, privacy accounting, and evaluation of all clients at once. Every
+clip norm, privacy accounting, and evaluation against a cached per-client
+score, of which each round rescores only its cohort. Every
 random draw comes from a stream keyed on (master_seed, purpose, round, client)
 and clients never mix, so reports are byte-stable for any number of workers.
 
@@ -29,7 +30,7 @@ from .aggregation import RoundSkipped, apply_update, dp_group_mean, feo2_combine
 from .analytic import AnalyticParams, optimal_ratio
 from .config import Algorithm, ExperimentConfig
 from .datagen import Population, build_population
-from .models import Cohort, LossKind, NumericFailure, _softmax_probs, client_update
+from .models import Cohort, LossKind, NumericFailure, _logits, client_update
 from .privacy import update_clip_norm
 from .rng import stream
 
@@ -76,24 +77,26 @@ def _group_metric(values: np.ndarray) -> float:
     return float(np.mean(values)) if len(values) else float("nan")
 
 
-def _evaluate(theta, pop: Population, personal: Optional[np.ndarray], trained) -> dict:
+def _evaluate(theta, pop: Population, personal, trained, ids, local_hits) -> dict:
     """Per-round metrics. Classification: percent accuracy on test splits.
     Quadratic kinds: squared error against the hidden truths (lower is better).
 
     The global model is scored once, on the pooled server test set split into
-    the clients' equal segments, and the personal models of the ``trained``
-    clients in one batched pass. Any other client's local score is its global score."""
-    is_private, ids = pop.private, np.flatnonzero(trained)
-    n = len(is_private)
+    the clients' equal segments. ``local_hits`` (None without Ditto) caches each
+    client's (clients, n_test) personal-model test hits: only the cohort rows
+    ``ids``, whose personal models just changed, are rescored. Any client not
+    yet ``trained`` takes its global score as its local score."""
+    is_private, n = pop.private, len(pop.private)
     if pop.kind is LossKind.SOFTMAX_CLASSIFICATION:
         x, labels = pop.server_test
-        hits = _softmax_probs(theta, x).argmax(axis=1) == labels
+        hits = (_logits(theta, x).argmax(axis=1) == labels).reshape(n, -1)
         acc_g = 100.0 * float(np.mean(hits))
-        hits, local_hits = hits.reshape(n, -1), hits.reshape(n, -1).copy()
-        if ids.size:
-            probs = _softmax_probs(personal[ids], x.reshape(n, -1, x.shape[1])[ids])
-            local_hits[ids] = probs.argmax(axis=2) == labels.reshape(n, -1)[ids]
-        on_global, on_local = 100.0 * hits.mean(axis=1), 100.0 * local_hits.mean(axis=1)
+        local = hits
+        if local_hits is not None:
+            logits = _logits(personal[ids], pop.test_x[ids])
+            local_hits[ids] = logits.argmax(axis=2) == pop.test_y[ids]
+            local = np.where(trained[:, None], local_hits, hits)
+        on_global, on_local = 100.0 * hits.mean(axis=1), 100.0 * local.mean(axis=1)
     else:
         acc_g = float(np.sum((theta - pop.truth_global) ** 2))
         models = theta if personal is None else np.where(trained[:, None], personal, theta)
@@ -125,6 +128,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     # Ditto state: every client's personal model, valid where ``trained``.
     personal = None if cfg.ditto is None else np.zeros((n, pop.dim))
     trained = np.zeros(n, dtype=bool)
+    # Classification with Ditto: each client's personal-model test hits, see `_evaluate`.
+    local_hits = None if personal is None or pop.test_y is None else np.zeros_like(pop.test_y, bool)
     reports: List[RoundReport] = []
 
     def train(ids, t, theta, S):
@@ -171,7 +176,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
                 ledger = account_round(ledger, cfg.cohort_fraction, z)
             epsilon = epsilon_at_delta(ledger, cfg.delta)[0] if z > 0 else float("inf")
 
-            metrics = _evaluate(theta, pop, personal, trained)
+            metrics = _evaluate(theta, pop, personal, trained, ids, local_hits)
             report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)
             reports.append(report)
             if on_round is not None:

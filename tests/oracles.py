@@ -111,3 +111,22 @@ def local_loss(model: np.ndarray, x: np.ndarray, y, kind: LossKind) -> float:
         picked = p[np.arange(len(y)), y]
         return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
     raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def rescored_local_metrics(result) -> dict:
+    """Final-round ``acc_g``, ``acc_l_p``, ``acc_l_np`` and ``delta_l`` of a
+    label-shard run, rescoring ``result.global_model`` and every row of
+    ``result.personal_models`` from scratch by their most probable class, with
+    the group and percent arithmetic of `feo2.simulate._evaluate`."""
+    pop = result.population
+    x, labels = pop.server_test
+    hits = _softmax_probs(result.global_model, x).argmax(axis=1) == labels
+    probs = _softmax_probs(result.personal_models, pop.test_x)
+    on_local = 100.0 * (probs.argmax(axis=2) == pop.test_y).mean(axis=1)
+    out = {
+        "acc_g": 100.0 * float(np.mean(hits)),
+        "acc_l_p": float(np.mean(on_local[pop.private])),
+        "acc_l_np": float(np.mean(on_local[~pop.private])),
+    }
+    out["delta_l"] = out["acc_l_np"] - out["acc_l_p"]
+    return out

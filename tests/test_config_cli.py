@@ -203,6 +203,49 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "zz" in capsys.readouterr().err
 
 
+def _with(mapping, dotted, value):
+    """A deep copy of ``mapping`` with the dotted key set to ``value``."""
+    out = json.loads(json.dumps(mapping))
+    *path, last = dotted.split(".")
+    node = out
+    for key in path:
+        node = node.setdefault(key, {})
+    node[last] = value
+    return out
+
+
+SHARD = _with(GOOD, "population.kind", "label_shard")
+
+
+INTEGER_FIELD_CASES = [  # (config, key, value, extra run flags)
+    (GOOD, "rounds", 2.5, []),
+    (GOOD, "rounds", True, []),
+    (GOOD, "feo2.epochs", 1.5, []),
+    (GOOD, "feo2.batch_size", 2.5, []),
+    (GOOD, "master_seed", -1, []),
+    (GOOD, "master_seed", 1.5, []),
+    (GOOD, "population.seed", -3, []),
+    (GOOD, "population.n_clients", 12.0, []),
+    (GOOD, "master_seed", 21, ["--seed", "-1"]),
+    (SHARD, "population.skew_label", True, []),
+    (SHARD, "population.pool.per_class", 2.5, []),
+]
+
+
+@pytest.mark.parametrize(
+    "base, key, value, flags",
+    INTEGER_FIELD_CASES,
+    ids=["=".join(flags) or f"{key}={value}" for _, key, value, flags in INTEGER_FIELD_CASES],
+)
+def test_integer_fields_reject_other_values_with_exit_2(tmp_path, capsys, base, key, value, flags):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _with(base, key, value))
+    assert main(["run", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and key.split(".")[-1] in err
+
+
 def test_validate_prints_resolved_config(tmp_path, capsys):
     rc = main(["validate", "--config", _write(tmp_path, GOOD)])
     assert rc == 0

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import feo2.simulate
 from feo2.aggregation import feo2_combine, group_mean
 from feo2.analytic import AnalyticParams, optimal_ratio, server_variance_at
 from feo2.config import Algorithm, ExperimentConfig, FeO2Config, PopulationKind, PopulationSpec
@@ -21,6 +22,7 @@ from feo2.simulate import (
     monte_carlo_server_variance,
     run_experiment,
 )
+from oracles import rescored_local_metrics
 
 
 def _point_cfg(**overrides):
@@ -219,6 +221,42 @@ def test_classification_run_learns_something():
     assert all(0.0 <= r.acc_g <= 100.0 for r in reports)
     assert reports[-1].acc_g > 25.0  # 10 classes, chance is ~10
     assert np.isfinite(reports[-1].epsilon)
+
+
+def _sampled_shard_ditto_cfg(rounds):
+    """60 label-shard clients, 6 sampled per round, mini-batch Ditto."""
+    return ExperimentConfig(
+        population=PopulationSpec(
+            kind=PopulationKind.LABEL_SHARD, n_clients=60, rho_np=0.2,
+            samples_per_client=10, seed=6,
+        ),
+        algorithm=Algorithm.FEO2,
+        feo2=FeO2Config(r=0.2, z=1.0, z_b=5.0, S0=1.0, eta=0.5, batch_size=3),
+        ditto=DittoConfig(lambda_p=0.5, lambda_np=0.2),
+        rounds=rounds,
+        cohort_fraction=0.1,
+        master_seed=7,
+    )
+
+
+@pytest.mark.parametrize("rounds", [1, 4, 9])
+def test_cached_local_scores_equal_full_rescoring(rounds):
+    # Early on most clients are untrained and take their global score.
+    res = run_experiment(_sampled_shard_ditto_cfg(rounds))
+    want = rescored_local_metrics(res)
+    assert {k: getattr(res.reports[-1], k) for k in want} == want
+
+
+def test_a_sampled_round_scores_only_its_cohort(monkeypatch):
+    logits, rows = feo2.simulate._logits, []
+
+    def counting(model, x):
+        rows.append(1 if model.ndim == 1 else len(model))
+        return logits(model, x)
+
+    monkeypatch.setattr(feo2.simulate, "_logits", counting)
+    run_experiment(_sampled_shard_ditto_cfg(9))
+    assert rows == [1, 6] * 9  # the global model, then the cohort's personal models
 
 
 # --- Monte Carlo harnesses ----------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -43,6 +44,16 @@ def _require_ints(obj, *names: str) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_floats(obj, *names: str) -> None:
+    """Reject a field of ``names`` that is neither None nor a finite int or float
+    (NaN passes every range check, and ``r: true`` is not a ratio)."""
+    for name in names:
+        value = getattr(obj, name)
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+        if value is not None and not ok:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PoolSpec:
     """Where label-shard sample pools come from: synthetic class blobs by
@@ -57,6 +68,9 @@ class PoolSpec:
 
     def __post_init__(self):
         _require_ints(self, "classes", "per_class", "feature_dim")
+        _require_floats(self, "spread")
+        if self.spread < 0:
+            raise ValueError("spread must be >= 0")
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ValueError("idx_images and idx_labels must be given together")
         if self.idx_images is None:
@@ -81,6 +95,7 @@ class PopulationSpec:
 
     def __post_init__(self):
         _require_ints(self, "n_clients", "samples_per_client", "seed", "d", "skew_label")
+        _require_floats(self, "rho_np", "tau2", "beta2")
         if self.n_clients < 1:
             raise ValueError("n_clients must be >= 1")
         if not 0.0 <= self.rho_np <= 1.0:
@@ -126,6 +141,7 @@ class FeO2Config:
 
     def __post_init__(self):
         _require_ints(self, "epochs", "batch_size")
+        _require_floats(self, "r", "z", "z_b", "S0", "kappa", "eta_b", "eta")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("r must be in [0, 1]")
         if self.z < 0 or self.z_b < 0:
@@ -157,6 +173,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_ints(self, "rounds", "master_seed")
+        _require_floats(self, "cohort_fraction", "delta")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.master_seed < 0:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -109,14 +109,15 @@ def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], k
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _batches(x, y, batch_size: Optional[int], rngs) -> Iterator[tuple]:
-    """Full batch when batch_size is None, else one pass of mini-batches, with
-    row i shuffled by a permutation from ``rngs[i]`` (in order when rngs is None)."""
+def _batches(x, y, batch_size: Optional[int], order: Optional[np.ndarray]) -> Iterator[tuple]:
+    """Full batch when batch_size is None, else one pass of mini-batches taking
+    row i's examples in the order ``order[i]`` (in order when order is None)."""
     if batch_size is None:
         yield x, y
         return
     m, n = x.shape[:2]
-    order = np.stack([np.arange(n)] * m if rngs is None else [r.permutation(n) for r in rngs])
+    if order is None:
+        order = np.broadcast_to(np.arange(n), (m, n))
     rows = np.arange(m)[:, None]
     for lo in range(0, n, batch_size):
         idx = order[:, lo : lo + batch_size]
@@ -125,14 +126,15 @@ def _batches(x, y, batch_size: Optional[int], rngs) -> Iterator[tuple]:
 
 def client_update(
     global_model: ModelVector, cohort: Cohort, clip_norm: float, cfg, kind: LossKind, ditto=None,
-    rngs: Optional[Sequence[np.random.Generator]] = None,
+    order: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train every cohort client at once; return (clipped deltas (clients, dim), bits)
     with bit 1 iff the raw delta's L2 norm was within ``clip_norm``. ``cfg`` gives
-    epochs / eta / batch_size, ``rngs`` one mini-batch generator per client. With
-    ``ditto``, each personal model (``cohort.personal``, else the broadcast
-    ``global_model``) takes one proximal step per batch. A non-finite delta or
-    personal model raises `NumericFailure` naming the first such client."""
+    epochs / eta / batch_size, ``order`` (epochs, clients, examples) each epoch's
+    mini-batch example order per client, taken in order when None. With ``ditto``,
+    each personal model (``cohort.personal``, else the broadcast ``global_model``)
+    takes one proximal step per batch. A non-finite delta or personal model
+    raises `NumericFailure` naming the first such client."""
     from .personalization import ditto_step
     from .privacy import clip_rows
 
@@ -144,8 +146,9 @@ def client_update(
     if ditto is not None:
         lam = np.where(cohort.private, ditto.lambda_p, ditto.lambda_np).astype(np.float64)[:, None]
         eta_p = 1.0 / (1.0 + lam) if ditto.eta_p is None else ditto.eta_p
-    for _ in range(cfg.epochs):
-        for xb, yb in _batches(cohort.x, cohort.y, cfg.batch_size, rngs):
+    for epoch in range(cfg.epochs):
+        epoch_order = None if order is None else order[epoch]
+        for xb, yb in _batches(cohort.x, cohort.y, cfg.batch_size, epoch_order):
             grad = local_gradient(theta, xb, yb, kind)
             theta -= np.multiply(cfg.eta, grad, out=grad)
             if ditto is not None:

@@ -25,6 +25,9 @@ class DittoConfig:
     eta_p: Optional[float] = None  # None -> 1/(1+lambda) per class
 
     def __post_init__(self):
+        from .config import _require_floats  # config imports this module
+
+        _require_floats(self, "lambda_p", "lambda_np", "eta_p")
         if self.lambda_p < 0 or self.lambda_np < 0:
             raise ValueError("lambdas must be >= 0")
         if self.eta_p is not None and self.eta_p <= 0:

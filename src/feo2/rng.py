@@ -1,10 +1,10 @@
 """Deterministic random-stream derivation.
 
 Every random draw in the package comes from a generator derived here, keyed
-by a master seed plus a path of integers (round index, client id) and short
-purpose strings. Streams depend only on their key, never on execution order:
-each client's mini-batch order has its own stream, so a cohort trains as one
-batch or in chunks with the same results.
+by a master seed plus a path of integers (such as a round) and purpose strings.
+Streams depend only on their key, never on execution order: one stream per
+round orders the whole sorted cohort's mini-batches before it is chunked, so
+a cohort trains as one batch or in chunks with the same results.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 `run_experiment` executes the full federated loop: cohort sampling, one batched
 client step per round, two-group aggregation with optional noising, adaptive
 clip norm, privacy accounting, and evaluation against a cached per-client
-score, of which each round rescores only its cohort. Every
-random draw comes from a stream keyed on (master_seed, purpose, round, client)
+score, of which each round rescores only its cohort. Every random draw comes
+from a stream keyed on (master_seed, purpose, round): a round's mini-batch
+orders are drawn for the whole sorted cohort before it is split into chunks,
 and clients never mix, so reports are byte-stable for any number of workers.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
@@ -131,17 +132,19 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     # Classification with Ditto: each client's personal-model test hits, see `_evaluate`.
     local_hits = None if personal is None or pop.test_y is None else np.zeros_like(pop.test_y, bool)
     reports: List[RoundReport] = []
+    # Mini-batch runs: each epoch's example order per cohort position, shuffled each round.
+    n_ex, mini = pop.train_x.shape[1], cfg.feo2.batch_size is not None
+    examples = np.tile(np.arange(n_ex), (cfg.feo2.epochs, cohort_size, 1)) if mini else None
 
-    def train(ids, t, theta, S):
-        """The batched client step of round t for the sorted cohort rows ``ids``."""
-        mini = cfg.feo2.batch_size is not None
-        rngs = [stream(seed, "client", t, i) for i in ids.tolist()] if mini else None
+    def train(ids, order, theta, S):
+        """The batched client step for the sorted cohort rows ``ids``, with their
+        mini-batch example orders ``order`` (None for full batches)."""
         # Consecutive ids (all clients under full participation) are sliced, not copied.
         rows = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == len(ids) else ids
         start = None if personal is None else np.where(trained[rows, None], personal[rows], theta)
         y = None if pop.train_y is None else pop.train_y[rows]
         cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, start)
-        out = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, rngs)
+        out = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, order)
         if personal is not None:
             personal[rows], trained[rows] = cohort.personal, True
         return out
@@ -151,9 +154,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
         run_chunks = pool.map if workers > 1 else map
         for t in range(cfg.rounds):
             ids = np.sort(stream(seed, "cohort", t).choice(n, cohort_size, replace=False))
-            chunks = [c for c in np.array_split(ids, workers) if c.size]
+            order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
+            parts = [p for p in np.array_split(np.arange(len(ids)), workers) if p.size]
+            chunks = [(ids[p], None if order is None else order[:, p]) for p in parts]
             try:
-                results = run_chunks(lambda c: train(c, t, theta, S), chunks)
+                results = run_chunks(lambda c: train(*c, theta, S), chunks)
                 deltas, indicators = map(np.concatenate, zip(*results))
             except NumericFailure as exc:
                 raise NumericFailure(f"{exc} in round {t}") from None

@@ -40,14 +40,16 @@ SPECS = {
 
 
 def _step(pop, ids, theta, start, S, cfg, ditto):
-    """client_update on the clients ``ids``, with fresh per-client streams."""
-    rngs = None
+    """client_update on the clients ``ids``, with their rows of one mini-batch
+    order matrix drawn for every client from one stream."""
+    order = None
     if cfg.batch_size is not None:
-        rngs = [stream(9, "client", 0, int(i)) for i in ids]
+        examples = np.tile(np.arange(pop.train_x.shape[1]), (cfg.epochs, len(pop.private), 1))
+        order = stream(9, "minibatch", 0).permuted(examples, axis=-1)[:, ids]
     y = None if pop.train_y is None else pop.train_y[ids]
     personal = None if start is None else start[ids].copy()
     cohort = Cohort(ids, pop.private[ids], pop.train_x[ids], y, personal)
-    deltas, bits = client_update(theta, cohort, S, cfg, pop.kind, ditto, rngs)
+    deltas, bits = client_update(theta, cohort, S, cfg, pop.kind, ditto, order)
     return deltas, bits, cohort.personal
 
 

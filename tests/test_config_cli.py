@@ -246,6 +246,46 @@ def test_integer_fields_reject_other_values_with_exit_2(tmp_path, capsys, base, 
     assert "config error" in err and key.split(".")[-1] in err
 
 
+NAN, INF = float("nan"), float("inf")
+FLOAT_FIELD_CASES = [  # (config, key, value)
+    (GOOD, "feo2.z_b", NAN),  # was exit 0: the clip bits were released with no noise
+    (GOOD, "feo2.r", True),  # was exit 0 with r = 1
+    (GOOD, "cohort_fraction", True),
+    (GOOD, "feo2.z", INF),
+    (GOOD, "feo2.eta", INF),
+    (GOOD, "feo2.S0", INF),
+    (GOOD, "feo2.eta_b", INF),
+    (GOOD, "population.tau2", NAN),
+    (GOOD, "population.beta2", INF),
+    (GOOD, "ditto.lambda_p", NAN),
+    (GOOD, "ditto.lambda_np", NAN),
+    (GOOD, "ditto.eta_p", NAN),
+    (SHARD, "population.pool.spread", NAN),
+    (SHARD, "population.pool.spread", -1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "base, key, value", FLOAT_FIELD_CASES, ids=[f"{key}={value}" for _, key, value in FLOAT_FIELD_CASES]
+)
+def test_float_fields_reject_non_finite_bool_and_negative_values_with_exit_2(
+    tmp_path, capsys, base, key, value
+):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, _with(base, key, value))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and key.split(".")[-1] in err
+
+
+def test_float_fields_take_integer_literals():
+    raw = _with(_with(GOOD, "feo2.S0", 2), "ditto.lambda_np", 1)
+    cfg = build_experiment_config(raw)
+    assert (cfg.feo2.S0, cfg.ditto.lambda_np) == (2, 1)
+    assert build_experiment_config(config_to_dict(cfg)) == cfg
+
+
 def test_validate_prints_resolved_config(tmp_path, capsys):
     rc = main(["validate", "--config", _write(tmp_path, GOOD)])
     assert rc == 0

@@ -45,8 +45,8 @@ INLINE = {
             "cohort_fraction": 0.1,
             "master_seed": 11,
         },
-        "4019e996e5524925c4d9f69e02bac31193d5df32b8421fa471134466043052e1",
-        "a6362f6631a3f2ad2038e75124b0bfe24dc8d82cc0d635674b838c522f4d1ffa",
+        "2ee0cea3a5bf3ba000cede89f0eae08d4e03d9ca80bf6011a3c3838b3f5ac9a6",
+        "155946e6dc48f22298660213a1d8e8ad25aeb6844c3ccfd4d0b9ff29f0b7ff93",
     ),
     "regression_dpfedavg_minibatch": (
         {
@@ -61,8 +61,8 @@ INLINE = {
             "cohort_fraction": 0.5,
             "master_seed": 5,
         },
-        "db03f904aa4a2455fa6b6a7caec97c4ac7ee7fcb07c2738a2fa42b5a479d0416",
-        "920119e160b18f603d519b8dd3a0009704bea0bcd42779a3bd7d407c287be9dc",
+        "b893c70215ea44cd9c6e0ba9f8a44010eee88c41a41f121262484b9613859e37",
+        "efee4a5b99b823a97f33c3c47be3142f8a41f0bfb20b98a5775ed73601c34997",
     ),
     "point_1d_fedavg_minibatch": (
         {
@@ -76,8 +76,8 @@ INLINE = {
             "cohort_fraction": 0.75,
             "master_seed": 8,
         },
-        "349cad1df04bcea4a4b8ac28c0b693c83e81da5ccbb62172042b9837efccce56",
-        "708d7a2f0cd325a46e3b7cb85cd4346660bda3b38e8b7c632f0d3877f7e42ae5",
+        "04acbcfb61f39e451f9f8afe0c45686e7d6f8081fcc2ba8c849725abd9b2a0db",
+        "3f79de82199f20afc20570dd9d737f0b186c0ab82b6e69ac68fce639c7735ab1",
     ),
 }
 

@@ -53,10 +53,9 @@ def _cohort(data, client_id=0, private=True):
     return Cohort(np.array([client_id]), np.array([private]), *_stack(data))
 
 
-def _update(theta, cohort, clip_norm, cfg, kind, ditto=None, rng=None):
+def _update(theta, cohort, clip_norm, cfg, kind, ditto=None, order=None):
     """client_update of a one-client cohort: (delta, bit, personal model or None)."""
-    rngs = None if rng is None else [rng]
-    deltas, bits = client_update(theta, cohort, clip_norm, cfg, kind, ditto, rngs)
+    deltas, bits = client_update(theta, cohort, clip_norm, cfg, kind, ditto, order)
     personal = None if cohort.personal is None else cohort.personal[0]
     return deltas[0], int(bits[0]), personal
 
@@ -142,20 +141,27 @@ def test_minibatches_partition_the_data():
     from feo2.models import _batches
 
     data = _labeled(stream(11, "b"), n=10, d=3, classes=2)
-    batches = list(_batches(*_stack(data), 4, [stream(11, "order")]))
+    order = stream(11, "order").permuted(np.arange(10)[None], axis=1)
+    batches = list(_batches(*_stack(data), 4, order))
     assert [yb.shape[1] for _, yb in batches] == [4, 4, 2]
     seen = np.concatenate([xb[0] for xb, _ in batches])
     assert np.allclose(np.sort(seen, axis=0), np.sort(data[0], axis=0))
+    assert np.array_equal(seen, data[0][order[0]])
 
 
 def test_minibatch_order_is_stream_determined():
     data = _point(stream(2, "d"), n_s=9, d=2)
     cfg = FeO2Config(eta=0.3, epochs=2, batch_size=3)
-    cohort_a = _cohort(data)
-    cohort_b = _cohort(data)
-    da, _, _ = _update(np.zeros(2), cohort_a, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
-    db, _, _ = _update(np.zeros(2), cohort_b, 10.0, cfg, LossKind.POINT_ESTIMATION, rng=stream(7, "c"))
+    kind = LossKind.POINT_ESTIMATION
+
+    def order():  # (epochs, clients, examples)
+        return stream(7, "c").permuted(np.tile(np.arange(9), (2, 1, 1)), axis=-1)
+
+    da, _, _ = _update(np.zeros(2), _cohort(data), 10.0, cfg, kind, order=order())
+    db, _, _ = _update(np.zeros(2), _cohort(data), 10.0, cfg, kind, order=order())
+    in_order, _, _ = _update(np.zeros(2), _cohort(data), 10.0, cfg, kind)
     assert np.array_equal(da, db)
+    assert not np.array_equal(da, in_order)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

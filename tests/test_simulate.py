@@ -259,6 +259,58 @@ def test_a_sampled_round_scores_only_its_cohort(monkeypatch):
     assert rows == [1, 6] * 9  # the global model, then the cohort's personal models
 
 
+def _stream_paths(monkeypatch, cfg):
+    """The path of every stream `run_experiment` derives, in call order."""
+    paths = []
+
+    def recording(seed, *path):
+        paths.append(path)
+        return stream(seed, *path)
+
+    monkeypatch.setattr(feo2.simulate, "stream", recording)
+    run_experiment(cfg)
+    return paths
+
+
+def test_a_round_derives_the_same_few_streams_at_any_cohort_size(monkeypatch):
+    small = dataclasses.replace(_sampled_shard_ditto_cfg(5), cohort_fraction=0.2)
+    paths = _stream_paths(monkeypatch, small)
+    assert all(len(path) == 2 and isinstance(path[0], str) for path in paths)  # (purpose, round)
+    assert [p for p in paths if p[0] == "minibatch"] == [("minibatch", t) for t in range(5)]
+    doubled = _stream_paths(monkeypatch, dataclasses.replace(small, cohort_fraction=0.4))
+    assert len(doubled) == len(paths)
+
+
+def test_round_orders_are_permutations_and_none_keeps_the_order(monkeypatch):
+    from feo2.models import _batches
+
+    update, orders = feo2.simulate.client_update, []
+
+    def recording(*args):
+        orders.append(args[-1])
+        return update(*args)
+
+    monkeypatch.setattr(feo2.simulate, "client_update", recording)
+    cfg = _sampled_shard_ditto_cfg(3)
+    res = run_experiment(dataclasses.replace(cfg, feo2=dataclasses.replace(cfg.feo2, epochs=2)))
+    n_ex = res.population.train_x.shape[1]
+    assert [order.shape for order in orders] == [(2, 6, n_ex)] * 3  # (epochs, cohort, examples)
+    rows = np.concatenate([order.reshape(-1, n_ex) for order in orders])
+    assert np.array_equal(np.sort(rows, axis=1), np.broadcast_to(np.arange(n_ex), rows.shape))
+    assert len({row.tobytes() for row in rows}) == len(rows)  # a fresh order per epoch and client
+    x = np.arange(14.0).reshape(2, 7, 1)
+    batches = [xb for xb, _ in _batches(x, None, 3, None)]
+    assert [xb.shape[1] for xb in batches] == [3, 3, 1]
+    assert np.array_equal(np.concatenate(batches, axis=1), x)
+
+
+def test_minibatch_reports_are_worker_invariant():
+    cfg = _sampled_shard_ditto_cfg(4)
+    seq, par = run_experiment(cfg, workers=1), run_experiment(cfg, workers=4)
+    assert [r.csv_row() for r in seq.reports] == [r.csv_row() for r in par.reports]
+    assert np.array_equal(seq.personal_models, par.personal_models)
+
+
 # --- Monte Carlo harnesses ----------------------------------------------------
 
 

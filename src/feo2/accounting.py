@@ -1,32 +1,34 @@
 """Rényi-DP accounting for the Poisson-subsampled Gaussian mechanism.
 
-The ledger stores cumulative RDP at a fixed grid of orders; each noised round
-adds the per-order RDP of one subsampled Gaussian release (sampling rate q,
-noise multiplier z). Conversion to (epsilon, delta) takes the minimum over
-orders of ``rdp(a) + log(1/delta)/(a - 1)``.
+A `PrivacyLedger` counts the rounds charged per (sampling rate q, noise
+multiplier z). RDP composes by addition, so the ledger's RDP at order a is
+``Σ count · rdp_(q,z)(a)``, and `epsilon_at_delta` converts it to
+(epsilon, delta) as the minimum over DEFAULT_ORDERS of
+``rdp(a) + log(1/delta)/(a - 1)``. That is the only epsilon computation: a
+run, `solve_z` and ``feo2 solve-z`` all call it, so a run that charges every
+round ends at the epsilon ``solve-z`` reports for its z, bit for bit.
 
 Integer orders use the exact binomial expansion of the log moment; fractional
 orders use the two-sided series with Gaussian tail terms. Both are computed
 in log space to stay finite at large orders (the raw moment overflows float64
 around order 64 already for modest q/z).
 
-``solve_z`` needs epsilon of ``rounds`` identical rounds at many trial z, and
-the minimum over orders is set by a narrow band of them, so it evaluates only
-the orders that can still attain it. Scanning up from a start order stops
-once ``rounds * rdp(a)`` alone reaches the best epsilon so far: Rényi
-divergence is non-decreasing in the order (van Erven & Harremoës, IEEE T-IT
-2014) and the delta term is positive, so no higher order can do better.
-Scanning down stops once ``log(1/delta)/(a - 1)`` alone exceeds it: that term
-grows as the order falls and rdp >= 0. Every value is the one the full curve
-gives, bit for bit, ties included. Rounding in the computed rdp cannot break
-the upward rule: a higher order would have to undercut it by its whole delta
-term, at least log(1/delta)/511.
+The minimum over orders is set by a narrow band of them, so only the orders
+that can still attain it are evaluated. Scanning up from a start order stops
+once ``rdp(a)`` alone reaches the best epsilon so far: Rényi divergence is
+non-decreasing in the order (van Erven & Harremoës, IEEE T-IT 2014), so is a
+non-negative sum of such curves, and the delta term is positive, so no higher
+order can do better. Scanning down stops once ``log(1/delta)/(a - 1)`` alone
+exceeds it: that term grows as the order falls and rdp >= 0. The result is the
+full curve's, bit for bit, ties included. Rounding in the computed rdp cannot
+break the upward rule: a higher order would have to undercut it by its whole
+delta term, at least log(1/delta)/511.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,25 +44,42 @@ class InfinitePrivacyLoss(ValueError):
     """Raised when accounting is requested for an unnoised (z = 0) release."""
 
 
+def _check_mechanism(q: float, z: float) -> None:
+    if not 0.0 < q <= 1.0:
+        raise ValueError("q must be in (0, 1]")
+    if z <= 0.0:
+        raise InfinitePrivacyLoss("z = 0 gives no privacy; nothing to account")
+
+
 @dataclass(frozen=True)
 class PrivacyLedger:
-    orders: tuple[float, ...] = DEFAULT_ORDERS
-    cumulative_rdp: tuple[float, ...] = field(default=None)
-    rounds_recorded: int = 0
+    """Rounds charged per mechanism: ``(q, z, count)`` entries, one per (q, z)
+    key, in the order each key was first charged."""
+
+    counts: tuple[tuple[float, float, int], ...] = ()
 
     def __post_init__(self):
-        if len(self.orders) == 0:
-            raise ValueError("order grid must be nonempty")
-        if any(a <= 1.0 for a in self.orders):
-            raise ValueError("RDP orders must be > 1")
-        if self.cumulative_rdp is None:
-            object.__setattr__(self, "cumulative_rdp", tuple(0.0 for _ in self.orders))
-        if len(self.cumulative_rdp) != len(self.orders):
-            raise ValueError("orders and cumulative_rdp must have equal length")
+        for q, z, _ in self.counts:
+            _check_mechanism(q, z)
+
+    def rdp(self, order: float) -> float:
+        """The ledger's RDP at ``order``: Σ count · rdp_(q,z)(order)."""
+        total = 0.0  # a loop, not sum() of a generator: half the cost per order scanned
+        for q, z, count in self.counts:
+            total += count * _rdp_one_order(q, z, order)
+        return total
+
+    @property
+    def cumulative_rdp(self) -> tuple[float, ...]:
+        return tuple(self.rdp(a) for a in DEFAULT_ORDERS)
+
+    @property
+    def rounds_recorded(self) -> int:
+        return sum(count for _, _, count in self.counts)
 
     def to_dict(self) -> dict:
         return {
-            "orders": list(self.orders),
+            "orders": list(DEFAULT_ORDERS),
             "rdp": list(self.cumulative_rdp),
             "rounds_recorded": self.rounds_recorded,
         }
@@ -151,9 +170,8 @@ def _log_a_frac(q: float, sigma: float, alpha: float) -> float:
     return _log_add(log_a0, log_a1)
 
 
+@lru_cache(maxsize=4096)
 def _rdp_one_order(q: float, sigma: float, alpha: float) -> float:
-    if q == 0.0:
-        return 0.0
     if q == 1.0:
         return alpha / (2.0 * sigma**2)
     if float(alpha).is_integer():
@@ -166,57 +184,40 @@ def _rdp_one_order(q: float, sigma: float, alpha: float) -> float:
 @lru_cache(maxsize=256)
 def rdp_increment(q: float, z: float, orders: tuple[float, ...]) -> tuple[float, ...]:
     """Per-order RDP of a single subsampled Gaussian round."""
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must be in (0, 1]")
-    if z <= 0.0:
-        raise InfinitePrivacyLoss("z = 0 gives no privacy; nothing to account")
+    _check_mechanism(q, z)
     return tuple(_rdp_one_order(q, z, a) for a in orders)
 
 
 def account_round(ledger: PrivacyLedger, q: float, z: float) -> PrivacyLedger:
-    """Return a new ledger with one more (q, z) round composed in."""
-    inc = rdp_increment(q, z, ledger.orders)
-    total = tuple(c + i for c, i in zip(ledger.cumulative_rdp, inc))
-    return PrivacyLedger(ledger.orders, total, ledger.rounds_recorded + 1)
+    """Return a new ledger with one more (q, z) round charged."""
+    counts = {(kq, kz): count for kq, kz, count in ledger.counts}
+    counts[q, z] = counts.get((q, z), 0) + 1
+    return PrivacyLedger(tuple((kq, kz, count) for (kq, kz), count in counts.items()))
 
 
-def epsilon_at_delta(ledger: PrivacyLedger, delta: float) -> tuple[float, float]:
-    """(epsilon, best_order) from the ledger via the standard RDP conversion."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    log_inv = math.log(1.0 / delta)
-    best_eps = math.inf
-    best_order = ledger.orders[0]
-    for a, r in zip(ledger.orders, ledger.cumulative_rdp):
-        eps = r + log_inv / (a - 1.0)
-        if eps < best_eps:
-            best_eps = eps
-            best_order = a
-    return best_eps, best_order
-
-
-def _epsilon_at(
-    q: float, z: float, rounds: int, delta: float, start: int | None = None
+def epsilon_at_delta(
+    ledger: PrivacyLedger, delta: float, start: int | None = None
 ) -> tuple[float, float]:
-    """(epsilon, best order) of ``rounds`` (q, z) rounds on DEFAULT_ORDERS.
+    """(epsilon, best order) of the ledger at ``delta``.
 
-    Equal, bit for bit, to ``epsilon_at_delta`` on the ledger whose rdp is
-    ``rounds * rdp_increment(q, z, DEFAULT_ORDERS)``, ties going to the lower
-    order, but evaluates only the orders the module docstring's two stop rules
-    leave. ``start`` (an index; by default the argmin of the closed-form
-    stand-in ``rounds * min(2 q^2, 1/2) * a / z^2`` for the rdp) sets only
+    The minimum over DEFAULT_ORDERS of ``rdp(a) + log(1/delta)/(a - 1)``, ties
+    going to the lower order, found by the pruned scan of the module
+    docstring. ``start`` (an index; by default the argmin of the closed-form
+    stand-in ``Σ count · min(2 q^2, 1/2) · a / z^2`` for the rdp) sets only
     where the scans begin, never the result.
     """
-    orders = DEFAULT_ORDERS
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    orders, rdp = DEFAULT_ORDERS, ledger.rdp
     log_inv = math.log(1.0 / delta)
     if start is None:
-        slope = rounds * min(2.0 * q * q, 0.5) / z**2
+        slope = sum(count * min(2.0 * q * q, 0.5) / z**2 for q, z, count in ledger.counts)
         guess = [slope * a + log_inv / (a - 1.0) for a in orders]
         start = guess.index(min(guess))
-    best = rounds * _rdp_one_order(q, z, orders[start]) + log_inv / (orders[start] - 1.0)
+    best = rdp(orders[start]) + log_inv / (orders[start] - 1.0)
     best_i = start
     for i in range(start + 1, len(orders)):
-        loss = rounds * _rdp_one_order(q, z, orders[i])
+        loss = rdp(orders[i])
         if loss >= best:
             break
         eps = loss + log_inv / (orders[i] - 1.0)
@@ -226,7 +227,7 @@ def _epsilon_at(
         slack = log_inv / (orders[i] - 1.0)
         if slack > best:
             break
-        eps = rounds * _rdp_one_order(q, z, orders[i]) + slack
+        eps = rdp(orders[i]) + slack
         if eps <= best:
             best, best_i = eps, i
     return best, orders[best_i]
@@ -241,36 +242,28 @@ def solve_z(
     z_hi: float = 100.0,
     tol: float = 1e-3,
 ) -> float:
-    """Invert the accountant: a z with |epsilon(z) - target| < tol.
+    """Invert the accountant: a z with |epsilon(z) - target| < tol, where
+    epsilon(z) is `epsilon_at_delta` of the ledger charged ``rounds`` (q, z)
+    rounds.
 
     epsilon is strictly decreasing in z, so the root is unique when the target
     lies between epsilon(z_hi) and epsilon(z_lo). The root is found by Illinois
     false position on (log z, log epsilon), where the curve is close to a line,
     so a solve takes about 7-10 accountant evaluations, both ends included. A
-    step that leaves the bracket falls back to the bracket's midpoint.
-
-    Each evaluation computes only the orders that can attain the minimum
-    (``_epsilon_at``): up from a start order until ``rounds * rdp(a)`` reaches
-    the best epsilon so far, down until ``log(1/delta)/(a - 1)`` exceeds it.
-    rdp is non-decreasing in the order and non-negative, so the skipped orders
-    cannot win and epsilon(z) is the full curve's, bit for bit. Raises
+    step that leaves the bracket falls back to the bracket's midpoint. Raises
     ValueError for arguments out of range, and when 200 steps do not meet tol.
     """
     if target_epsilon <= 0:
         raise ValueError("target epsilon must be > 0")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if not 0.0 < q <= 1.0:
-        raise ValueError("q must be in (0, 1]")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if not 0 < z_lo < z_hi:
         raise ValueError(f"need 0 < z_lo < z_hi, got z_lo={z_lo}, z_hi={z_hi}")
 
     def eps_of(z: float) -> float:
-        return _epsilon_at(q, z, rounds, delta)[0]
+        return epsilon_at_delta(PrivacyLedger(((q, z, rounds),)), delta)[0]
 
     eps_lo, eps_hi = eps_of(z_lo), eps_of(z_hi)
     if not (eps_hi <= target_epsilon <= eps_lo):

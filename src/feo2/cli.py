@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .accounting import _epsilon_at, solve_z
+from .accounting import PrivacyLedger, epsilon_at_delta, solve_z
 from .analytic import (
     AnalyticParams,
     UnboundedLambda,
@@ -204,7 +204,7 @@ def _validate(args) -> dict:
 
 def _solve_z(args) -> dict:
     z = solve_z(args.epsilon, args.delta, args.q, args.rounds)
-    achieved, order = _epsilon_at(args.q, z, args.rounds, args.delta)
+    achieved, order = epsilon_at_delta(PrivacyLedger(((args.q, z, args.rounds),)), args.delta)
     return {
         "z": z, "epsilon": args.epsilon, "delta": args.delta, "q": args.q, "rounds": args.rounds,
         "achieved_epsilon": achieved, "order": order,

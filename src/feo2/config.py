@@ -36,21 +36,25 @@ class PopulationKind(str, Enum):
 
 
 def _require_ints(obj, *names: str) -> None:
-    """Reject a field of ``names`` that is neither None nor a Python int (bools
-    are ints to Python, but ``rounds: true`` is not a count)."""
+    """Reject a field of ``names`` that is not a Python int (bools are ints to
+    Python, but ``rounds: true`` is not a count). None passes only for a field
+    that defaults to None (``batch_size``, ``skew_label``)."""
     for name in names:
         value = getattr(obj, name)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        unset = value is None and obj.__dataclass_fields__[name].default is None
+        if not unset and (isinstance(value, bool) or not isinstance(value, int)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_floats(obj, *names: str) -> None:
-    """Reject a field of ``names`` that is neither None nor a finite int or float
-    (NaN passes every range check, and ``r: true`` is not a ratio)."""
+    """Reject a field of ``names`` that is not a finite int or float (NaN passes
+    every range check, and ``r: true`` is not a ratio). None passes only for a
+    field that defaults to None (``eta_p``)."""
     for name in names:
         value = getattr(obj, name)
+        unset = value is None and obj.__dataclass_fields__[name].default is None
         ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-        if value is not None and not ok:
+        if not unset and not ok:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 

@@ -6,9 +6,12 @@ series, a dense linear solve instead of closed-form coefficients), so
 agreement is meaningful.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 
+from feo2.accounting import DEFAULT_ORDERS, rdp_increment
 from feo2.models import LossKind, _softmax_probs
 
 
@@ -46,6 +49,19 @@ def rdp_subsampled_gaussian_binomial(q: float, sigma: float, alpha: int, dps: in
                 * mp.exp(k * (k - 1) / (2 * sm**2))
             )
         return float(mp.log(total) / (alpha - 1))
+
+
+def epsilon_full_curve(counts, delta: float) -> tuple[float, float]:
+    """(epsilon, order) of a ledger's (q, z, count) entries with every order
+    evaluated: the minimum over DEFAULT_ORDERS of
+    Σ count · rdp_increment + log(1/delta)/(a - 1), the first minimum winning.
+    The reference for the accountant's pruned scan."""
+    rdp = [0.0] * len(DEFAULT_ORDERS)
+    for q, z, count in counts:
+        rdp = [r + count * i for r, i in zip(rdp, rdp_increment(q, z, DEFAULT_ORDERS))]
+    eps = [r + math.log(1.0 / delta) / (a - 1.0) for a, r in zip(DEFAULT_ORDERS, rdp)]
+    best = eps.index(min(eps))
+    return eps[best], DEFAULT_ORDERS[best]
 
 
 def posterior_mean_dense(

@@ -13,7 +13,6 @@ from feo2.accounting import (
     DEFAULT_ORDERS,
     InfinitePrivacyLoss,
     PrivacyLedger,
-    _epsilon_at,
     account_round,
     epsilon_at_delta,
     rdp_increment,
@@ -49,15 +48,17 @@ def test_increment_rejects_bad_inputs():
         rdp_increment(0.1, 0.0, DEFAULT_ORDERS)
 
 
-def test_ledger_accumulates_by_pure_addition():
+def test_ledger_charges_count_times_increment():
     inc = rdp_increment(0.02, 1.1, DEFAULT_ORDERS)
     ledger = PrivacyLedger()
-    expected = tuple(0.0 for _ in DEFAULT_ORDERS)
-    for t in range(7):
+    for t in range(1, 8):
         ledger = account_round(ledger, 0.02, 1.1)
-        expected = tuple(e + i for e, i in zip(expected, inc))
-        assert ledger.cumulative_rdp == expected  # exact float equality
-        assert ledger.rounds_recorded == t + 1
+        assert ledger.counts == ((0.02, 1.1, t),)
+        assert ledger.cumulative_rdp == tuple(t * i for i in inc)  # exact float equality
+        assert ledger.rounds_recorded == t
+    ledger = account_round(account_round(ledger, 0.5, 2.0), 0.02, 1.1)
+    assert ledger.counts == ((0.02, 1.1, 8), (0.5, 2.0, 1))
+    assert ledger.rounds_recorded == 9
 
 
 def test_account_round_leaves_input_ledger_untouched():
@@ -109,10 +110,10 @@ def test_epsilon_conversion_picks_best_order():
     ledger = account_round(PrivacyLedger(), 0.01, 1.0)
     eps, order = epsilon_at_delta(ledger, 1e-5)
     by_hand = min(
-        r + math.log(1e5) / (a - 1.0) for a, r in zip(ledger.orders, ledger.cumulative_rdp)
+        r + math.log(1e5) / (a - 1.0) for a, r in zip(DEFAULT_ORDERS, ledger.cumulative_rdp)
     )
     assert eps == pytest.approx(by_hand, abs=0)
-    assert order in ledger.orders
+    assert order in DEFAULT_ORDERS
 
 
 def test_epsilon_delta_validation():
@@ -159,26 +160,28 @@ def test_solve_z_raises_when_the_step_cap_runs_out():
         solve_z(2.0, 1e-5, 1.0, 100, tol=1e-300)
 
 
-def _full_curve(q, z, rounds, delta):
-    """epsilon_at_delta on the rounds-fold ledger: every order evaluated."""
-    inc = rdp_increment(q, z, DEFAULT_ORDERS)
-    ledger = PrivacyLedger(DEFAULT_ORDERS, tuple(rounds * i for i in inc), rounds)
-    return epsilon_at_delta(ledger, delta)
+# (q, z, count) ledger entries; keys are distinct (q, z) pairs.
+LEDGER_ENTRIES = st.lists(
+    st.tuples(st.floats(1e-4, 1.0), st.floats(0.1, 100.0), st.integers(1, 10_000)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda entry: entry[:2],
+)
 
 
 @given(
-    q=st.floats(1e-4, 1.0),
-    z=st.floats(0.1, 100.0),
-    rounds=st.integers(1, 10_000),
+    counts=LEDGER_ENTRIES,
     delta=st.floats(1e-10, 1e-2),
     start=st.one_of(st.none(), st.integers(0, len(DEFAULT_ORDERS) - 1)),
 )
-@example(q=1.0, z=0.7, rounds=100, delta=1e-5, start=0)
-@example(q=1.0, z=30.0, rounds=1, delta=1e-2, start=len(DEFAULT_ORDERS) - 1)
-@example(q=1e-4, z=100.0, rounds=1, delta=1e-10, start=0)
-def test_pruned_epsilon_equals_the_full_curve_bitwise(q, z, rounds, delta, start):
-    eps, order = _epsilon_at(q, z, rounds, delta, start)
-    want_eps, want_order = _full_curve(q, z, rounds, delta)
+@example(counts=[(1.0, 0.7, 100)], delta=1e-5, start=0)
+@example(counts=[(1.0, 30.0, 1)], delta=1e-2, start=len(DEFAULT_ORDERS) - 1)
+@example(counts=[(1e-4, 100.0, 1)], delta=1e-10, start=0)
+@example(counts=[(0.02, 1.1, 100), (1.0, 30.0, 1), (1e-4, 0.5, 5000)], delta=1e-5, start=None)
+def test_pruned_epsilon_equals_the_full_curve_bitwise(counts, delta, start):
+    ledger = PrivacyLedger(tuple(counts))
+    eps, order = epsilon_at_delta(ledger, delta, start)
+    want_eps, want_order = oracles.epsilon_full_curve(ledger.counts, delta)
     assert (repr(eps), order) == (repr(want_eps), want_order)
 
 

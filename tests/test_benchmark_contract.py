@@ -1,0 +1,49 @@
+"""The benchmark's contract with the program. perfbench/ times feo2 by rebinding
+names that feo2 looks up at call time, reads the accountant's cache counters,
+and checks the privacy plan's solve-z answers with feo2's own accountant, so
+a change to src/ must keep all three working."""
+
+import importlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import feo2.accounting
+from feo2.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's ``spans`` and ``run`` modules, imported from the checkout."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("spans"), importlib.import_module("run")
+    for name in ("spans", "run"):
+        sys.modules.pop(name, None)
+
+
+def test_every_span_target_resolves(perfbench):
+    spans, _ = perfbench
+    for module, attr, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_rdp_increment_keeps_its_cache_counters():
+    info = feo2.accounting.rdp_increment.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
+
+
+def test_plan_gate_accepts_solve_z_and_rejects_a_wrong_z(perfbench, tmp_path, capsys):
+    _, run = perfbench
+    argvs = [argv for argv in run.privacy_plan(0, tmp_path) if argv[0] == "solve-z"]
+    assert len(argvs) == len(run.SOLVE_Z_TARGETS)
+    for argv in argvs:
+        assert main(argv) == 0
+    capsys.readouterr()
+    payloads = [json.loads(Path(argv[-1]).read_text(encoding="utf-8")) for argv in argvs]
+    assert run.check_plan_outputs(payloads, argvs) is None
+    wrong = [dict(payloads[0], z=payloads[0]["z"] * 1.1), *payloads[1:]]
+    assert "misses target" in run.check_plan_outputs(wrong, argvs)

@@ -26,6 +26,7 @@ from feo2.config import (
     manifest_hash,
     parse_config,
 )
+from feo2.simulate import run_experiment
 
 GOOD = {
     "population": {
@@ -279,6 +280,36 @@ def test_float_fields_reject_non_finite_bool_and_negative_values_with_exit_2(
     assert "config error" in err and key.split(".")[-1] in err
 
 
+NULL_FIELD_CASES = [  # (config, key, whether the key may be null)
+    (GOOD, "rounds", False),
+    (GOOD, "master_seed", False),
+    (GOOD, "delta", False),
+    (GOOD, "cohort_fraction", False),
+    (GOOD, "feo2.z", False),
+    (GOOD, "feo2.eta", False),
+    (GOOD, "population.n_clients", False),
+    (GOOD, "population.rho_np", False),
+    (GOOD, "population.tau2", False),
+    (GOOD, "population.samples_per_client", False),
+    (GOOD, "feo2.batch_size", True),
+    (SHARD, "population.skew_label", True),
+    (GOOD, "ditto.eta_p", True),
+]
+
+
+@pytest.mark.parametrize(
+    "base, key, optional", NULL_FIELD_CASES, ids=[key for _, key, _ in NULL_FIELD_CASES]
+)
+def test_null_numeric_field_is_a_named_error_unless_optional(tmp_path, capsys, base, key, optional):
+    rc = main(["validate", "--config", _write(tmp_path, _with(base, key, None))])
+    err = capsys.readouterr().err
+    if optional:
+        assert rc == 0, err
+    else:
+        assert rc == 2
+        assert "config error" in err and key.split(".")[-1] in err and "NoneType" not in err
+
+
 def test_float_fields_take_integer_literals():
     raw = _with(_with(GOOD, "feo2.S0", 2), "ditto.lambda_np", 1)
     cfg = build_experiment_config(raw)
@@ -300,15 +331,31 @@ def test_solve_z_verb_roundtrip(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     z = payload["z"]
-    from feo2.accounting import PrivacyLedger, account_round, epsilon_at_delta, rdp_increment
+    from feo2.accounting import PrivacyLedger, account_round, epsilon_at_delta
 
     ledger = PrivacyLedger()
     for _ in range(30):
         ledger = account_round(ledger, 0.05, z)
     assert epsilon_at_delta(ledger, 1e-5)[0] == pytest.approx(4.0, abs=1e-3)
-    inc = rdp_increment(0.05, z, ledger.orders)
-    composed = PrivacyLedger(ledger.orders, tuple(30 * i for i in inc), 30)
-    assert (payload["achieved_epsilon"], payload["order"]) == epsilon_at_delta(composed, 1e-5)
+    assert (payload["achieved_epsilon"], payload["order"]) == epsilon_at_delta(ledger, 1e-5)
+
+
+def test_a_fully_charged_run_ends_at_the_achieved_epsilon(capsys):
+    argv = ["solve-z", "--epsilon", "2", "--delta", "1e-5", "--q", "0.02", "--rounds", "100"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # DP-FedAvg: every client is private, so each round's cohort of 2 is charged.
+    raw = {
+        "population": {"kind": "point_estimation", "n_clients": 100, "rho_np": 0.5},
+        "algorithm": "dpfedavg",
+        "feo2": {"z": payload["z"]},
+        "rounds": 100,
+        "cohort_fraction": 0.02,
+        "delta": 1e-5,
+    }
+    result = run_experiment(build_experiment_config(raw))
+    assert result.ledger.rounds_recorded == 100
+    assert result.reports[-1].epsilon == payload["achieved_epsilon"]
 
 
 def test_solve_z_unreachable_exits_2(capsys):

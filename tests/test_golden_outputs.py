@@ -19,12 +19,12 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # SHA-256 of (rounds.csv, summary.json) per shipped config.
 GOLDEN = {
     "point_demo.yaml": (
-        "e760bcff758ddc837756c1f755c4cd3ecc2b7fb6249d262bd798dceca3cc3e68",
+        "c8b507ab43d417582c2580e135a31ad2b61df94886a16888ca0c77d694845bc7",
         "de7dc999bcb1d292016f5e53d3c34111d930bac540c5a00c8ba06e5efeb396eb",
     ),
     "skewed_label_shard.yaml": (
-        "c3eb074dd1ff812b127d250a1515a05e1c045f666c17cc2bfa559ea9940bd10a",
-        "711099d74c69adb4e63ab4a35aa7dd64c611b2213378670eaab7c9879ff8941b",
+        "cc741ec34cf2de59f1273ae0b03526b865b55e82f40747dbcf702b68f121fe83",
+        "a391e7c175508aedf85ed31eea0a9301e5a0bd5a3b6526c41700bcb4e3214662",
     ),
 }
 
@@ -45,8 +45,8 @@ INLINE = {
             "cohort_fraction": 0.1,
             "master_seed": 11,
         },
-        "2ee0cea3a5bf3ba000cede89f0eae08d4e03d9ca80bf6011a3c3838b3f5ac9a6",
-        "155946e6dc48f22298660213a1d8e8ad25aeb6844c3ccfd4d0b9ff29f0b7ff93",
+        "04997ffb448ae977629d96cef519ec69285b3dc064d94135b98690e0a3cf104d",
+        "84f3bb70db0722efc1e0f0bfe77452498c91d020513dc040dfa19e62d56b4716",
     ),
     "regression_dpfedavg_minibatch": (
         {
@@ -61,8 +61,8 @@ INLINE = {
             "cohort_fraction": 0.5,
             "master_seed": 5,
         },
-        "b893c70215ea44cd9c6e0ba9f8a44010eee88c41a41f121262484b9613859e37",
-        "efee4a5b99b823a97f33c3c47be3142f8a41f0bfb20b98a5775ed73601c34997",
+        "bc4a18e6ddc93031fd2d52483d145971c72534ce7300ee38cd5b0ac47b5d1c3d",
+        "7c3106f735181bd535d97f61b344b79e1d53e2ce1ce4c596a6c790cc83dc9081",
     ),
     "point_1d_fedavg_minibatch": (
         {

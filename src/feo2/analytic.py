@@ -12,8 +12,10 @@ variance ``N_p*gamma2`` per client (so the private group mean carries
   weight everyone equally (r=1) or noise everyone;
 * `gap_fedavg` / `gap_dpfedavg` — baseline-minus-optimal differences in
   simplified form (they equal the literal variance differences identically);
-* `lambda_star_np` / `lambda_star_p` / `lambda_star_general` — the tether
-  strengths that make the personalized closed form Bayes optimal;
+* `focal_view` — a client's weight in the global estimate at ratio r and its
+  peers' variance there; `lambda_star_general` — the tether that exactly
+  minimises the tethered estimator's loss at any r (so under either
+  aggregator), and `lambda_star_np` / `lambda_star_p` its closed forms at r*;
 * `bayes_global_oracle` / `bayes_local_oracle` — inverse-variance estimators
   used by the test suite as independent references.
 
@@ -52,6 +54,9 @@ class AnalyticParams:
     d: int = 1
 
     def __post_init__(self):
+        for name in ("N", "N_p", "tau2", "beta2", "gamma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not 0 <= self.N_p <= self.N:
@@ -66,6 +71,8 @@ class AnalyticParams:
         cls, N: float, N_p: float, sigma_c2: float, gamma2: float, d: int = 1
     ) -> "AnalyticParams":
         """Construct from the lumped per-client variance (tau2 folded to 0)."""
+        if not math.isfinite(sigma_c2):
+            raise ValueError(f"sigma_c2 must be finite, got {sigma_c2}")
         return cls(N=N, N_p=N_p, tau2=0.0, beta2=sigma_c2, gamma2=gamma2, n_s=1, d=d)
 
     @property
@@ -167,36 +174,37 @@ def lambda_star_p(p: AnalyticParams) -> float:
     return (p.N + U2 * p.N + G2 * (p.N - p.N_p)) / den
 
 
-def lambda_star_general(p: AnalyticParams, is_private: bool, r: float) -> float:
-    """Optimal tether at an arbitrary aggregation ratio r: mean of three
-    per-coefficient matches between the tethered estimator and the
-    Bayes-optimal one.
-
-    The client-class conventions: an opted-out focal client sees n = N_p
-    private peers and m = N_np - 1 opted-out peers with own weight i_j = 1; a
-    private focal client sees n = N_p - 1 and m = N_np with i_j = r. At
-    r = sigma_c2/sigma_p2 the mean collapses to the `lambda_star_np` /
-    `lambda_star_p` closed forms (all three terms agree there).
-    """
-    sc2, sp2 = p.sigma_c2, p.sigma_p2
-    tau2 = p.tau2
+def focal_view(p: AnalyticParams, is_private: bool, r: float) -> tuple[float, float]:
+    """The focal client's weight a = i_j/W in the global estimate at ratio r,
+    W = N_np + r*N_p, and the per-coordinate variance v of its peers' share.
+    A private client has n = N_p - 1 private and m = N_np opted-out peers and
+    i_j = r; an opted-out one has n = N_p, m = N_np - 1 and i_j = 1."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"r must be in [0, 1], got {r}")
     if is_private:
         i_j, n, m = r, p.N_p - 1.0, p.N_np
     else:
         i_j, n, m = 1.0, p.N_p, p.N_np - 1.0
     if n < 0 or m < 0:
-        raise ValueError("focal client class not present in the population")
-    W = p.N_np + p.N_p * r
-    k = n * sc2 + (m + 1.0) * sp2  # recurring mixed-count variance total
-    d1 = W * (sc2 * sp2 + tau2 * (n * sc2 + m * sp2)) - i_j * sc2 * k
-    d2 = sc2 * k - W * (sc2 - tau2) * sp2
-    d3 = r * k - W * (sc2 - tau2)
-    if d1 == 0 or d2 == 0 or d3 == 0:
-        raise UnboundedLambda("vanishing denominator in the general lambda* form")
-    lam1 = W * (n * sc2**2 + m * sc2 * sp2 - tau2 * (n * sc2 + m * sp2)) / d1
-    lam2 = W * (sc2 - tau2) * sp2 / d2
-    lam3 = W * (sc2 - tau2) / d3
-    return (lam1 + lam2 + lam3) / 3.0
+        kind = "private" if is_private else "opted-out"
+        raise ValueError(f"focal client class not present in the population: no {kind} client")
+    W = p.N_np + r * p.N_p
+    if W <= 0:
+        raise ValueError("estimator undefined: zero total weight")
+    return i_j / W, (m * p.sigma_c2 + r**2 * n * p.sigma_p2) / W**2
+
+
+def lambda_star_general(p: AnalyticParams, is_private: bool, r: float) -> float:
+    """Optimal tether at ratio r: the exact minimiser (A - B)/(C - B) of the
+    tethered estimator's loss (A + 2*lam*B + lam^2*C)/(1 + lam)^2, with
+    A = alpha2, B = a*alpha2, C = (1-a)^2*tau2 + a^2*alpha2 + v from `focal_view`.
+    At r* it equals `lambda_star_np` / `lambda_star_p`."""
+    a, v = focal_view(p, is_private, r)
+    A, B = p.alpha2, a * p.alpha2
+    C = (1.0 - a) ** 2 * p.tau2 + a * a * A + v
+    if C - B <= 0:
+        raise UnboundedLambda("the loss falls with lambda: no finite optimal tether")
+    return (A - B) / (C - B)
 
 
 def bayes_global_oracle(updates: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
@@ -231,12 +239,10 @@ def bayes_local_oracle(
     sc2, sp2, tau2 = p.sigma_c2, p.sigma_p2, p.tau2
     n = sum(1 for _, priv in others if priv)
     m = len(others) - n
-    expected_n = p.N_p - 1 if is_private_j else p.N_p
-    expected_m = p.N_np if is_private_j else p.N_np - 1
-    if (n, m) != (expected_n, expected_m):
+    if (n + is_private_j, m + (not is_private_j)) != (p.N_p, p.N_np):
         raise ValueError(
-            f"peer class counts ({n} private, {m} opted-out) disagree with params "
-            f"(expected {expected_n}, {expected_m})"
+            f"peer class counts ({n} private, {m} opted-out) plus the focal client "
+            f"disagree with params ({p.N_p}, {p.N_np})"
         )
     k = n * sc2 + (m + 1.0) * sp2
     coef_own = (sc2 * sp2 + tau2 * (n * sc2 + m * sp2)) / (sc2 * k)

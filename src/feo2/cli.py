@@ -40,7 +40,7 @@ from .analytic import (
     server_variance_opt,
 )
 from .config import config_to_dict, manifest_hash, parse_config
-from .simulate import RoundReport, lambda_sweep, monte_carlo_server_variance, run_experiment
+from .simulate import RoundReport, focal_scenario, lambda_sweep, monte_carlo_server_variance, run_experiment
 
 _CONFIG_ERRORS = (OSError, yaml.YAMLError, ValueError, TypeError, KeyError)
 
@@ -267,8 +267,7 @@ def _an_lambda_sweep(p: AnalyticParams, args) -> dict:
     pairs = lambda_sweep(p, focal_private, grid, args.trials, args.seed, aggregator=args.aggregator)
     rows = [{"lambda": lam, "loss": loss} for lam, loss in pairs]
     best = min(rows, key=lambda row: row["loss"])
-    scenario = p if focal_private else dataclasses.replace(p, N_p=p.N_p - 1)
-    r = 1.0 if args.aggregator == "fedavg" else optimal_ratio(scenario)
+    scenario, r = focal_scenario(p, focal_private, args.aggregator)
     return {
         "focal": args.focal,
         "aggregator": args.aggregator,

@@ -28,7 +28,7 @@ import numpy as np
 
 from .accounting import PrivacyLedger, account_round, epsilon_at_delta
 from .aggregation import RoundSkipped, apply_update, dp_group_mean, feo2_combine, group_mean
-from .analytic import AnalyticParams, optimal_ratio
+from .analytic import AnalyticParams, focal_view, optimal_ratio
 from .config import Algorithm, ExperimentConfig
 from .datagen import Population, build_population
 from .models import Cohort, LossKind, NumericFailure, _logits, client_update
@@ -245,6 +245,19 @@ def monte_carlo_server_variance(
     return a * a * xx + 2.0 * a * b * xy + b * b * yy
 
 
+def focal_scenario(p: AnalyticParams, focal_private: bool, aggregator: str) -> tuple[AnalyticParams, float]:
+    """(scenario, r) for a focal client: ``p`` describes that client as private,
+    and an opted-out one leaves the other N-1 clients fixed, so its scenario
+    has one private client fewer. "feo2" weights the private group by the
+    scenario's variance-optimal ratio, "fedavg" by r = 1."""
+    if aggregator not in ("feo2", "fedavg"):
+        raise ValueError("aggregator must be 'feo2' or 'fedavg'")
+    if p.N_p < 1:
+        raise ValueError("population must contain at least one private client")
+    scenario = p if focal_private else dataclasses.replace(p, N_p=p.N_p - 1)
+    return scenario, 1.0 if aggregator == "fedavg" else optimal_ratio(scenario)
+
+
 def lambda_sweep(
     p: AnalyticParams,
     focal_client_private: bool,
@@ -255,13 +268,9 @@ def lambda_sweep(
 ) -> List[tuple[float, float]]:
     """MC loss of the tethered personal estimator vs its own truth, per lambda.
 
-    The population counts in ``p`` describe the focal client as private; with
-    ``focal_client_private=False`` that client has opted out (totals shift by
-    one, the other N-1 clients stay fixed). The focal client's own estimate
-    enters the global aggregate clean (it knows its own update), weighted r or
-    1 by its class; every other private client carries noise of variance
-    N_p*gamma2. ``aggregator`` picks the global estimate: "feo2" uses the
-    variance-optimal ratio for the scenario's counts, "fedavg" uses r=1.
+    The scenario and r come from `focal_scenario`, the focal client's weight a
+    and its peers' variance v in the global estimate from `analytic.focal_view`
+    (its own estimate enters clean: it knows its own update).
 
     The personal estimate's error is (e + lam*g)/(1 + lam), with e the focal
     client's own error and g the global estimate's error, so the loss at every
@@ -277,30 +286,15 @@ def lambda_sweep(
         raise ValueError("lambda grid must be nonempty")
     if min(lambda_grid) < 0:
         raise ValueError("lambda must be >= 0")
-    if aggregator not in ("feo2", "fedavg"):
-        raise ValueError("aggregator must be 'feo2' or 'fedavg'")
-    if p.N_p < 1:
-        raise ValueError("population must contain at least one private client")
-    n_others_p = p.N_p - 1
-    m_others_np = p.N_np
-    if focal_client_private:
-        Np_t, Nnp_t = p.N_p, p.N_np
-    else:
-        Np_t, Nnp_t = p.N_p - 1, p.N_np + 1
-    scenario = dataclasses.replace(p, N_p=Np_t)
-    r = 1.0 if aggregator == "fedavg" else optimal_ratio(scenario)
-    i_j = r if focal_client_private else 1.0
-    W = Nnp_t + r * Np_t
-    noise_var = Np_t * p.gamma2  # per private client, giving gamma2 at the mean
-    var_others = (m_others_np * p.sigma_c2 + r**2 * n_others_p * (p.sigma_c2 + noise_var)) / W**2
+    scenario, r = focal_scenario(p, focal_client_private, aggregator)
+    a, v = focal_view(scenario, focal_client_private, r)
 
     rng = stream(seed, "lambda-sweep")
-    d = p.d
-    truth = rng.normal(0.0, math.sqrt(p.tau2), (trials, d))  # focal phi_j (phi at zero)
-    own_err = rng.normal(0.0, math.sqrt(p.alpha2), (trials, d))
-    others_unit = rng.normal(0.0, 1.0, (trials, d))
+    truth = rng.normal(0.0, math.sqrt(p.tau2), (trials, p.d))  # focal phi_j (phi at zero)
+    own_err = rng.normal(0.0, math.sqrt(p.alpha2), (trials, p.d))
+    others_unit = rng.normal(0.0, 1.0, (trials, p.d))
     # g: error of the global estimate theta_g against the focal client's truth
-    g = (i_j / W) * (truth + own_err) + math.sqrt(var_others) * others_unit - truth
+    g = a * (truth + own_err) + math.sqrt(v) * others_unit - truth
     A, B, C = _mean_dot(own_err, own_err), _mean_dot(own_err, g), _mean_dot(g, g)
     lams = [float(lam) for lam in lambda_grid]
     return [(lam, (A + 2.0 * lam * B + lam * lam * C) / (1.0 + lam) ** 2) for lam in lams]

@@ -17,6 +17,7 @@ from feo2.analytic import (
     UnboundedLambda,
     bayes_global_oracle,
     bayes_local_oracle,
+    focal_view,
     gap_dpfedavg,
     gap_fedavg,
     lambda_star_general,
@@ -147,8 +148,31 @@ def test_lambda_p_limit_no_client_spread():
 
 def test_lambda_general_rejects_absent_class():
     p = AnalyticParams(N=10, N_p=0, tau2=0.5, beta2=1.0, gamma2=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no private client"):
         lambda_star_general(p, is_private=True, r=0.5)
+
+
+@given(
+    p=params_strategy(min_private=1, min_opted_out=1),
+    is_private=st.booleans(),
+    r=st.floats(0.0, 1.0),
+)
+def test_general_lambda_minimises_the_tethered_loss(p, is_private, r):
+    a, v = focal_view(p, is_private, r)
+    A, B = p.alpha2, a * p.alpha2  # E<e,e> and E<e,g>: own error e, global error g
+    C = (1.0 - a) ** 2 * p.tau2 + a * a * p.alpha2 + v  # E<g,g>
+
+    def loss(lam):
+        return (A + 2.0 * lam * B + lam * lam * C) / (1.0 + lam) ** 2
+
+    try:
+        lam = lambda_star_general(p, is_private, r)
+    except UnboundedLambda:  # no finite minimiser: the loss never rises with lambda
+        assert loss(1e6) <= loss(0.0) * (1.0 + 1e-12)
+        return
+    assert lam >= 0.0
+    # a few ulps of slack: loss() itself rounds
+    assert loss(lam) <= min(loss(lam * (1.0 - 1e-3)), loss(lam * (1.0 + 1e-3))) * (1.0 + 1e-14)
 
 
 def test_global_oracle_weights_by_inverse_variance():

@@ -1,7 +1,7 @@
 """The benchmark's contract with the program. perfbench/ times feo2 by rebinding
 names that feo2 looks up at call time, reads the accountant's cache counters,
-and checks the privacy plan's solve-z answers with feo2's own accountant, so
-a change to src/ must keep all three working."""
+and runs the privacy plan through feo2's CLI, checking its solve-z answers
+with feo2's own accountant, so a change to src/ must keep all three working."""
 
 import importlib
 import json
@@ -38,12 +38,14 @@ def test_rdp_increment_keeps_its_cache_counters():
 
 def test_plan_gate_accepts_solve_z_and_rejects_a_wrong_z(perfbench, tmp_path, capsys):
     _, run = perfbench
-    argvs = [argv for argv in run.privacy_plan(0, tmp_path) if argv[0] == "solve-z"]
-    assert len(argvs) == len(run.SOLVE_Z_TARGETS)
+    argvs = run.privacy_plan(0, tmp_path)
+    assert sum(argv[0] == "solve-z" for argv in argvs) == len(run.SOLVE_Z_TARGETS)
     for argv in argvs:
-        assert main(argv) == 0
+        assert main(argv) == 0, argv
     capsys.readouterr()
     payloads = [json.loads(Path(argv[-1]).read_text(encoding="utf-8")) for argv in argvs]
     assert run.check_plan_outputs(payloads, argvs) is None
-    wrong = [dict(payloads[0], z=payloads[0]["z"] * 1.1), *payloads[1:]]
+    first = next(i for i, argv in enumerate(argvs) if argv[0] == "solve-z")
+    wrong = list(payloads)
+    wrong[first] = dict(payloads[first], z=payloads[first]["z"] * 1.1)
     assert "misses target" in run.check_plan_outputs(wrong, argvs)

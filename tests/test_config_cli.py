@@ -388,6 +388,41 @@ def test_analytic_lambdas_reports_unbounded_as_inf(capsys):
     assert payload["lambda_opted_out"] == "inf"  # tau2 = 0 under the lumped parameterization
 
 
+TETHER_FLAGS = ["--N", "100", "--N-p", "95", "--tau2", "0.5", "--beta2", "0.25", "--gamma2", "1.0"]
+ANALYTIC_VALUE_CASES = [  # (verb, flags, the name the error must give)
+    ("ratio", ["--N", "100", "--N-p", "95", "--sigma-c2", "nan", "--gamma2", "0.01"], "sigma_c2"),
+    ("ratio", ["--N", "100", "--N-p", "95", "--sigma-c2", "1.0", "--gamma2", "inf"], "gamma2"),
+    ("gaps", ["--N", "inf", "--N-p", "95", "--sigma-c2", "1.0", "--gamma2", "0.01"], "N must"),
+    ("gaps", ["--N", "100", "--N-p", "nan", "--sigma-c2", "1.0", "--gamma2", "0.01"], "N_p must"),
+    ("gaps", ["--N", "100", "--N-p", "95", "--tau2", "nan", "--beta2", "0.25", "--gamma2", "1"], "tau2"),
+    ("gaps", ["--N", "100", "--N-p", "95", "--tau2", "0.5", "--beta2", "inf", "--gamma2", "1"], "beta2"),
+    ("lambdas", [*TETHER_FLAGS, "--r", "2.5"], "r must"),  # was exit 0 with lambda -0.2166
+    ("lambdas", [*TETHER_FLAGS, "--r", "-0.1"], "r must"),
+    ("lambdas", [*TETHER_FLAGS, "--r", "nan"], "r must"),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, flags, name", ANALYTIC_VALUE_CASES, ids=[" ".join(c[1]) for c in ANALYTIC_VALUE_CASES]
+)
+def test_analytic_verbs_reject_non_finite_and_out_of_range_values_with_exit_2(verb, flags, name, capsys):
+    assert main(["analytic", verb, *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "config error" in out.err and name in out.err
+
+
+@pytest.mark.parametrize("focal", ["private", "opted-out"])
+@pytest.mark.parametrize("aggregator", ["feo2", "fedavg"])
+def test_lambda_star_is_the_sweeps_argmin_under_either_aggregator(focal, aggregator, capsys):
+    # README's tether parameters at 200k trials on the default 0.05 grid
+    argv = ["analytic", "lambda-sweep", *TETHER_FLAGS, "--trials", "200000", "--seed", "0"]
+    assert main([*argv, "--focal", focal, "--aggregator", aggregator]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lambda_star"] >= 0.0
+    assert abs(payload["lambda_star"] - payload["mc_argmin"]) <= 0.05 + 1e-9
+
+
 def test_analytic_parameterization_conflict_exits_2(capsys):
     rc = main(
         [

@@ -13,20 +13,24 @@ orders use the two-sided series with Gaussian tail terms. Both are computed
 in log space to stay finite at large orders (the raw moment overflows float64
 around order 64 already for modest q/z).
 
-The minimum over orders is set by a narrow band of them, so only the orders
-that can still attain it are evaluated. Scanning up from a start order stops
-once ``rdp(a)`` alone reaches the best epsilon so far: Rényi divergence is
-non-decreasing in the order (van Erven & Harremoës, IEEE T-IT 2014), so is a
-non-negative sum of such curves, and the delta term is positive, so no higher
-order can do better. Scanning down stops once ``log(1/delta)/(a - 1)`` alone
-exceeds it: that term grows as the order falls and rdp >= 0. The result is the
-full curve's, bit for bit, ties included. Rounding in the computed rdp cannot
-break the upward rule: a higher order would have to undercut it by its whole
-delta term, at least log(1/delta)/511.
+``eps(a) = rdp(a) + log(1/delta)/(a - 1)`` is quasi-convex, so only orders near
+its minimum are evaluated: {a: eps(a) <= t} is {a: (a - 1)(rdp(a) - t) +
+log(1/delta) <= 0}, and ``(a - 1) * rdp(a)`` is convex in a (van Erven &
+Harremoës, IEEE T-IT 2014). The scan starts by default at the grid neighbour of
+``1 + sqrt(log(1/delta)/s)``, the minimiser for a linear stand-in ``s * a`` of
+the rdp, gallops downhill in doubling steps, then walks out order by order. A
+walk stops once epsilon exceeds the best by the relative margin RISE_MARGIN: if
+the computed epsilon is within relative error e of the quasi-convex curve and
+RISE_MARGIN >= 2e/(1 - e), no order beyond can win. Exact rules stop it too:
+upward once rdp(a) alone reaches the best (rdp never falls as a grows; rounding
+cannot undercut the delta term, >= log(1/delta)/511), downward once the delta
+term alone exceeds it. The start and the gallop set only the cost: the result is
+the full curve's, bit for bit, ties to the lower order.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,6 +42,7 @@ import numpy as np
 DEFAULT_ORDERS: tuple[float, ...] = tuple(
     float(x) for x in np.arange(1.25, 63.75 + 1e-9, 0.25)
 ) + (64.0, 128.0, 256.0, 512.0)
+RISE_MARGIN = 1e-6  # see the module docstring; the rdp matches quadrature to 8e-8 relative
 
 
 class InfinitePrivacyLoss(ValueError):
@@ -198,36 +203,37 @@ def account_round(ledger: PrivacyLedger, q: float, z: float) -> PrivacyLedger:
 def epsilon_at_delta(
     ledger: PrivacyLedger, delta: float, start: int | None = None
 ) -> tuple[float, float]:
-    """(epsilon, best order) of the ledger at ``delta``.
-
-    The minimum over DEFAULT_ORDERS of ``rdp(a) + log(1/delta)/(a - 1)``, ties
-    going to the lower order, found by the pruned scan of the module
-    docstring. ``start`` (an index; by default the argmin of the closed-form
-    stand-in ``Σ count · min(2 q^2, 1/2) · a / z^2`` for the rdp) sets only
-    where the scans begin, never the result.
-    """
+    """(epsilon, best order) of the ledger at ``delta``: the minimum over
+    DEFAULT_ORDERS of ``rdp(a) + log(1/delta)/(a - 1)``, found by the scan of
+    the module docstring from the order index ``start`` (by default from the
+    stand-in slope ``s = Σ count · min(2 q^2, 1/2) / z^2``; order 512 for an
+    empty ledger)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     orders, rdp = DEFAULT_ORDERS, ledger.rdp
     log_inv = math.log(1.0 / delta)
     if start is None:
         slope = sum(count * min(2.0 * q * q, 0.5) / z**2 for q, z, count in ledger.counts)
-        guess = [slope * a + log_inv / (a - 1.0) for a in orders]
-        start = guess.index(min(guess))
-    best = rdp(orders[start]) + log_inv / (orders[start] - 1.0)
+        a_min = 1.0 + math.sqrt(log_inv / slope) if slope else math.inf
+        start = min(bisect.bisect(orders, a_min), len(orders) - 1)
+
+    def eps_at(i: int) -> float:
+        return rdp(orders[i]) + log_inv / (orders[i] - 1.0)
+
+    best = eps_at(start)
+    for step in (1, -1):  # gallop: double the step while epsilon falls
+        while 0 <= start + step < len(orders) and (eps := eps_at(start + step)) < best:
+            start, best, step = start + step, eps, 2 * step
     best_i = start
     for i in range(start + 1, len(orders)):
-        loss = rdp(orders[i])
-        if loss >= best:
+        eps = (loss := rdp(orders[i])) + log_inv / (orders[i] - 1.0)
+        if loss >= best or eps > best * (1.0 + RISE_MARGIN):
             break
-        eps = loss + log_inv / (orders[i] - 1.0)
         if eps < best:
             best, best_i = eps, i
     for i in range(start - 1, -1, -1):
-        slack = log_inv / (orders[i] - 1.0)
-        if slack > best:
+        if log_inv / (orders[i] - 1.0) > best or (eps := eps_at(i)) > best * (1.0 + RISE_MARGIN):
             break
-        eps = rdp(orders[i]) + slack
         if eps <= best:
             best, best_i = eps, i
     return best, orders[best_i]

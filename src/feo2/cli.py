@@ -236,10 +236,11 @@ def _an_lambdas(p: AnalyticParams, args) -> dict:
         "lambda_private": _maybe_inf(lambda_star_p, p),
     }
     if args.r is not None:
+        opted_out = focal_scenario(p, False, "fedavg")[0]  # lambda-sweep's: N_p - 1 private peers
         payload["at_r"] = {
             "r": args.r,
             "lambda_private": _maybe_inf(lambda_star_general, p, True, args.r),
-            "lambda_opted_out": _maybe_inf(lambda_star_general, p, False, args.r),
+            "lambda_opted_out": _maybe_inf(lambda_star_general, opted_out, False, args.r),
         }
     return payload
 

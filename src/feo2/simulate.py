@@ -26,7 +26,7 @@ from typing import ClassVar, List, Optional, Sequence
 
 import numpy as np
 
-from .accounting import PrivacyLedger, account_round, epsilon_at_delta
+from .accounting import DEFAULT_ORDERS, PrivacyLedger, account_round, epsilon_at_delta
 from .aggregation import RoundSkipped, apply_update, dp_group_mean, feo2_combine, group_mean
 from .analytic import AnalyticParams, focal_view, optimal_ratio
 from .config import Algorithm, ExperimentConfig
@@ -122,7 +122,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     # One aggregation rule for all three algorithms: FedAvg is r = 1 with z = 0
     # (the config enforces z = 0), DP-FedAvg is r = 1 with every client private.
     r = cfg.feo2.r if cfg.algorithm is Algorithm.FEO2 else 1.0
-    ledger = PrivacyLedger()
+    # The ledger and its last best order (an index into DEFAULT_ORDERS): a round
+    # moves that order little, so the next round's epsilon scan starts there.
+    ledger, start = PrivacyLedger(), None
     n = len(pop.private)
     in_private_group = np.ones(n, dtype=bool) if cfg.algorithm is Algorithm.DPFEDAVG else pop.private
     cohort_size = max(1, round(cfg.cohort_fraction * n))
@@ -179,7 +181,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 
             if z > 0 and N_p:
                 ledger = account_round(ledger, cfg.cohort_fraction, z)
-            epsilon = epsilon_at_delta(ledger, cfg.delta)[0] if z > 0 else float("inf")
+            epsilon, order = epsilon_at_delta(ledger, cfg.delta, start) if z > 0 else (math.inf, None)
+            start = None if order is None else DEFAULT_ORDERS.index(order)
 
             metrics = _evaluate(theta, pop, personal, trained, ids, local_hits)
             report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)

@@ -15,7 +15,7 @@ from feo2.accounting import DEFAULT_ORDERS, rdp_increment
 from feo2.models import LossKind, _softmax_probs
 
 
-def rdp_subsampled_gaussian_quadrature(q: float, sigma: float, alpha: float, dps: int = 60) -> float:
+def rdp_subsampled_gaussian_quadrature(q: float, sigma: float, alpha: float, dps: int = 30) -> float:
     """RDP of the Poisson-subsampled Gaussian by direct numerical integration.
 
     A_alpha = E_{x~N(0,1)}[((1-q) + q*exp((2*sigma*x - 1)/(2*sigma^2)))^alpha],

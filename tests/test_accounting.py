@@ -97,6 +97,13 @@ def test_matches_quadrature_oracle_at_fractional_orders(q, z):
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (q, z, alpha)
 
 
+@pytest.mark.parametrize("q, z, alpha", [(0.3, 0.7, 1.25), (0.02, 5.0, 63.75), (0.9, 1.3, 7.25)])
+def test_quadrature_oracle_gives_the_same_float_at_30_and_60_digits(q, z, alpha):
+    # The oracle runs at 30 digits by default; 60 must not move a single bit.
+    at_30 = oracles.rdp_subsampled_gaussian_quadrature(q, z, alpha)
+    assert at_30 == oracles.rdp_subsampled_gaussian_quadrature(q, z, alpha, dps=60)
+
+
 @pytest.mark.parametrize("q", [0.001, 0.02, 0.3, 0.9])
 @pytest.mark.parametrize("z", [0.7, 1.3, 5.0])
 def test_matches_binomial_oracle_at_integer_orders(q, z):
@@ -178,6 +185,13 @@ LEDGER_ENTRIES = st.lists(
 @example(counts=[(1.0, 30.0, 1)], delta=1e-2, start=len(DEFAULT_ORDERS) - 1)
 @example(counts=[(1e-4, 100.0, 1)], delta=1e-10, start=0)
 @example(counts=[(0.02, 1.1, 100), (1.0, 30.0, 1), (1e-4, 0.5, 5000)], delta=1e-5, start=None)
+@example(counts=[], delta=1e-5, start=None)  # a sampled run's rounds before its first charge
+# minimum in the sparse tail, scanned from the far grid end
+@example(counts=[(1e-4, 2.0, 1)], delta=1e-10, start=len(DEFAULT_ORDERS) - 1)  # order 64
+@example(counts=[(0.01, 5.0, 1)], delta=1e-10, start=0)  # order 128
+@example(counts=[(1e-4, 5.0, 1)], delta=1e-10, start=len(DEFAULT_ORDERS) - 1)  # order 256
+@example(counts=[(1e-4, 10.0, 1)], delta=1e-10, start=0)  # order 512
+@example(counts=[(0.01, 0.8, 10_000), (0.5, 5.0, 9_999), (1.0, 60.0, 7_777)], delta=1e-5, start=None)
 def test_pruned_epsilon_equals_the_full_curve_bitwise(counts, delta, start):
     ledger = PrivacyLedger(tuple(counts))
     eps, order = epsilon_at_delta(ledger, delta, start)
@@ -221,8 +235,8 @@ def test_solve_z_hits_target_within_an_evaluation_budget(target, q, rounds, monk
     monkeypatch.setattr(feo2.accounting, "_rdp_one_order", counted)
     one_order.cache_clear()
     z = solve_z(target, 1e-5, q, rounds)
-    assert one_order.cache_info().misses <= 600  # 170-588 distinct evaluations at these targets
-    assert calls <= 3 * len(DEFAULT_ORDERS)  # three full curves
+    assert one_order.cache_info().misses <= 115  # 21-105 distinct evaluations at these targets
+    assert calls <= 120  # 30-107
     assert abs(_eps(q, z, rounds) - target) < 1e-3
 
 

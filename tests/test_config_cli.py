@@ -413,6 +413,17 @@ def test_analytic_verbs_reject_non_finite_and_out_of_range_values_with_exit_2(ve
 
 
 @pytest.mark.parametrize("focal", ["private", "opted-out"])
+def test_lambdas_at_r_1_equals_the_fedavg_sweeps_lambda_star(focal, capsys):
+    # one focal convention: --N-p counts the focal client as private in both verbs
+    assert main(["analytic", "lambdas", *TETHER_FLAGS, "--r", "1"]) == 0
+    at_r = json.loads(capsys.readouterr().out)["at_r"]
+    argv = ["analytic", "lambda-sweep", *TETHER_FLAGS, "--trials", "10", "--seed", "0"]
+    assert main([*argv, "--focal", focal, "--aggregator", "fedavg"]) == 0
+    sweep = json.loads(capsys.readouterr().out)
+    assert at_r["lambda_" + focal.replace("-", "_")] == sweep["lambda_star"]
+
+
+@pytest.mark.parametrize("focal", ["private", "opted-out"])
 @pytest.mark.parametrize("aggregator", ["feo2", "fedavg"])
 def test_lambda_star_is_the_sweeps_argmin_under_either_aggregator(focal, aggregator, capsys):
     # README's tether parameters at 200k trials on the default 0.05 grid

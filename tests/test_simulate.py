@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import feo2.accounting
 import feo2.simulate
 from feo2.aggregation import feo2_combine, group_mean
 from feo2.analytic import AnalyticParams, optimal_ratio, server_variance_at
@@ -45,6 +46,25 @@ def _point_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def test_a_full_participation_round_evaluates_a_few_orders(monkeypatch):
+    # z = 48 as in the shipped skewed config. Each round's scan starts at the last
+    # round's best order (the first round at the closed-form one), so it looks at
+    # that order and its two neighbours; a walk to twice the best order made ~144
+    # calls per round.
+    calls = 0
+    one_order = feo2.accounting._rdp_one_order
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return one_order(*args)
+
+    monkeypatch.setattr(feo2.accounting, "_rdp_one_order", counted)
+    res = run_experiment(_point_cfg(rounds=50, feo2=FeO2Config(r=0.4, z=48.0, S0=1.5)))
+    assert res.ledger.counts == ((1.0, 48.0, 50),)
+    assert calls <= 8 * 50  # 349 here
 
 
 def test_one_round_matches_hand_computation():

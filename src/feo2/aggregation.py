@@ -63,9 +63,9 @@ def feo2_combine(
     return (w_np / total) * delta_np + (w_p / total) * delta_p
 
 
-def apply_update(theta: np.ndarray, delta: np.ndarray, lr: float = 1.0) -> np.ndarray:
+def apply_update(theta: np.ndarray, delta: np.ndarray) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     delta = np.asarray(delta, dtype=np.float64)
     if theta.shape != delta.shape:
         raise ValueError("model/update dimension mismatch")
-    return theta + lr * delta
+    return theta + delta

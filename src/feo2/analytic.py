@@ -32,6 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import check_field_types
+
+
 class UnboundedLambda(ValueError):
     """The optimal tether strength diverges (e.g. identical clients, tau2 = 0)."""
 
@@ -54,9 +57,7 @@ class AnalyticParams:
     d: int = 1
 
     def __post_init__(self):
-        for name in ("N", "N_p", "tau2", "beta2", "gamma2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_field_types(self)
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not 0 <= self.N_p <= self.N:

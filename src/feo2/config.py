@@ -10,17 +10,17 @@ that reproduces it (`config_to_dict` / `build_experiment_config` round-trip).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-import math
 import re
+import sys
+import typing
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import yaml
-
-from .personalization import DittoConfig
 
 
 class Algorithm(str, Enum):
@@ -35,27 +35,38 @@ class PopulationKind(str, Enum):
     LABEL_SHARD = "label_shard"
 
 
-def _require_ints(obj, *names: str) -> None:
-    """Reject a field of ``names`` that is not a Python int (bools are ints to
-    Python, but ``rounds: true`` is not a count). None passes only for a field
-    that defaults to None (``batch_size``, ``skew_label``)."""
-    for name in names:
-        value = getattr(obj, name)
-        unset = value is None and obj.__dataclass_fields__[name].default is None
-        if not unset and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+@functools.cache
+def _field_types(cls) -> tuple:
+    """(name, type, optional, required) for each field of the dataclass ``cls``,
+    read from its resolved annotations; ``type`` drops the ``Optional``."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        optional = type(None) in typing.get_args(hint)  # Optional[X] has args (X, NoneType)
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        out.append((f.name, typing.get_args(hint)[0] if optional else hint, optional, required))
+    return tuple(out)
 
 
-def _require_floats(obj, *names: str) -> None:
-    """Reject a field of ``names`` that is not a finite int or float (NaN passes
-    every range check, and ``r: true`` is not a ratio). None passes only for a
-    field that defaults to None (``eta_p``)."""
-    for name in names:
+def check_field_types(obj) -> None:
+    """Reject a field of the dataclass ``obj`` whose value its annotation does not
+    admit: an int takes a Python int, a float an int or float within the finite float
+    range (NaN passes every range check), a str a string, any other type an instance
+    of it. A bool is never accepted, and None only where the annotation is ``Optional``."""
+    for name, kind, optional, _ in _field_types(type(obj)):
         value = getattr(obj, name)
-        unset = value is None and obj.__dataclass_fields__[name].default is None
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-        if not unset and not ok:
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if value is None and optional:
+            continue
+        if kind is float:
+            ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        else:
+            ok = isinstance(value, kind)
+        if isinstance(value, bool) or not ok:
+            what = {int: "an integer", float: "a finite number", str: "a string"}.get(
+                kind, f"an instance of {kind.__name__}"
+            )
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +82,7 @@ class PoolSpec:
     idx_labels: Optional[str] = None
 
     def __post_init__(self):
-        _require_ints(self, "classes", "per_class", "feature_dim")
-        _require_floats(self, "spread")
+        check_field_types(self)
         if self.spread < 0:
             raise ValueError("spread must be >= 0")
         if (self.idx_images is None) != (self.idx_labels is None):
@@ -98,8 +108,7 @@ class PopulationSpec:
     pool: Optional[PoolSpec] = None
 
     def __post_init__(self):
-        _require_ints(self, "n_clients", "samples_per_client", "seed", "d", "skew_label")
-        _require_floats(self, "rho_np", "tau2", "beta2")
+        check_field_types(self)
         if self.n_clients < 1:
             raise ValueError("n_clients must be >= 1")
         if not 0.0 <= self.rho_np <= 1.0:
@@ -144,8 +153,7 @@ class FeO2Config:
     batch_size: Optional[int] = None
 
     def __post_init__(self):
-        _require_ints(self, "epochs", "batch_size")
-        _require_floats(self, "r", "z", "z_b", "S0", "kappa", "eta_b", "eta")
+        check_field_types(self)
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("r must be in [0, 1]")
         if self.z < 0 or self.z_b < 0:
@@ -165,6 +173,23 @@ class FeO2Config:
 
 
 @dataclass(frozen=True)
+class DittoConfig:
+    """Ditto's proximal tether: one strength per class, and the personal step
+    size (None: ``1/(1+lambda)`` per class)."""
+
+    lambda_p: float
+    lambda_np: float
+    eta_p: Optional[float] = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.lambda_p < 0 or self.lambda_np < 0:
+            raise ValueError("lambdas must be >= 0")
+        if self.eta_p is not None and self.eta_p <= 0:
+            raise ValueError("eta_p must be > 0")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     population: PopulationSpec
     algorithm: Algorithm
@@ -176,8 +201,7 @@ class ExperimentConfig:
     delta: float = 1e-5
 
     def __post_init__(self):
-        _require_ints(self, "rounds", "master_seed")
-        _require_floats(self, "cohort_fraction", "delta")
+        check_field_types(self)
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
         if self.master_seed < 0:
@@ -190,54 +214,40 @@ class ExperimentConfig:
             raise ValueError("fedavg must run with z = 0")
 
 
-def _from_mapping(cls, mapping, section: str):
+def _from_mapping(cls, mapping, section: str = ""):
+    """Build the config object ``cls`` from a parsed section, named by its dotted
+    path (empty at the root): enum fields take their values, and config-object
+    fields are read as sub-sections."""
     if not isinstance(mapping, dict):
-        raise ValueError(f"section '{section}' must be a mapping")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(mapping) - allowed
+        raise ValueError(f"section '{section}' must be a mapping" if section else "config root must be a mapping")
+    fields = _field_types(cls)
+    unknown = set(mapping).difference(name for name, *_ in fields)
     if unknown:
-        raise ValueError(f"unknown key '{sorted(unknown)[0]}' in section '{section}'")
-    return cls(**mapping)
+        raise ValueError(f"unknown key '{min(unknown, key=str)}' in section '{section or 'config root'}'")
+    kwargs = {}
+    for name, kind, optional, required in fields:
+        child = f"{section}.{name}" if section else name
+        if name not in mapping:
+            if dataclasses.is_dataclass(kind) and required:
+                raise ValueError(f"missing required section '{child}'")
+            if required:
+                raise ValueError(f"missing required key '{name}'" + (f" in section '{section}'" if section else ""))
+            continue
+        value = mapping[name]
+        if issubclass(kind, Enum):
+            try:
+                value = kind(value)
+            except ValueError:
+                raise ValueError(f"{name} must be one of {[k.value for k in kind]}, got {value!r}") from None
+        elif dataclasses.is_dataclass(kind) and not (value is None and optional):
+            value = _from_mapping(kind, value, child)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def build_experiment_config(raw: dict) -> ExperimentConfig:
     """Validate a plain mapping (parsed YAML/JSON) into an ExperimentConfig."""
-    if not isinstance(raw, dict):
-        raise ValueError("config root must be a mapping")
-    if "population" not in raw:
-        raise ValueError("missing required section 'population'")
-    if "algorithm" not in raw:
-        raise ValueError("missing required key 'algorithm'")
-
-    if not isinstance(raw["population"], dict):
-        raise ValueError("section 'population' must be a mapping")
-    pop_raw = dict(raw["population"])
-    if "kind" not in pop_raw:
-        raise ValueError("missing required key 'kind' in section 'population'")
-    try:
-        pop_raw["kind"] = PopulationKind(pop_raw["kind"])
-    except ValueError:
-        raise ValueError(
-            f"kind must be one of {[k.value for k in PopulationKind]}, got {pop_raw['kind']!r}"
-        ) from None
-    if pop_raw.get("pool") is not None:
-        pop_raw["pool"] = _from_mapping(PoolSpec, pop_raw["pool"], "population.pool")
-    population = _from_mapping(PopulationSpec, pop_raw, "population")
-
-    try:
-        algorithm = Algorithm(raw["algorithm"])
-    except ValueError:
-        raise ValueError(
-            f"algorithm must be one of {[a.value for a in Algorithm]}, got {raw['algorithm']!r}"
-        ) from None
-
-    feo2 = _from_mapping(FeO2Config, raw.get("feo2", {}), "feo2")
-    ditto = None
-    if raw.get("ditto") is not None:
-        ditto = _from_mapping(DittoConfig, raw["ditto"], "ditto")
-
-    sections = dict(population=population, algorithm=algorithm, feo2=feo2, ditto=ditto)
-    return _from_mapping(ExperimentConfig, dict(raw, **sections), "config root")
+    return _from_mapping(ExperimentConfig, raw)
 
 
 class _Loader(yaml.SafeLoader):
@@ -261,17 +271,9 @@ def parse_config(path: str) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-type mapping that `build_experiment_config` maps back to cfg."""
-
-    def scrub(obj):
-        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-            return {k: scrub(v) for k, v in dataclasses.asdict(obj).items()}
-        if isinstance(obj, Enum):
-            return obj.value
-        if isinstance(obj, dict):
-            return {k: scrub(v) for k, v in obj.items()}
-        return obj
-
-    return scrub(cfg)
+    return dataclasses.asdict(
+        cfg, dict_factory=lambda items: {k: v.value if isinstance(v, Enum) else v for k, v in items}
+    )
 
 
 def manifest_hash(cfg: ExperimentConfig) -> str:

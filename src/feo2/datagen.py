@@ -31,7 +31,6 @@ class Population:
     private: np.ndarray  # (clients,) True where the client stays private
     train_x: np.ndarray  # (clients, n, f): observations, designs or features
     train_y: Optional[np.ndarray] = None  # (clients, n): responses or labels; None for points
-    n_classes: int = 0
     # label shard only: each client's test split, (clients, n_test, f) and (clients, n_test)
     test_x: Optional[np.ndarray] = None
     test_y: Optional[np.ndarray] = None
@@ -157,7 +156,6 @@ def gen_label_shard_population(spec: PopulationSpec, source: LabeledExamples) ->
         private=flags,
         train_x=train_x,
         train_y=train_y,
-        n_classes=n_classes,
         test_x=test_x,
         test_y=test_y,
     )

@@ -25,6 +25,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .privacy import clip_rows
+
 ModelVector = np.ndarray
 
 
@@ -136,7 +138,6 @@ def client_update(
     takes one proximal step per batch. A non-finite delta or personal model
     raises `NumericFailure` naming the first such client."""
     from .personalization import ditto_step
-    from .privacy import clip_rows
 
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")

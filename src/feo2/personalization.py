@@ -10,28 +10,11 @@ cohort's personal models at once; `models.client_update` checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .models import LossKind, local_gradient
-
-
-@dataclass(frozen=True)
-class DittoConfig:
-    lambda_p: float
-    lambda_np: float
-    eta_p: Optional[float] = None  # None -> 1/(1+lambda) per class
-
-    def __post_init__(self):
-        from .config import _require_floats  # config imports this module
-
-        _require_floats(self, "lambda_p", "lambda_np", "eta_p")
-        if self.lambda_p < 0 or self.lambda_np < 0:
-            raise ValueError("lambdas must be >= 0")
-        if self.eta_p is not None and self.eta_p <= 0:
-            raise ValueError("eta_p must be > 0")
 
 
 def ditto_step(

@@ -37,6 +37,7 @@ from feo2.analytic import (
 from feo2.cli import main as cli_main
 from feo2.config import (
     Algorithm,
+    DittoConfig,
     ExperimentConfig,
     FeO2Config,
     PoolSpec,
@@ -44,7 +45,7 @@ from feo2.config import (
     PopulationSpec,
 )
 from feo2.datagen import build_population
-from feo2.personalization import DittoConfig, ditto_closed_form
+from feo2.personalization import ditto_closed_form
 from feo2.privacy import clip
 from feo2.rng import stream
 from feo2.simulate import lambda_sweep, monte_carlo_server_variance, run_experiment

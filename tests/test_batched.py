@@ -11,10 +11,9 @@ import pytest
 import yaml
 
 from feo2.cli import main
-from feo2.config import FeO2Config, PoolSpec, PopulationKind, PopulationSpec
+from feo2.config import DittoConfig, FeO2Config, PoolSpec, PopulationKind, PopulationSpec
 from feo2.datagen import build_population
 from feo2.models import Cohort, NumericFailure, client_update
-from feo2.personalization import DittoConfig
 from feo2.privacy import clip, clip_rows, row_norms
 from feo2.rng import stream
 

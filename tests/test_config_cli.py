@@ -4,6 +4,7 @@
 import csv
 import dataclasses
 import json
+import typing
 
 import pytest
 import yaml
@@ -17,8 +18,10 @@ from feo2.analytic import (
 from feo2.cli import main
 from feo2.config import (
     Algorithm,
+    DittoConfig,
     ExperimentConfig,
     FeO2Config,
+    PoolSpec,
     PopulationKind,
     PopulationSpec,
     build_experiment_config,
@@ -95,6 +98,9 @@ def test_unknown_key_is_named():
         build_experiment_config(bad)
     with pytest.raises(ValueError, match="config root"):
         build_experiment_config(dict(GOOD, extra=1))
+    # YAML keys need not be strings, and an int and a str key do not sort together
+    with pytest.raises(ValueError, match="^unknown key '1' in section 'feo2'$"):
+        build_experiment_config(dict(GOOD, feo2={1: 0.5, "momentum": 0.9}))
 
 
 def test_bad_enum_values_are_reported():
@@ -110,12 +116,21 @@ def test_missing_sections_are_reported():
         build_experiment_config({"algorithm": "feo2"})
     with pytest.raises(ValueError, match="algorithm"):
         build_experiment_config({"population": GOOD["population"]})
+    # named by key and section, not by Python's "missing positional arguments" text
+    with pytest.raises(ValueError, match="^missing required key 'n_clients' in section 'population'$"):
+        build_experiment_config(dict(GOOD, population={"kind": "point_estimation"}))
+    with pytest.raises(ValueError, match="^missing required key 'lambda_p' in section 'ditto'$"):
+        build_experiment_config(dict(GOOD, ditto={}))
 
 
-@pytest.mark.parametrize("population", [5, [1, 2], "abc"])
-def test_population_section_must_be_a_mapping(population):
-    with pytest.raises(ValueError, match="section 'population' must be a mapping"):
-        build_experiment_config(dict(GOOD, population=population))
+@pytest.mark.parametrize(
+    "section, value",
+    [("population", 5), ("population", [1, 2]), ("population", "abc"), ("population", None),
+     ("feo2", None)],  # feo2 may be left out (all defaults), but a null feo2 is not a mapping
+)
+def test_population_section_must_be_a_mapping(section, value):
+    with pytest.raises(ValueError, match=f"section '{section}' must be a mapping"):
+        build_experiment_config(dict(GOOD, **{section: value}))
 
 
 def test_fedavg_requires_zero_noise():
@@ -143,6 +158,29 @@ def test_skew_label_restricted_to_shard_populations():
         PopulationSpec(
             kind=PopulationKind.POINT_ESTIMATION, n_clients=4, rho_np=0.5, skew_label=3
         )
+
+
+POINT = PopulationSpec(kind=PopulationKind.POINT_ESTIMATION, n_clients=4, rho_np=0.5)
+VALID = [  # one valid instance of each config object
+    PoolSpec(),
+    POINT,
+    FeO2Config(),
+    DittoConfig(lambda_p=0.5, lambda_np=0.5),
+    ExperimentConfig(population=POINT, algorithm=Algorithm.FEO2),
+    AnalyticParams(N=10, N_p=5, tau2=0.5, beta2=1.0, gamma2=0.1),
+]
+
+
+@pytest.mark.parametrize("valid", VALID, ids=[type(v).__name__ for v in VALID])
+def test_every_annotated_field_rejects_values_its_type_does_not_admit(valid):
+    hints = typing.get_type_hints(type(valid))
+    for field in dataclasses.fields(valid):
+        optional = type(None) in typing.get_args(hints[field.name])
+        kind = typing.get_args(hints[field.name])[0] if optional else hints[field.name]
+        bad = {int: [float("nan"), True, 2.5], float: [float("nan"), True, 10**400], str: [0, True]}.get(kind, [])
+        for value in bad + ([] if optional else [None]):
+            with pytest.raises(ValueError, match=f"^{field.name} must be "):
+                dataclasses.replace(valid, **{field.name: value})
 
 
 # --- CLI --------------------------------------------------------------------
@@ -308,6 +346,20 @@ def test_null_numeric_field_is_a_named_error_unless_optional(tmp_path, capsys, b
     else:
         assert rc == 2
         assert "config error" in err and key.split(".")[-1] in err and "NoneType" not in err
+
+
+IDX_PATH_CASES = [0, True]  # open() takes an int as a file descriptor: 0 is stdin, True is stdout
+
+
+@pytest.mark.parametrize("value", IDX_PATH_CASES)
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_idx_paths_must_be_strings_with_exit_2(tmp_path, capsys, verb, value):
+    raw = _with(_with(SHARD, "population.pool.idx_images", value), "population.pool.idx_labels", value)
+    flags = ["--out", str(tmp_path / "out")] if verb == "run" else []
+    assert main([verb, "--config", _write(tmp_path, raw), *flags]) == 2
+    assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert "config error" in err and "idx_images must be a string" in err
 
 
 def test_float_fields_take_integer_literals():

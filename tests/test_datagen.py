@@ -93,7 +93,6 @@ def test_label_shard_clients_hold_one_label():
     pool = gen_blob_pool(5, 100, 6, 3.0, seed=0)
     pop = gen_label_shard_population(spec, pool)
     assert pop.kind is LossKind.SOFTMAX_CLASSIFICATION
-    assert pop.n_classes == 5
     assert pop.dim == 5 * 7
     for train_y, test_y in zip(pop.train_y, pop.test_y):
         train_labels = set(train_y.tolist())
@@ -231,6 +230,5 @@ def test_build_population_from_idx_pool(tmp_path):
         pool=PoolSpec(idx_images=str(tmp_path / "i.idx"), idx_labels=str(tmp_path / "l.idx")),
     )
     pop = build_population(spec)
-    assert pop.n_classes == 4
     assert pop.dim == 4 * 10
     assert pop.server_test[0].shape[1] == 9

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from feo2.config import FeO2Config
+from feo2.config import DittoConfig, FeO2Config
 from feo2.models import Cohort, LossKind, NumericFailure, client_update, local_gradient
 from feo2.rng import stream
 
@@ -174,8 +174,6 @@ def test_divergent_training_raises_numeric_failure():
 
 
 def test_ditto_initializes_personal_model_from_broadcast():
-    from feo2.personalization import DittoConfig
-
     obs, _ = _point(stream(8, "di"), n_s=5, d=2)
     cohort = _cohort((obs, None))
     cfg = FeO2Config(eta=1.0)

@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from feo2.config import DittoConfig
 from feo2.models import LossKind
-from feo2.personalization import DittoConfig, ditto_closed_form, ditto_step
+from feo2.personalization import ditto_closed_form, ditto_step
 from feo2.rng import stream
 
 unit = st.floats(-3, 3, allow_nan=False, allow_infinity=False)

@@ -12,9 +12,9 @@ import feo2.accounting
 import feo2.simulate
 from feo2.aggregation import feo2_combine, group_mean
 from feo2.analytic import AnalyticParams, optimal_ratio, server_variance_at
-from feo2.config import Algorithm, ExperimentConfig, FeO2Config, PopulationKind, PopulationSpec
+from feo2.config import Algorithm, DittoConfig, ExperimentConfig, FeO2Config, PopulationKind, PopulationSpec
 from feo2.datagen import build_population
-from feo2.personalization import DittoConfig, ditto_closed_form
+from feo2.personalization import ditto_closed_form
 from feo2.privacy import clip, gaussian_noise_vector
 from feo2.rng import stream
 from feo2.simulate import (

@@ -15,9 +15,10 @@ variance ``N_p*gamma2`` per client (so the private group mean carries
 * `focal_view` — a client's weight in the global estimate at ratio r and its
   peers' variance there; `lambda_star_general` — the tether that exactly
   minimises the tethered estimator's loss at any r (so under either
-  aggregator), and `lambda_star_np` / `lambda_star_p` its closed forms at r*;
-* `bayes_global_oracle` / `bayes_local_oracle` — inverse-variance estimators
-  used by the test suite as independent references.
+  aggregator), and `lambda_star_np` / `lambda_star_p` its closed forms at r*.
+
+The Bayes-optimal estimators behind these forms are independent references
+in the test suite (`tests/oracles.py`).
 
 All covariances are scalar multiples of the identity (the orthogonal-design
 regime), so variances are carried as plain floats and vectors of any
@@ -28,9 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .config import check_field_types
 
@@ -206,50 +204,3 @@ def lambda_star_general(p: AnalyticParams, is_private: bool, r: float) -> float:
     if C - B <= 0:
         raise UnboundedLambda("the loss falls with lambda: no finite optimal tether")
     return (A - B) / (C - B)
-
-
-def bayes_global_oracle(updates: Sequence[tuple[np.ndarray, float]]) -> np.ndarray:
-    """Inverse-variance weighted mean of (vector, variance) observations."""
-    if len(updates) == 0:
-        raise ValueError("need at least one update")
-    if any(not (var > 0) or not math.isfinite(var) for _, var in updates):
-        raise ValueError("variances must be positive and finite")
-    weights = np.array([1.0 / var for _, var in updates])
-    weights /= weights.sum()
-    return sum(w * np.asarray(v, dtype=np.float64) for (v, _), w in zip(updates, weights))
-
-
-def bayes_local_oracle(
-    phi_hat_j: np.ndarray,
-    others: Sequence[tuple[np.ndarray, bool]],
-    p: AnalyticParams,
-    is_private_j: bool,
-) -> np.ndarray:
-    """Bayes-optimal personal estimate of phi_j from the client's own clean
-    estimate plus every other client's submitted update.
-
-    others: (update_vector, is_private) pairs for the N-1 peers. The
-    closed-form coefficients (own, opted-out peer, private peer):
-
-        a   = (sc2*sp2 + tau2*(n*sc2 + m*sp2)) / (sc2*k)
-        b   = alpha2 * sp2 / (sc2*k)
-        c   = alpha2 / k,     k = n*sc2 + (m+1)*sp2
-
-    with n private peers, m opted-out peers, alpha2 = sc2 - tau2.
-    """
-    sc2, sp2, tau2 = p.sigma_c2, p.sigma_p2, p.tau2
-    n = sum(1 for _, priv in others if priv)
-    m = len(others) - n
-    if (n + is_private_j, m + (not is_private_j)) != (p.N_p, p.N_np):
-        raise ValueError(
-            f"peer class counts ({n} private, {m} opted-out) plus the focal client "
-            f"disagree with params ({p.N_p}, {p.N_np})"
-        )
-    k = n * sc2 + (m + 1.0) * sp2
-    coef_own = (sc2 * sp2 + tau2 * (n * sc2 + m * sp2)) / (sc2 * k)
-    coef_np = (sc2 - tau2) * sp2 / (sc2 * k)
-    coef_p = (sc2 - tau2) / k
-    out = coef_own * np.asarray(phi_hat_j, dtype=np.float64)
-    for v, priv in others:
-        out = out + (coef_p if priv else coef_np) * np.asarray(v, dtype=np.float64)
-    return out

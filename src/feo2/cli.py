@@ -215,12 +215,14 @@ def _an_ratio(p: AnalyticParams, args) -> dict:
     return {"r_star": optimal_ratio(p)}
 
 
+def _rule_variances(p: AnalyticParams) -> dict:
+    """The server variance under each aggregation rule."""
+    rules = {"opt": server_variance_opt, "fedavg": server_variance_fedavg, "dpfedavg": server_variance_dpfedavg}
+    return {name: fn(p) for name, fn in rules.items()}
+
+
 def _an_variance(p: AnalyticParams, args) -> dict:
-    payload = {
-        "opt": server_variance_opt(p),
-        "fedavg": server_variance_fedavg(p),
-        "dpfedavg": server_variance_dpfedavg(p),
-    }
+    payload = _rule_variances(p)
     if args.r is not None:
         payload["at_r"] = {"r": args.r, "variance": server_variance_at(p, args.r)}
     return payload
@@ -280,17 +282,10 @@ def _an_lambda_sweep(p: AnalyticParams, args) -> dict:
 
 
 def _an_rho_sweep(p: AnalyticParams, args) -> dict:
-    rows = []
-    for rho in _grid(0.0, 1.0, args.step):
-        q = dataclasses.replace(p, N_p=p.N - rho * p.N)
-        rows.append(
-            {
-                "rho_np": float(rho),
-                "opt": server_variance_opt(q),
-                "fedavg": server_variance_fedavg(q),
-                "dpfedavg": server_variance_dpfedavg(q),
-            }
-        )
+    rows = [
+        {"rho_np": float(rho), **_rule_variances(dataclasses.replace(p, N_p=p.N - rho * p.N))}
+        for rho in _grid(0.0, 1.0, args.step)
+    ]
     return {"rows": rows}
 
 

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import re
 import sys
 import typing
@@ -87,6 +88,10 @@ class PoolSpec:
             raise ValueError("spread must be >= 0")
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ValueError("idx_images and idx_labels must be given together")
+        for key in ("idx_images", "idx_labels"):
+            path = getattr(self, key)
+            if path is not None and not os.path.isfile(path):
+                raise ValueError(f"{key} must name an existing file, got {path!r}")
         if self.idx_images is None:
             if self.classes < 2:
                 raise ValueError("classes must be >= 2")

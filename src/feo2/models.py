@@ -66,7 +66,7 @@ class Cohort:
     private: np.ndarray  # True where the client stays private; picks its Ditto lambda
     x: np.ndarray  # (clients, n, f) inputs: observations, designs or features
     y: Optional[np.ndarray]  # (clients, n) responses or labels; None for point estimation
-    personal: Optional[np.ndarray] = None  # (clients, dim) personal models, stepped by Ditto
+    personal: Optional[np.ndarray] = None  # (clients, dim) personal models Ditto starts from
 
 
 def _logits(model: ModelVector, x: np.ndarray) -> np.ndarray:
@@ -129,22 +129,24 @@ def _batches(x, y, batch_size: Optional[int], order: Optional[np.ndarray]) -> It
 def client_update(
     global_model: ModelVector, cohort: Cohort, clip_norm: float, cfg, kind: LossKind, ditto=None,
     order: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Train every cohort client at once; return (clipped deltas (clients, dim), bits)
-    with bit 1 iff the raw delta's L2 norm was within ``clip_norm``. ``cfg`` gives
-    epochs / eta / batch_size, ``order`` (epochs, clients, examples) each epoch's
-    mini-batch example order per client, taken in order when None. With ``ditto``,
-    each personal model (``cohort.personal``, else the broadcast ``global_model``)
-    takes one proximal step per batch. A non-finite delta or personal model
-    raises `NumericFailure` naming the first such client."""
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Train every cohort client at once; return (clipped deltas (clients, dim), bits,
+    personal models) with bit 1 iff the raw delta's L2 norm was within ``clip_norm``.
+    ``cfg`` gives epochs / eta / batch_size, ``order`` (epochs, clients, examples)
+    each epoch's mini-batch example order per client, taken in order when None.
+    The personal models are None without ``ditto``; with it, each starts from
+    ``cohort.personal`` (else the broadcast ``global_model``) and takes one
+    proximal step per batch. A non-finite delta or personal model raises
+    `NumericFailure` naming the first such client."""
     from .personalization import ditto_step
 
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
     global_model = np.asarray(global_model, dtype=np.float64)
     theta = np.repeat(global_model[None, :], len(cohort.ids), axis=0)
-    personal = theta.copy() if ditto is not None and cohort.personal is None else cohort.personal
+    personal = None
     if ditto is not None:
+        personal = theta.copy() if cohort.personal is None else cohort.personal
         lam = np.where(cohort.private, ditto.lambda_p, ditto.lambda_np).astype(np.float64)[:, None]
         eta_p = 1.0 / (1.0 + lam) if ditto.eta_p is None else ditto.eta_p
     for epoch in range(cfg.epochs):
@@ -154,7 +156,6 @@ def client_update(
             theta -= np.multiply(cfg.eta, grad, out=grad)
             if ditto is not None:
                 personal = ditto_step(personal, global_model, xb, yb, kind, lam, eta_p)
-    cohort.personal = personal
     delta = np.subtract(theta, global_model, out=theta)
     finite = np.isfinite(delta).all(axis=1)
     personal_ok = np.ones_like(finite) if ditto is None else np.isfinite(personal).all(axis=1)
@@ -162,4 +163,4 @@ def client_update(
         i = int(np.argmin(finite & personal_ok))
         what = "update" if personal_ok[i] else "personalized model"
         raise NumericFailure(f"non-finite {what} from client {cohort.ids[i]}")
-    return clip_rows(delta, clip_norm)
+    return (*clip_rows(delta, clip_norm), personal)

@@ -11,8 +11,9 @@ and clients never mix, so reports are byte-stable for any number of workers.
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
 check the closed forms in `analytic` empirically. Both losses are quadratic
-in the swept parameter, so each reduces one set of draws to three trial-mean
-inner products and evaluates every grid point from them (one draw per sweep).
+forms over independent Gaussian draws, so both read one cached trial-mean Gram
+matrix of those draws (`_gram`) and evaluate every grid point from it: calls
+that share seed, trials, dimension and the draws' laws draw once.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import ClassVar, List, Optional, Sequence
 
 import numpy as np
@@ -146,10 +148,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
         start = None if personal is None else np.where(trained[rows, None], personal[rows], theta)
         y = None if pop.train_y is None else pop.train_y[rows]
         cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, start)
-        out = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, order)
+        deltas, bits, stepped = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, order)
         if personal is not None:
-            personal[rows], trained[rows] = cohort.personal, True
-        return out
+            personal[rows], trained[rows] = stepped, True
+        return deltas, bits
 
     # Threads take contiguous chunks of the sorted cohort; none starts while workers is 1.
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -196,25 +198,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 # --- Monte Carlo harnesses --------------------------------------------------
 
 
-def _mean_dot(u: Optional[np.ndarray], v: Optional[np.ndarray]) -> float:
-    """Trial mean of the row inner products of two (trials, d) draws; an
-    empty group (None) contributes 0."""
-    if u is None or v is None:
-        return 0.0
-    return float(np.einsum("ij,ij->", u, v)) / len(u)
-
-
 @lru_cache(maxsize=32)
-def _server_moments(
-    seed: int, trials: int, d: int, sd_np: Optional[float], sd_p: Optional[float]
-) -> tuple[float, float, float]:
-    """<X,X>, <X,Y>, <Y,Y> for the opted-out group mean X and the private group
-    mean Y, drawn in that order from the ``server-variance`` stream (a group
-    with no law, None, is empty and not drawn). Only the three floats are kept."""
-    rng = stream(seed, "server-variance")
-    x = rng.normal(0.0, sd_np, (trials, d)) if sd_np is not None else None
-    y = rng.normal(0.0, sd_p, (trials, d)) if sd_p is not None else None
-    return _mean_dot(x, x), _mean_dot(x, y), _mean_dot(y, y)
+def _gram(seed: int, purpose: str, trials: int, d: int, sds: tuple) -> tuple[tuple[float, ...], ...]:
+    """Trial-mean Gram matrix <x_i, x_j> of independent N(0, sd_i^2) (trials, d)
+    draws x_i, taken in order from the ``purpose`` stream. An sd of None is an
+    absent group: it is not drawn, and its row and column are zero. Only the
+    floats are kept; every call that shares the key reads one draw."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = stream(seed, purpose)
+    draws = [None if sd is None else rng.normal(0.0, sd, (trials, d)) for sd in sds]
+    gram = [[0.0] * len(sds) for _ in sds]
+    for (i, x), (j, y) in combinations_with_replacement(enumerate(draws), 2):
+        if x is not None and y is not None:
+            gram[i][j] = gram[j][i] = float(np.einsum("ij,ij->", x, y)) / trials
+    return tuple(map(tuple, gram))
 
 
 def monte_carlo_server_variance(
@@ -228,13 +226,10 @@ def monte_carlo_server_variance(
     location invariance): the opted-out mean X has variance sigma_c2/N_np, the
     private mean Y sigma_c2/N_p + gamma2 per coordinate. The estimate is
     a*X + b*Y with a = N_np/W and b = r*N_p/W, so its mean squared norm is
-    a^2<X,X> + 2ab<X,Y> + b^2<Y,Y> over the trials' moments. The draws do not
-    depend on r: identical seeds reuse identical draws, so sweeps over r share
-    common random numbers, and the moments are cached per (seed, trials, d,
-    group laws), so a sweep draws once.
+    a^2<X,X> + 2ab<X,Y> + b^2<Y,Y> from the `_gram` of (X, Y), drawn in that
+    order from the ``server-variance`` stream. The draws do not depend on r, so
+    a sweep over r draws once and its points share common random numbers.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must be in [0, 1]")
     N_np, N_p = p.N_np, p.N_p
@@ -243,7 +238,7 @@ def monte_carlo_server_variance(
         raise ValueError("estimator undefined: zero total weight")
     sd_np = math.sqrt(p.sigma_c2 / N_np) if N_np > 0 else None
     sd_p = math.sqrt(p.sigma_c2 / N_p + p.gamma2) if N_p > 0 else None
-    xx, xy, yy = _server_moments(seed, trials, p.d, sd_np, sd_p)
+    (xx, xy), (_, yy) = _gram(seed, "server-variance", trials, p.d, (sd_np, sd_p))
     a, b = N_np / W, r * N_p / W
     return a * a * xx + 2.0 * a * b * xy + b * b * yy
 
@@ -275,29 +270,23 @@ def lambda_sweep(
     and its peers' variance v in the global estimate from `analytic.focal_view`
     (its own estimate enters clean: it knows its own update).
 
-    The personal estimate's error is (e + lam*g)/(1 + lam), with e the focal
-    client's own error and g the global estimate's error, so the loss at every
-    lambda is (A + 2*lam*B + lam^2*C)/(1 + lam)^2 from the trial means
-    A = <e,e>, B = <e,g>, C = <g,g> of one set of draws.
-
-    Identical seeds share draws across arms, so comparisons between
-    aggregators and between privacy choices are common-random-number paired.
+    The draws are the focal truth T ~ N(0, tau2) (phi at zero), its own error
+    E ~ N(0, alpha2) and its peers' unit noise U ~ N(0, 1), in that order from
+    the ``lambda-sweep`` stream. The personal estimate's error is
+    (e + lam*g)/(1 + lam), with e = E and the global estimate's error
+    g = (a - 1)T + aE + sqrt(v)U, so the loss at every lambda is
+    (A + 2*lam*B + lam^2*C)/(1 + lam)^2 with A = <e,e>, B = <e,g>, C = <g,g>:
+    quadratic forms over the `_gram` of (T, E, U). The draws depend only on
+    (seed, trials, d, tau2, alpha2), so arms that share those (both focal
+    classes, both aggregators) draw once and are common-random-number paired.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if len(lambda_grid) == 0:
         raise ValueError("lambda grid must be nonempty")
     if min(lambda_grid) < 0:
         raise ValueError("lambda must be >= 0")
     scenario, r = focal_scenario(p, focal_client_private, aggregator)
     a, v = focal_view(scenario, focal_client_private, r)
-
-    rng = stream(seed, "lambda-sweep")
-    truth = rng.normal(0.0, math.sqrt(p.tau2), (trials, p.d))  # focal phi_j (phi at zero)
-    own_err = rng.normal(0.0, math.sqrt(p.alpha2), (trials, p.d))
-    others_unit = rng.normal(0.0, 1.0, (trials, p.d))
-    # g: error of the global estimate theta_g against the focal client's truth
-    g = a * (truth + own_err) + math.sqrt(v) * others_unit - truth
-    A, B, C = _mean_dot(own_err, own_err), _mean_dot(own_err, g), _mean_dot(g, g)
-    lams = [float(lam) for lam in lambda_grid]
-    return [(lam, (A + 2.0 * lam * B + lam * lam * C) / (1.0 + lam) ** 2) for lam in lams]
+    gram = np.array(_gram(seed, "lambda-sweep", trials, p.d, (math.sqrt(p.tau2), math.sqrt(p.alpha2), 1.0)))
+    e, g = np.array([0.0, 1.0, 0.0]), np.array([a - 1.0, a, math.sqrt(v)])
+    A, B, C = (float(x @ gram @ y) for x, y in ((e, e), (e, g), (g, g)))
+    return [(lam, (A + 2.0 * lam * B + lam * lam * C) / (1.0 + lam) ** 2) for lam in map(float, lambda_grid)]

@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 from feo2.analytic import (
     AnalyticParams,
     UnboundedLambda,
-    bayes_global_oracle,
-    bayes_local_oracle,
     focal_view,
     gap_dpfedavg,
     gap_fedavg,
@@ -31,7 +29,7 @@ from feo2.analytic import (
 )
 from feo2.rng import stream
 
-from oracles import posterior_mean_dense
+from oracles import bayes_global_oracle, bayes_local_oracle, posterior_mean_dense
 
 
 def params_strategy(min_private=0, min_opted_out=0):

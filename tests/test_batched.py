@@ -48,8 +48,7 @@ def _step(pop, ids, theta, start, S, cfg, ditto):
     y = None if pop.train_y is None else pop.train_y[ids]
     personal = None if start is None else start[ids].copy()
     cohort = Cohort(ids, pop.private[ids], pop.train_x[ids], y, personal)
-    deltas, bits = client_update(theta, cohort, S, cfg, pop.kind, ditto, order)
-    return deltas, bits, cohort.personal
+    return client_update(theta, cohort, S, cfg, pop.kind, ditto, order)
 
 
 @pytest.mark.parametrize("with_ditto", [False, True], ids=["plain", "ditto"])

@@ -348,18 +348,22 @@ def test_null_numeric_field_is_a_named_error_unless_optional(tmp_path, capsys, b
         assert "config error" in err and key.split(".")[-1] in err and "NoneType" not in err
 
 
-IDX_PATH_CASES = [0, True]  # open() takes an int as a file descriptor: 0 is stdin, True is stdout
+IDX_PATH_CASES = [  # (value, message)
+    (0, "idx_images must be a string"),  # open() takes an int as a file descriptor: 0 is stdin
+    (True, "idx_images must be a string"),  # and True is stdout
+    ("/nonexistent/images.idx", "idx_images must name an existing file"),  # a run would fail mid-way
+]
 
 
-@pytest.mark.parametrize("value", IDX_PATH_CASES)
+@pytest.mark.parametrize("value, message", IDX_PATH_CASES, ids=["0", "True", "missing"])
 @pytest.mark.parametrize("verb", ["validate", "run"])
-def test_idx_paths_must_be_strings_with_exit_2(tmp_path, capsys, verb, value):
+def test_idx_paths_must_be_strings_with_exit_2(tmp_path, capsys, verb, value, message):
     raw = _with(_with(SHARD, "population.pool.idx_images", value), "population.pool.idx_labels", value)
     flags = ["--out", str(tmp_path / "out")] if verb == "run" else []
     assert main([verb, "--config", _write(tmp_path, raw), *flags]) == 2
     assert not (tmp_path / "out").exists()
     err = capsys.readouterr().err
-    assert "config error" in err and "idx_images must be a string" in err
+    assert "config error" in err and message in err
 
 
 def test_float_fields_take_integer_literals():

@@ -55,9 +55,8 @@ def _cohort(data, client_id=0, private=True):
 
 def _update(theta, cohort, clip_norm, cfg, kind, ditto=None, order=None):
     """client_update of a one-client cohort: (delta, bit, personal model or None)."""
-    deltas, bits = client_update(theta, cohort, clip_norm, cfg, kind, ditto, order)
-    personal = None if cohort.personal is None else cohort.personal[0]
-    return deltas[0], int(bits[0]), personal
+    deltas, bits, personal = client_update(theta, cohort, clip_norm, cfg, kind, ditto, order)
+    return deltas[0], int(bits[0]), None if personal is None else personal[0]
 
 
 def test_point_loss_closed_form():
@@ -180,6 +179,7 @@ def test_ditto_initializes_personal_model_from_broadcast():
     theta0 = np.array([0.5, -0.25])
     assert cohort.personal is None
     *_, personal = _update(theta0, cohort, 1e6, cfg, LossKind.POINT_ESTIMATION, ditto=DittoConfig(1.0, 1.0))
+    assert cohort.personal is None  # an input only: the stepped models are returned
     # one proximal step with eta_p = 1/(1+lam) from theta0:
     target = (obs.mean(axis=0) + 1.0 * theta0) / 2.0
     assert np.allclose(personal, target, atol=1e-12)

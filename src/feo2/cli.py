@@ -3,7 +3,7 @@
 Verbs:
   run          execute an experiment config, writing rounds.csv / summary.json /
                manifest.json into --out
-  validate     parse a config and print its resolved form plus content hash
+  validate     check a config and build its population; print the resolved config and hash
   solve-z      invert the privacy accountant for a target (epsilon, delta)
   analytic     closed-form quantities and Monte Carlo sweeps
 
@@ -40,6 +40,7 @@ from .analytic import (
     server_variance_opt,
 )
 from .config import config_to_dict, manifest_hash, parse_config
+from .datagen import build_population
 from .simulate import RoundReport, focal_scenario, lambda_sweep, monte_carlo_server_variance, run_experiment
 
 _CONFIG_ERRORS = (OSError, yaml.YAMLError, ValueError, TypeError, KeyError)
@@ -51,17 +52,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf" if f > 0 else "-inf"
-        return f
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):  # numpy's float64 is a float
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 
@@ -199,6 +191,7 @@ def _cmd_emit(args) -> int:
 
 def _validate(args) -> dict:
     cfg = parse_config(args.config)
+    build_population(cfg.population)  # data a run would reject (malformed IDX, short pool) fails here
     return {"config": config_to_dict(cfg), "config_sha256": manifest_hash(cfg)}
 
 
@@ -306,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", type=int, default=1, help="client-update thread count")
     run.set_defaults(fn=_cmd_run)
 
-    val = sub.add_parser("validate", help="check a config and print its resolved form")
+    val = sub.add_parser("validate", help="check a config and its population data; print its resolved form")
     val.add_argument("--config", required=True)
     val.add_argument("--out", default=None, help="also write the JSON here")
     val.set_defaults(fn=_cmd_emit, payload_fn=_validate)

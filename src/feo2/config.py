@@ -126,6 +126,10 @@ class PopulationSpec:
             raise ValueError("tau2 and beta2 must be >= 0")
         if self.d < 1:
             raise ValueError("d must be >= 1")
+        if self.kind is PopulationKind.LINEAR_REGRESSION and self.samples_per_client < self.d:
+            raise ValueError(
+                f"infeasible design: need samples_per_client >= d, got {self.samples_per_client} < {self.d}"
+            )
         if self.skew_label is not None and self.kind is not PopulationKind.LABEL_SHARD:
             raise ValueError("skew_label only applies to label_shard populations")
         if self.pool is not None and self.kind is not PopulationKind.LABEL_SHARD:
@@ -136,10 +140,6 @@ class PopulationSpec:
     @property
     def n_np(self) -> int:
         return round(self.rho_np * self.n_clients)
-
-    @property
-    def n_p(self) -> int:
-        return self.n_clients - self.n_np
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
-"""Synthetic population generators and IDX ingestion.
+"""Population generation and IDX ingestion.
 
-Generators are pure functions of (spec, seed). A `Population` is every
+`build_population` makes the population a `PopulationSpec` describes, as a
+pure function of the spec (its seed included). A `Population` is every
 client's data stacked on a leading client axis plus one privacy flag per
 client; every client holds the same number of examples. Hidden truths (the
 global and per-client parameters behind the synthetic data) sit in their own
 fields, which training never reads; only the evaluation in `simulate` does.
+Label-shard pools are plain arrays, (n, f) float64 features and (n,) int64
+labels, from `gen_blob_pool` or `load_idx_pair`;
+`gen_label_shard_population` shards any such pool.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .config import PopulationKind, PopulationSpec
-from .models import LabeledExamples, LossKind
 from .rng import stream
 
 
@@ -26,7 +29,7 @@ class IdxParseError(ValueError):
 
 @dataclass
 class Population:
-    kind: LossKind
+    kind: PopulationKind
     dim: int  # model dimension
     private: np.ndarray  # (clients,) True where the client stays private
     train_x: np.ndarray  # (clients, n, f): observations, designs or features
@@ -44,74 +47,50 @@ class Population:
         return self.test_x.reshape(-1, self.test_x.shape[2]), self.test_y.reshape(-1)
 
 
-def _privacy_flags(n: int, n_np: int, rng: np.random.Generator) -> np.ndarray:
-    """Fixed random opt-out assignment: True where the client stays private."""
+def _privacy_flags(n: int, opted_out: np.ndarray) -> np.ndarray:
+    """Fixed opt-out assignment: True where the client stays private, False at
+    the client ids ``opted_out``."""
     flags = np.ones(n, dtype=bool)
-    flags[rng.permutation(n)[:n_np]] = False
+    flags[opted_out] = False
     return flags
 
 
-def gen_point_population(spec: PopulationSpec) -> Population:
-    if spec.kind is not PopulationKind.POINT_ESTIMATION:
-        raise ValueError("spec kind must be point_estimation")
+def _gaussian_population(spec: PopulationSpec) -> Population:
+    """Point or regression clients around Gaussian truths: phi ~ N(0, I) and
+    phi_j ~ N(phi, tau2 I). A point client observes phi_j + N(0, beta2 I); a
+    regression client holds an orthogonal design F_j with F_j^T F_j = n_s I
+    and responses F_j phi_j + N(0, beta2)."""
     rng = stream(spec.seed, "population")
     n, n_s, d = spec.n_clients, spec.samples_per_client, spec.d
     phi = rng.normal(0.0, 1.0, d)
     phi_j = phi + rng.normal(0.0, np.sqrt(spec.tau2), (n, d))
-    obs = phi_j[:, None, :] + rng.normal(0.0, np.sqrt(spec.beta2), (n, n_s, d))
-    return Population(
-        kind=LossKind.POINT_ESTIMATION,
-        dim=d,
-        private=_privacy_flags(n, spec.n_np, rng),
-        train_x=obs,
-        truth_global=phi,
-        truth_clients=phi_j,
-    )
-
-
-def gen_regression_population(spec: PopulationSpec) -> Population:
-    if spec.kind is not PopulationKind.LINEAR_REGRESSION:
-        raise ValueError("spec kind must be linear_regression")
-    if spec.samples_per_client < spec.d:
-        raise ValueError(
-            f"infeasible design: need samples_per_client >= d, got "
-            f"{spec.samples_per_client} < {spec.d}"
-        )
-    rng = stream(spec.seed, "population")
-    n, n_s, d = spec.n_clients, spec.samples_per_client, spec.d
-    phi = rng.normal(0.0, 1.0, d)
-    phi_j = phi + rng.normal(0.0, np.sqrt(spec.tau2), (n, d))
-    designs, responses = np.empty((n, n_s, d)), np.empty((n, n_s))
-    for j in range(n):
-        # orthonormal columns scaled by sqrt(n_s) give F^T F = n_s I exactly
-        q, rr = np.linalg.qr(rng.normal(size=(n_s, d)))
-        q = q * np.sign(np.diag(rr))
-        designs[j] = np.sqrt(n_s) * q
-        responses[j] = designs[j] @ phi_j[j] + rng.normal(0.0, np.sqrt(spec.beta2), n_s)
-    return Population(
-        kind=LossKind.LINEAR_REGRESSION,
-        dim=d,
-        private=_privacy_flags(n, spec.n_np, rng),
-        train_x=designs,
-        train_y=responses,
-        truth_global=phi,
-        truth_clients=phi_j,
-    )
+    if spec.kind is PopulationKind.POINT_ESTIMATION:
+        x, y = phi_j[:, None, :] + rng.normal(0.0, np.sqrt(spec.beta2), (n, n_s, d)), None
+    else:
+        x, y = np.empty((n, n_s, d)), np.empty((n, n_s))
+        for j in range(n):
+            # orthonormal columns scaled by sqrt(n_s) give F^T F = n_s I exactly
+            q, rr = np.linalg.qr(rng.normal(size=(n_s, d)))
+            x[j] = np.sqrt(n_s) * (q * np.sign(np.diag(rr)))
+            y[j] = x[j] @ phi_j[j] + rng.normal(0.0, np.sqrt(spec.beta2), n_s)
+    private = _privacy_flags(n, rng.permutation(n)[: spec.n_np])
+    return Population(spec.kind, d, private, x, y, truth_global=phi, truth_clients=phi_j)
 
 
 def gen_blob_pool(
     n_classes: int, per_class: int, dim: int, spread: float, seed: int
-) -> LabeledExamples:
-    """Gaussian class blobs: unit within-class noise around seeded centers."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian class blobs: (n, dim) features with unit within-class noise
+    around seeded centers, and their (n,) labels."""
     rng = stream(seed, "pool")
     centers = rng.normal(0.0, spread, (n_classes, dim))
     labels = np.repeat(np.arange(n_classes), per_class)
-    feats = centers[labels] + rng.normal(0.0, 1.0, (labels.size, dim))
-    return LabeledExamples(feats, labels)
+    return centers[labels] + rng.normal(0.0, 1.0, (labels.size, dim)), labels
 
 
-def gen_label_shard_population(spec: PopulationSpec, source: LabeledExamples) -> Population:
-    """One label per client, drawn from the per-label subsets of ``source``.
+def gen_label_shard_population(spec: PopulationSpec, features: np.ndarray, labels: np.ndarray) -> Population:
+    """One label per client, drawn from the per-label subsets of a pool of
+    (n, f) float features and their (n,) integer labels.
 
     Each client's draw is split 80/20 into train/test; the server test set
     pools every client's test split. With a skew label set, all opted-out
@@ -121,8 +100,8 @@ def gen_label_shard_population(spec: PopulationSpec, source: LabeledExamples) ->
         raise ValueError("spec kind must be label_shard")
     rng = stream(spec.seed, "population")
     n, n_samp = spec.n_clients, spec.samples_per_client
-    labels_present = np.unique(source.labels)
-    by_label = {int(lab): np.flatnonzero(source.labels == lab) for lab in labels_present}
+    labels_present = np.unique(labels)
+    by_label = {int(lab): np.flatnonzero(labels == lab) for lab in labels_present}
     for lab, idx in by_label.items():
         if idx.size < n_samp:
             raise ValueError(
@@ -133,8 +112,6 @@ def gen_label_shard_population(spec: PopulationSpec, source: LabeledExamples) ->
     n_test = max(1, round(0.2 * n_samp))
     picked = np.stack([rng.choice(by_label[int(k)], n_samp, replace=False) for k in shard_labels])
     train_idx, test_idx = picked[:, : n_samp - n_test], picked[:, n_samp - n_test :]
-    train_x, train_y = source.features[train_idx], source.labels[train_idx]
-    test_x, test_y = source.features[test_idx], source.labels[test_idx]
 
     if spec.skew_label is not None:
         candidates = np.flatnonzero(shard_labels == spec.skew_label)
@@ -143,37 +120,33 @@ def gen_label_shard_population(spec: PopulationSpec, source: LabeledExamples) ->
                 f"only {candidates.size} clients hold skew label {spec.skew_label}, "
                 f"need {spec.n_np} opted-out clients"
             )
-        np_ids = rng.choice(candidates, size=spec.n_np, replace=False)
-        flags = np.ones(n, dtype=bool)
-        flags[np_ids] = False
+        opted_out = rng.choice(candidates, size=spec.n_np, replace=False)
     else:
-        flags = _privacy_flags(n, spec.n_np, rng)
+        opted_out = rng.permutation(n)[: spec.n_np]
 
     n_classes = int(labels_present.max()) + 1
     return Population(
-        kind=LossKind.SOFTMAX_CLASSIFICATION,
-        dim=n_classes * (source.dim + 1),
-        private=flags,
-        train_x=train_x,
-        train_y=train_y,
-        test_x=test_x,
-        test_y=test_y,
+        kind=spec.kind,
+        dim=n_classes * (features.shape[1] + 1),
+        private=_privacy_flags(n, opted_out),
+        train_x=features[train_idx],
+        train_y=labels[train_idx],
+        test_x=features[test_idx],
+        test_y=labels[test_idx],
     )
 
 
 def build_population(spec: PopulationSpec) -> Population:
-    if spec.kind is PopulationKind.POINT_ESTIMATION:
-        return gen_point_population(spec)
-    if spec.kind is PopulationKind.LINEAR_REGRESSION:
-        return gen_regression_population(spec)
+    """The population ``spec`` describes: Gaussian clients for the point and
+    regression kinds, label shards of a blob or IDX pool for ``label_shard``."""
+    if spec.kind is not PopulationKind.LABEL_SHARD:
+        return _gaussian_population(spec)
     pool = spec.pool
     if pool.idx_images is not None:
         source = load_idx_pair(pool.idx_images, pool.idx_labels)
     else:
-        source = gen_blob_pool(
-            pool.classes, pool.per_class, pool.feature_dim, pool.spread, spec.seed
-        )
-    return gen_label_shard_population(spec, source)
+        source = gen_blob_pool(pool.classes, pool.per_class, pool.feature_dim, pool.spread, spec.seed)
+    return gen_label_shard_population(spec, *source)
 
 
 # --- IDX binary container -------------------------------------------------
@@ -219,11 +192,12 @@ def load_idx_labels(path: str) -> np.ndarray:
     return labels
 
 
-def load_idx_pair(images_path: str, labels_path: str) -> LabeledExamples:
+def load_idx_pair(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(n, rows*cols) images and their (n,) labels from a pair of IDX files."""
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise IdxParseError(
             f"image/label count mismatch: {images.shape[0]} images, {labels.size} labels"
         )
-    return LabeledExamples(images, labels)
+    return images, labels

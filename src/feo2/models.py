@@ -1,61 +1,35 @@
 """Model families, their local gradients, and the client-side update step.
 
-Three model families are supported:
+Each `config.PopulationKind` trains one model family:
 
 * point estimation — scalar (or d-dim) mean estimation, loss ``0.5*||theta - mean(x)||^2``;
 * linear regression — ``(1/(2 n_s))*||F theta - x||^2`` with orthogonal designs,
   normalized so the gradient is exactly ``theta - phi_hat`` when ``F^T F = n_s I``
   (this is what makes the one-local-step-with-eta-1 path land exactly on the
   least-squares solution);
-* softmax classification — a single linear layer with bias and cross-entropy.
+* label shard — softmax classification: a single linear layer with bias and
+  cross-entropy.
 
 Models are flat float64 vectors everywhere; the softmax layer is stored as
 ``concat(W.ravel(), b)`` with ``W`` of shape (classes, features).
 
 Training runs on a whole cohort at once: (clients, examples, features) data
-stacks and (clients, dim) model stacks, whose rows never mix. `LabeledExamples`
-is the labelled sample pool that label-shard populations are drawn from.
+stacks and (clients, dim) model stacks, whose rows never mix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator, Optional
 
 import numpy as np
 
+from .config import PopulationKind
 from .privacy import clip_rows
-
-ModelVector = np.ndarray
 
 
 class NumericFailure(RuntimeError):
     """A training step produced NaN/Inf; message carries the client context."""
-
-
-class LossKind(str, Enum):
-    POINT_ESTIMATION = "point_estimation"
-    LINEAR_REGRESSION = "linear_regression"
-    SOFTMAX_CLASSIFICATION = "softmax_classification"
-
-
-@dataclass
-class LabeledExamples:
-    features: np.ndarray  # (n, d)
-    labels: np.ndarray  # (n,) integer classes
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels disagree on the example count")
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
 
 
 @dataclass
@@ -69,7 +43,7 @@ class Cohort:
     personal: Optional[np.ndarray] = None  # (clients, dim) personal models Ditto starts from
 
 
-def _logits(model: ModelVector, x: np.ndarray) -> np.ndarray:
+def _logits(model: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class scores x·Wᵀ + b of one model on (n, f) inputs, or of a (clients, dim)
     stack on (clients, n, f) inputs; their argmax is the predicted class."""
     size, f = model.shape[-1], x.shape[-1]
@@ -82,7 +56,7 @@ def _logits(model: ModelVector, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _softmax_probs(model: ModelVector, x: np.ndarray) -> np.ndarray:
+def _softmax_probs(model: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities, laid out as in `_logits`."""
     p = _logits(model, x)
     p -= p.max(axis=-1, keepdims=True)
@@ -94,12 +68,12 @@ def _softmax_probs(model: ModelVector, x: np.ndarray) -> np.ndarray:
 def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], kind) -> np.ndarray:
     """Gradient of each client's mean local loss at its own row of ``models``
     (clients, dim); ``x`` and ``y`` are laid out as in `Cohort`."""
-    if kind is LossKind.POINT_ESTIMATION:
+    if kind is PopulationKind.POINT_ESTIMATION:
         return models - x.mean(axis=1)
-    if kind is LossKind.LINEAR_REGRESSION:
+    if kind is PopulationKind.LINEAR_REGRESSION:
         resid = np.matmul(x, models[:, :, None])[:, :, 0] - y
         return np.matmul(np.swapaxes(x, 1, 2), resid[:, :, None])[:, :, 0] / x.shape[1]
-    if kind is LossKind.SOFTMAX_CLASSIFICATION:
+    if kind is PopulationKind.LABEL_SHARD:
         p = _softmax_probs(models, x)
         (m, n), c, f = y.shape, p.shape[2], x.shape[2]
         p[np.arange(m)[:, None], np.arange(n), y] -= 1.0  # minus the one-hot labels
@@ -108,7 +82,7 @@ def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], k
         np.matmul(np.swapaxes(err, 1, 2), x, out=grad[:, : c * f].reshape(m, c, f))
         err.sum(axis=1, out=grad[:, c * f :])
         return grad
-    raise ValueError(f"unknown loss kind {kind!r}")
+    raise ValueError(f"unknown population kind {kind!r}")
 
 
 def _batches(x, y, batch_size: Optional[int], order: Optional[np.ndarray]) -> Iterator[tuple]:
@@ -127,7 +101,7 @@ def _batches(x, y, batch_size: Optional[int], order: Optional[np.ndarray]) -> It
 
 
 def client_update(
-    global_model: ModelVector, cohort: Cohort, clip_norm: float, cfg, kind: LossKind, ditto=None,
+    global_model: np.ndarray, cohort: Cohort, clip_norm: float, cfg, kind: PopulationKind, ditto=None,
     order: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Train every cohort client at once; return (clipped deltas (clients, dim), bits,

@@ -31,9 +31,9 @@ import numpy as np
 from .accounting import DEFAULT_ORDERS, PrivacyLedger, account_round, epsilon_at_delta
 from .aggregation import RoundSkipped, apply_update, dp_group_mean, feo2_combine, group_mean
 from .analytic import AnalyticParams, focal_view, optimal_ratio
-from .config import Algorithm, ExperimentConfig
+from .config import Algorithm, ExperimentConfig, PopulationKind
 from .datagen import Population, build_population
-from .models import Cohort, LossKind, NumericFailure, _logits, client_update
+from .models import Cohort, NumericFailure, _logits, client_update
 from .privacy import update_clip_norm
 from .rng import stream
 
@@ -90,7 +90,7 @@ def _evaluate(theta, pop: Population, personal, trained, ids, local_hits) -> dic
     ``ids``, whose personal models just changed, are rescored. Any client not
     yet ``trained`` takes its global score as its local score."""
     is_private, n = pop.private, len(pop.private)
-    if pop.kind is LossKind.SOFTMAX_CLASSIFICATION:
+    if pop.kind is PopulationKind.LABEL_SHARD:
         x, labels = pop.server_test
         hits = (_logits(theta, x).argmax(axis=1) == labels).reshape(n, -1)
         acc_g = 100.0 * float(np.mean(hits))

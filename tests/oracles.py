@@ -12,7 +12,8 @@ import mpmath as mp
 import numpy as np
 
 from feo2.accounting import DEFAULT_ORDERS, rdp_increment
-from feo2.models import LossKind, _softmax_probs
+from feo2.config import PopulationKind
+from feo2.models import _softmax_probs
 
 
 def rdp_subsampled_gaussian_quadrature(q: float, sigma: float, alpha: float, dps: int = 30) -> float:
@@ -153,22 +154,33 @@ def numeric_gradient(fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return out
 
 
-def local_loss(model: np.ndarray, x: np.ndarray, y, kind: LossKind) -> float:
+def local_loss(model: np.ndarray, x: np.ndarray, y, kind: PopulationKind) -> float:
     """Mean local objective of ``model`` on one client's inputs ``x`` (n, f) and
     targets ``y`` (n,) (None for point estimation). Nonnegative. The objective
     whose gradient `feo2.models.local_gradient` computes."""
     model = np.asarray(model, dtype=np.float64)
-    if kind is LossKind.POINT_ESTIMATION:
+    if kind is PopulationKind.POINT_ESTIMATION:
         diff = model - x.mean(axis=0)
         return 0.5 * float(diff @ diff)
-    if kind is LossKind.LINEAR_REGRESSION:
+    if kind is PopulationKind.LINEAR_REGRESSION:
         resid = x @ model - y
         return float(resid @ resid) / (2.0 * len(y))
-    if kind is LossKind.SOFTMAX_CLASSIFICATION:
+    if kind is PopulationKind.LABEL_SHARD:
         p = _softmax_probs(model, x)
         picked = p[np.arange(len(y)), y]
         return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    raise ValueError(f"unknown loss kind {kind!r}")
+    raise ValueError(f"unknown population kind {kind!r}")
+
+
+def ditto_closed_form(
+    phi_hat_j: np.ndarray, theta_global: np.ndarray, lam: float
+) -> np.ndarray:
+    """Minimizer of the tethered quadratic: (phi_hat_j + lam*theta_global)/(1+lam)."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    phi_hat_j = np.asarray(phi_hat_j, dtype=np.float64)
+    theta_global = np.asarray(theta_global, dtype=np.float64)
+    return (phi_hat_j + lam * theta_global) / (1.0 + lam)
 
 
 def rescored_local_metrics(result) -> dict:

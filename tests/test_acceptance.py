@@ -45,7 +45,6 @@ from feo2.config import (
     PopulationSpec,
 )
 from feo2.datagen import build_population
-from feo2.personalization import ditto_closed_form
 from feo2.privacy import clip
 from feo2.rng import stream
 from feo2.simulate import lambda_sweep, monte_carlo_server_variance, run_experiment
@@ -178,7 +177,7 @@ def test_criterion_03_one_round_matches_closed_forms():
 
         for personal, solution, private in zip(res.personal_models, solutions, pop.private):
             lam = cfg.ditto.lambda_p if private else cfg.ditto.lambda_np
-            want = ditto_closed_form(solution, theta0, lam)
+            want = oracles.ditto_closed_form(solution, theta0, lam)
             worst_personal = max(worst_personal, float(np.max(np.abs(personal - want))))
     ok = worst_global <= 1e-12 and worst_personal <= 1e-12
     _gate(3, ok, f"100 instances: global dev {worst_global:.2e}, personal dev {worst_personal:.2e}, both <= 1e-12")

@@ -63,7 +63,7 @@ def test_full_config_parses(tmp_path):
     cfg = parse_config(_write(tmp_path, GOOD))
     assert cfg.algorithm is Algorithm.FEO2
     assert cfg.population.kind is PopulationKind.POINT_ESTIMATION
-    assert cfg.population.n_p == 9
+    assert cfg.population.n_clients - cfg.population.n_np == 9
     assert cfg.feo2.r == 0.5
     assert cfg.ditto.lambda_np == 0.6
     assert cfg.rounds == 3
@@ -221,14 +221,21 @@ def test_run_seed_flag_overrides_master_seed(tmp_path):
 
 
 def test_run_failure_flushes_partial_csv_and_exits_1(tmp_path, capsys):
-    # an underdetermined regression design only surfaces once the run starts
-    bad = dict(GOOD, population=dict(GOOD["population"], kind="linear_regression", d=9))
+    # IDX files that exist but do not parse: validate builds the population and
+    # rejects them, while run reports the failure in its outputs
+    for name in ("i.idx", "l.idx"):
+        (tmp_path / name).write_text("garbage")
+    bad = _with(_with(SHARD, "population.pool.idx_images", str(tmp_path / "i.idx")),
+                "population.pool.idx_labels", str(tmp_path / "l.idx"))
+    cfg = _write(tmp_path, bad)
+    assert main(["validate", "--config", cfg]) == 2
+    assert "bad magic" in capsys.readouterr().err
     out = tmp_path / "out"
-    rc = main(["run", "--config", _write(tmp_path, bad), "--out", str(out)])
+    rc = main(["run", "--config", cfg, "--out", str(out)])
     assert rc == 1
     lines = (out / "rounds.csv").read_text().splitlines()
     assert lines[-1].startswith("FAILED,")
-    assert "samples_per_client" in lines[-1]
+    assert "bad magic" in lines[-1]
     assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert "run failed" in capsys.readouterr().err
 
@@ -240,6 +247,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     rc = main(["validate", "--config", bad])
     assert rc == 2
     assert "zz" in capsys.readouterr().err
+    # an underdetermined regression design is a config error at both verbs
+    short = _write(tmp_path, _with(_with(GOOD, "population.kind", "linear_regression"), "population.d", 9))
+    assert main(["validate", "--config", short]) == 2
+    assert main(["run", "--config", short, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err.count("samples_per_client >= d") == 2
 
 
 def _with(mapping, dotted, value):

@@ -9,13 +9,10 @@ from feo2.datagen import (
     build_population,
     gen_blob_pool,
     gen_label_shard_population,
-    gen_point_population,
-    gen_regression_population,
     load_idx_images,
     load_idx_labels,
     load_idx_pair,
 )
-from feo2.models import LossKind
 
 
 def _spec(kind, **kw):
@@ -29,8 +26,8 @@ def _spec(kind, **kw):
 
 def test_point_population_shapes_and_split():
     spec = _spec(PopulationKind.POINT_ESTIMATION, d=3, tau2=0.4, beta2=0.9)
-    pop = gen_point_population(spec)
-    assert pop.kind is LossKind.POINT_ESTIMATION
+    pop = build_population(spec)
+    assert pop.kind is PopulationKind.POINT_ESTIMATION
     assert pop.dim == 3
     assert pop.private.shape == (20,)
     assert int(np.sum(~pop.private)) == 5
@@ -41,9 +38,9 @@ def test_point_population_shapes_and_split():
 
 
 def test_point_population_deterministic_in_seed():
-    a = gen_point_population(_spec(PopulationKind.POINT_ESTIMATION, seed=9))
-    b = gen_point_population(_spec(PopulationKind.POINT_ESTIMATION, seed=9))
-    c = gen_point_population(_spec(PopulationKind.POINT_ESTIMATION, seed=10))
+    a = build_population(_spec(PopulationKind.POINT_ESTIMATION, seed=9))
+    b = build_population(_spec(PopulationKind.POINT_ESTIMATION, seed=9))
+    c = build_population(_spec(PopulationKind.POINT_ESTIMATION, seed=10))
     assert np.array_equal(a.truth_global, b.truth_global)
     assert np.array_equal(a.train_x[4], b.train_x[4])
     assert np.array_equal(a.private, b.private)
@@ -51,48 +48,46 @@ def test_point_population_deterministic_in_seed():
 
 
 def test_zero_spread_population_shares_the_truth():
-    pop = gen_point_population(_spec(PopulationKind.POINT_ESTIMATION, tau2=0.0, d=2))
+    pop = build_population(_spec(PopulationKind.POINT_ESTIMATION, tau2=0.0, d=2))
     for t in pop.truth_clients:
         assert np.array_equal(t, pop.truth_global)
 
 
 def test_regression_designs_are_orthogonal():
     spec = _spec(PopulationKind.LINEAR_REGRESSION, d=4, samples_per_client=12)
-    pop = gen_regression_population(spec)
+    pop = build_population(spec)
     for F in pop.train_x:
         assert np.allclose(F.T @ F, 12 * np.eye(4), atol=1e-9)
 
 
 def test_regression_underdetermined_raises():
-    spec = _spec(PopulationKind.LINEAR_REGRESSION, d=11, samples_per_client=10)
     with pytest.raises(ValueError, match="samples_per_client >= d"):
-        gen_regression_population(spec)
+        _spec(PopulationKind.LINEAR_REGRESSION, d=11, samples_per_client=10)
 
 
 def test_kind_mismatch_raises():
-    with pytest.raises(ValueError):
-        gen_point_population(_spec(PopulationKind.LINEAR_REGRESSION))
-    with pytest.raises(ValueError):
-        gen_regression_population(_spec(PopulationKind.POINT_ESTIMATION))
+    pool = gen_blob_pool(3, 20, 4, 3.0, seed=0)
+    with pytest.raises(ValueError, match="spec kind must be label_shard"):
+        gen_label_shard_population(_spec(PopulationKind.POINT_ESTIMATION), *pool)
 
 
 # --- label shards -----------------------------------------------------------
 
 
 def test_blob_pool_is_balanced_and_deterministic():
-    pool = gen_blob_pool(n_classes=4, per_class=30, dim=5, spread=2.0, seed=1)
-    assert pool.features.shape == (120, 5)
-    counts = np.bincount(pool.labels)
+    features, labels = gen_blob_pool(n_classes=4, per_class=30, dim=5, spread=2.0, seed=1)
+    assert features.shape == (120, 5)
+    counts = np.bincount(labels)
     assert list(counts) == [30, 30, 30, 30]
-    again = gen_blob_pool(4, 30, 5, 2.0, seed=1)
-    assert np.array_equal(pool.features, again.features)
+    again, _ = gen_blob_pool(4, 30, 5, 2.0, seed=1)
+    assert np.array_equal(features, again)
 
 
 def test_label_shard_clients_hold_one_label():
     spec = _spec(PopulationKind.LABEL_SHARD, n_clients=30, samples_per_client=10)
     pool = gen_blob_pool(5, 100, 6, 3.0, seed=0)
-    pop = gen_label_shard_population(spec, pool)
-    assert pop.kind is LossKind.SOFTMAX_CLASSIFICATION
+    pop = gen_label_shard_population(spec, *pool)
+    assert pop.kind is PopulationKind.LABEL_SHARD
     assert pop.dim == 5 * 7
     for train_y, test_y in zip(pop.train_y, pop.test_y):
         train_labels = set(train_y.tolist())
@@ -108,7 +103,7 @@ def test_label_shard_skew_pins_opted_out_clients():
         PopulationKind.LABEL_SHARD, n_clients=40, rho_np=0.1, samples_per_client=10, skew_label=2
     )
     pool = gen_blob_pool(4, 200, 6, 3.0, seed=5)
-    pop = gen_label_shard_population(spec, pool)
+    pop = gen_label_shard_population(spec, *pool)
     opted_out = np.flatnonzero(~pop.private)
     assert len(opted_out) == 4
     for j in opted_out:
@@ -119,7 +114,7 @@ def test_label_shard_insufficient_pool_raises():
     spec = _spec(PopulationKind.LABEL_SHARD, samples_per_client=50)
     pool = gen_blob_pool(3, 20, 4, 3.0, seed=0)
     with pytest.raises(ValueError, match="insufficient pool"):
-        gen_label_shard_population(spec, pool)
+        gen_label_shard_population(spec, *pool)
 
 
 def test_label_shard_short_skew_candidates_raise():
@@ -135,14 +130,14 @@ def test_label_shard_short_skew_candidates_raise():
     )
     pool = gen_blob_pool(12, 50, 4, 3.0, seed=2)
     with pytest.raises(ValueError, match="skew label"):
-        gen_label_shard_population(spec, pool)
+        gen_label_shard_population(spec, *pool)
 
 
 def test_build_population_dispatch():
     pop = build_population(_spec(PopulationKind.LABEL_SHARD))
-    assert pop.kind is LossKind.SOFTMAX_CLASSIFICATION
+    assert pop.kind is PopulationKind.LABEL_SHARD
     pop2 = build_population(_spec(PopulationKind.POINT_ESTIMATION))
-    assert pop2.kind is LossKind.POINT_ESTIMATION
+    assert pop2.kind is PopulationKind.POINT_ESTIMATION
 
 
 # --- IDX parsing ------------------------------------------------------------

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from feo2.config import DittoConfig, FeO2Config
-from feo2.models import Cohort, LossKind, NumericFailure, client_update, local_gradient
+from feo2.config import DittoConfig, FeO2Config, PopulationKind
+from feo2.models import Cohort, NumericFailure, client_update, local_gradient
 from feo2.rng import stream
 
 from oracles import local_loss, numeric_gradient
@@ -63,8 +63,8 @@ def test_point_loss_closed_form():
     data = np.array([[1.0, 3.0], [3.0, 5.0]]), None
     theta = np.array([0.0, 0.0])
     # mean is (2, 4); loss = 0.5 * (4 + 16)
-    assert local_loss(theta, *data, LossKind.POINT_ESTIMATION) == pytest.approx(10.0, abs=1e-14)
-    g = _grad(theta, data, LossKind.POINT_ESTIMATION)
+    assert local_loss(theta, *data, PopulationKind.POINT_ESTIMATION) == pytest.approx(10.0, abs=1e-14)
+    g = _grad(theta, data, PopulationKind.POINT_ESTIMATION)
     assert np.allclose(g, [-2.0, -4.0], atol=1e-14)
 
 
@@ -73,22 +73,22 @@ def test_regression_loss_normalization():
     data = _regression(rng, n_s=10, d=2)
     theta = rng.normal(size=2)
     resid = data[0] @ theta - data[1]
-    assert local_loss(theta, *data, LossKind.LINEAR_REGRESSION) == pytest.approx(
+    assert local_loss(theta, *data, PopulationKind.LINEAR_REGRESSION) == pytest.approx(
         float(resid @ resid) / 20.0
     )
 
 
-@pytest.mark.parametrize("kind", list(LossKind))
+@pytest.mark.parametrize("kind", list(PopulationKind))
 def test_gradient_matches_finite_differences(kind):
-    rng = stream(17, "grad", {"point_estimation": 0, "linear_regression": 1, "softmax_classification": 2}[kind.value])
-    if kind is LossKind.POINT_ESTIMATION:
+    rng = stream(17, "grad", {"point_estimation": 0, "linear_regression": 1, "label_shard": 2}[kind.value])
+    if kind is PopulationKind.POINT_ESTIMATION:
         data = _point(rng)
-    elif kind is LossKind.LINEAR_REGRESSION:
+    elif kind is PopulationKind.LINEAR_REGRESSION:
         data = _regression(rng)
     else:
         data = _labeled(rng)
     f = data[0].shape[1]
-    theta = rng.normal(size=3 * (f + 1) if kind is LossKind.SOFTMAX_CLASSIFICATION else f)
+    theta = rng.normal(size=3 * (f + 1) if kind is PopulationKind.LABEL_SHARD else f)
     got = _grad(theta, data, kind)
     want = numeric_gradient(lambda t: local_loss(t, *data, kind), theta)
     assert np.allclose(got, want, atol=1e-7), np.abs(got - want).max()
@@ -110,7 +110,7 @@ def test_regression_gradient_zero_at_least_squares_solution():
     q, r = np.linalg.qr(rng.normal(size=(12, 4)))
     F = np.sqrt(12) * q * np.sign(np.diag(r))
     phi = rng.normal(size=4)
-    g = _grad(phi, (F, F @ phi), LossKind.LINEAR_REGRESSION)
+    g = _grad(phi, (F, F @ phi), PopulationKind.LINEAR_REGRESSION)
     assert np.allclose(g, 0.0, atol=1e-12)
 
 
@@ -123,7 +123,7 @@ def test_one_step_full_batch_lands_on_sample_mean(obs, theta):
     mean(obs) - theta (before clipping)."""
     cohort = _cohort((obs, None))
     cfg = FeO2Config(eta=1.0, epochs=1, batch_size=None)
-    delta, b, _ = _update(theta, cohort, 1e9, cfg, LossKind.POINT_ESTIMATION)
+    delta, b, _ = _update(theta, cohort, 1e9, cfg, PopulationKind.POINT_ESTIMATION)
     assert np.allclose(delta, obs.mean(axis=0) - theta, atol=1e-9)
     assert b == 1
 
@@ -131,7 +131,7 @@ def test_one_step_full_batch_lands_on_sample_mean(obs, theta):
 def test_clip_indicator_reflects_raw_norm():
     cohort = _cohort((np.full((3, 2), 10.0), None))
     cfg = FeO2Config(eta=1.0)
-    delta, b, _ = _update(np.zeros(2), cohort, 0.5, cfg, LossKind.POINT_ESTIMATION)
+    delta, b, _ = _update(np.zeros(2), cohort, 0.5, cfg, PopulationKind.POINT_ESTIMATION)
     assert b == 0
     assert np.linalg.norm(delta) <= 0.5
 
@@ -151,7 +151,7 @@ def test_minibatches_partition_the_data():
 def test_minibatch_order_is_stream_determined():
     data = _point(stream(2, "d"), n_s=9, d=2)
     cfg = FeO2Config(eta=0.3, epochs=2, batch_size=3)
-    kind = LossKind.POINT_ESTIMATION
+    kind = PopulationKind.POINT_ESTIMATION
 
     def order():  # (epochs, clients, examples)
         return stream(7, "c").permuted(np.tile(np.arange(9), (2, 1, 1)), axis=-1)
@@ -169,7 +169,7 @@ def test_divergent_training_raises_numeric_failure():
     cohort = _cohort(_point(stream(1, "nf"), n_s=4, d=2), client_id=3, private=False)
     cfg = FeO2Config(eta=4.0, epochs=3000)  # |1 - eta| > 1 compounds to overflow
     with pytest.raises(NumericFailure, match="client 3"):
-        _update(np.zeros(2), cohort, 1.0, cfg, LossKind.POINT_ESTIMATION)
+        _update(np.zeros(2), cohort, 1.0, cfg, PopulationKind.POINT_ESTIMATION)
 
 
 def test_ditto_initializes_personal_model_from_broadcast():
@@ -178,7 +178,7 @@ def test_ditto_initializes_personal_model_from_broadcast():
     cfg = FeO2Config(eta=1.0)
     theta0 = np.array([0.5, -0.25])
     assert cohort.personal is None
-    *_, personal = _update(theta0, cohort, 1e6, cfg, LossKind.POINT_ESTIMATION, ditto=DittoConfig(1.0, 1.0))
+    *_, personal = _update(theta0, cohort, 1e6, cfg, PopulationKind.POINT_ESTIMATION, ditto=DittoConfig(1.0, 1.0))
     assert cohort.personal is None  # an input only: the stepped models are returned
     # one proximal step with eta_p = 1/(1+lam) from theta0:
     target = (obs.mean(axis=0) + 1.0 * theta0) / 2.0

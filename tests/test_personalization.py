@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from feo2.config import DittoConfig
-from feo2.models import LossKind
-from feo2.personalization import ditto_closed_form, ditto_step
+from feo2.config import DittoConfig, PopulationKind
+from feo2.personalization import ditto_step
 from feo2.rng import stream
+
+from oracles import ditto_closed_form
 
 unit = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
 
@@ -29,7 +30,7 @@ def _step(theta_j, theta_global, x, y, kind, lam, eta_p):
     lam=st.floats(0.0, 50.0),
 )
 def test_one_step_hits_minimizer_from_anywhere(start, ref, obs, lam):
-    got = _step(start, ref, obs, None, LossKind.POINT_ESTIMATION, lam, 1.0 / (1.0 + lam))
+    got = _step(start, ref, obs, None, PopulationKind.POINT_ESTIMATION, lam, 1.0 / (1.0 + lam))
     want = ditto_closed_form(obs.mean(axis=0), ref, lam)
     assert np.allclose(got, want, atol=1e-10)
 
@@ -42,7 +43,7 @@ def test_one_step_hits_minimizer_regression():
     phi_hat = F.T @ x / 8.0
     ref = rng.normal(size=3)
     lam = 0.7
-    got = _step(rng.normal(size=3), ref, F, x, LossKind.LINEAR_REGRESSION, lam, 1.0 / (1.0 + lam))
+    got = _step(rng.normal(size=3), ref, F, x, PopulationKind.LINEAR_REGRESSION, lam, 1.0 / (1.0 + lam))
     assert np.allclose(got, ditto_closed_form(phi_hat, ref, lam), atol=1e-12)
 
 
@@ -59,7 +60,7 @@ def test_off_schedule_step_is_not_the_minimizer():
     # eta_p default silently changing
     obs = np.array([[1.0], [3.0]])
     ref = np.array([0.0])
-    got = _step(np.array([5.0]), ref, obs, None, LossKind.POINT_ESTIMATION, 1.0, 0.3)
+    got = _step(np.array([5.0]), ref, obs, None, PopulationKind.POINT_ESTIMATION, 1.0, 0.3)
     want = ditto_closed_form(np.array([2.0]), ref, 1.0)
     assert not np.allclose(got, want, atol=1e-6)
 
@@ -67,9 +68,9 @@ def test_off_schedule_step_is_not_the_minimizer():
 def test_ditto_step_validation():
     obs = np.ones((2, 1))
     with pytest.raises(ValueError):
-        _step(np.zeros(1), np.zeros(1), obs, None, LossKind.POINT_ESTIMATION, -0.1, 0.5)
+        _step(np.zeros(1), np.zeros(1), obs, None, PopulationKind.POINT_ESTIMATION, -0.1, 0.5)
     with pytest.raises(ValueError):
-        _step(np.zeros(1), np.zeros(1), obs, None, LossKind.POINT_ESTIMATION, 0.1, 0.0)
+        _step(np.zeros(1), np.zeros(1), obs, None, PopulationKind.POINT_ESTIMATION, 0.1, 0.0)
 
 
 def test_ditto_config_defaults_and_validation():

@@ -8,13 +8,18 @@ Verbs:
   analytic     closed-form quantities and Monte Carlo sweeps
 
 Exit codes: 0 success, 1 run failure (partial CSV is flushed with a trailing
-FAILED marker row), 2 configuration / usage failure.
+FAILED marker row), 2 configuration / usage failure or an unusable --out.
+
+`main` may be called repeatedly in one process: it builds the argument parser
+on its first call and reuses it. Handlers look up the functions they call
+(`solve_z`, `parse_config`, ...) in this module at call time.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -22,7 +27,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .accounting import PrivacyLedger, epsilon_at_delta, solve_z
 from .analytic import (
@@ -43,7 +47,7 @@ from .config import config_to_dict, manifest_hash, parse_config
 from .datagen import build_population
 from .simulate import RoundReport, focal_scenario, lambda_sweep, monte_carlo_server_variance, run_experiment
 
-_CONFIG_ERRORS = (OSError, yaml.YAMLError, ValueError, TypeError, KeyError)
+_CONFIG_ERRORS = (OSError, ValueError, TypeError, KeyError)  # malformed YAML is a ValueError
 
 
 def _jsonable(obj):
@@ -61,12 +65,23 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
 
 
-def _emit(payload: dict, out: str | None) -> None:
+def _output_error(out: str, exc: OSError) -> int:
+    print(f"output error: {out}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def _emit(payload: dict, out: str | None) -> int:
+    """Write the payload to ``out`` if given, then print it; nothing is printed
+    if ``out`` cannot be written."""
     text = _json_text(payload)
-    sys.stdout.write(text)
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _output_error(out, exc)
+    sys.stdout.write(text)
+    return 0
 
 
 def _analytic_params(args) -> AnalyticParams:
@@ -133,7 +148,6 @@ def _cmd_run(args) -> int:
         return 2
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config_path": str(Path(args.config).resolve()),
         "config": config_to_dict(cfg),
@@ -142,11 +156,15 @@ def _cmd_run(args) -> int:
         "workers": args.workers,
         "started_at": datetime.now(timezone.utc).isoformat(),
     }
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fh = open(out_dir / "rounds.csv", "w", encoding="utf-8", newline="")
+    except OSError as exc:  # nothing is written
+        return _output_error(args.out, exc)
 
-    rounds_path = out_dir / "rounds.csv"
     result = None
     failure = None
-    with open(rounds_path, "w", encoding="utf-8", newline="") as fh:
+    with fh:
         fh.write(RoundReport.CSV_HEADER + "\n")
 
         def flush_row(report: RoundReport) -> None:
@@ -179,14 +197,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    """Verbs that answer with one JSON payload, printed and written to --out if given."""
+    """Verbs that answer with one JSON payload, written to --out if given, then printed."""
     try:
         payload = args.payload_fn(args)
     except _CONFIG_ERRORS as exc:  # UnboundedLambda is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload, args.out)
-    return 0
+    return _emit(payload, args.out)
 
 
 def _validate(args) -> dict:
@@ -285,7 +302,9 @@ def _an_rho_sweep(p: AnalyticParams, args) -> dict:
 # --- parser -----------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and then shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="feo2",
         description="Federated learning simulator with opt-out client-level differential privacy.",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import json
 import os
 import re
@@ -20,8 +19,6 @@ import typing
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-import yaml
 
 
 class Algorithm(str, Enum):
@@ -255,22 +252,33 @@ def build_experiment_config(raw: dict) -> ExperimentConfig:
     return _from_mapping(ExperimentConfig, raw)
 
 
-class _Loader(yaml.SafeLoader):
+@functools.cache
+def _yaml_loader():
     """SafeLoader that also reads YAML 1.2 floats, which need no dot: ``1e-5``
     and JSON's ``1e-05`` are strings to YAML 1.1."""
+    import yaml
 
+    class _Loader(yaml.SafeLoader):
+        pass
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
-    list("-+.0123456789"),
-)
+    _Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"),
+    )
+    return _Loader
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read and validate a config file (YAML or JSON)."""
+    """Read and validate a config file (YAML or JSON). Malformed YAML raises a
+    ValueError with the parser's message."""
+    import yaml  # here, not at the top: a process that reads no config never loads PyYAML
+
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.load(fh, Loader=_Loader)
+        try:
+            raw = yaml.load(fh, Loader=_yaml_loader())
+        except yaml.YAMLError as exc:
+            raise ValueError(str(exc)) from exc
     return build_experiment_config(raw)
 
 
@@ -283,5 +291,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def manifest_hash(cfg: ExperimentConfig) -> str:
     """Content hash of the fully resolved config."""
+    import hashlib
+
     canonical = json.dumps(config_to_dict(cfg), sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -18,9 +18,9 @@ that share seed, trials, dimension and the draws' laws draw once.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -117,6 +117,19 @@ def _evaluate(theta, pop: Population, personal, trained, ids, local_hits) -> dic
     return out
 
 
+@contextlib.contextmanager
+def _chunk_map(workers: int):
+    """A ``map`` over a round's chunks: the builtin when ``workers`` is 1, with no
+    pool imported or started, else one thread pool's for the whole run."""
+    if workers == 1:
+        yield map
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> ExperimentResult:
     pop = build_population(cfg.population)
     theta = np.zeros(pop.dim)
@@ -153,9 +166,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
             personal[rows], trained[rows] = stepped, True
         return deltas, bits
 
-    # Threads take contiguous chunks of the sorted cohort; none starts while workers is 1.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run_chunks = pool.map if workers > 1 else map
+    # Threads take contiguous chunks of the sorted cohort.
+    with _chunk_map(workers) as run_chunks:
         for t in range(cfg.rounds):
             ids = np.sort(stream(seed, "cohort", t).choice(n, cohort_size, replace=False))
             order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None

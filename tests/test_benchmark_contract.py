@@ -1,7 +1,8 @@
 """The benchmark's contract with the program. perfbench/ times feo2 by rebinding
 names that feo2 looks up at call time, reads the accountant's cache counters,
 and runs the privacy plan through feo2's CLI, checking its solve-z answers
-with feo2's own accountant, so a change to src/ must keep all three working."""
+with feo2's own accountant, so a change to src/ must keep all three working.
+The plan's calls share one process, so they must share one parser too."""
 
 import importlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import feo2.accounting
-from feo2.cli import main
+from feo2.cli import build_parser, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,8 +41,10 @@ def test_plan_gate_accepts_solve_z_and_rejects_a_wrong_z(perfbench, tmp_path, ca
     _, run = perfbench
     argvs = run.privacy_plan(0, tmp_path)
     assert sum(argv[0] == "solve-z" for argv in argvs) == len(run.SOLVE_Z_TARGETS)
+    build_parser.cache_clear()
     for argv in argvs:
         assert main(argv) == 0, argv
+    assert build_parser.cache_info().misses == 1  # built by the first call only
     capsys.readouterr()
     payloads = [json.loads(Path(argv[-1]).read_text(encoding="utf-8")) for argv in argvs]
     assert run.check_plan_outputs(payloads, argvs) is None

@@ -4,7 +4,11 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 import yaml
@@ -253,6 +257,72 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", short, "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
     assert capsys.readouterr().err.count("samples_per_client >= d") == 2
+
+
+def test_malformed_yaml_is_a_config_error_with_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("population: [1, 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(bad)]) == 2
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("config error: while parsing a flow sequence") == 2
+    assert "expected ',' or ']'" in err
+
+
+def test_an_unusable_out_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = _write(tmp_path, GOOD)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    dest = tmp_path / "file" / "x.json"
+    solve = ["solve-z", "--epsilon", "2", "--delta", "1e-5", "--q", "0.02", "--rounds", "100"]
+    for argv in (solve, ["run", "--config", cfg]):
+        assert main([*argv, "--out", str(dest)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith(f"output error: {dest}: "), captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.yaml", "file"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == ""
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs verbs in a fresh interpreter and prints, as its last line, whether PyYAML
+# and the thread pool module were loaded after each stage.
+_IMPORT_PROBE = """
+import json, sys
+from feo2.cli import main
+cfg, out = sys.argv[1:]
+seen = {}
+def stage(name, *argvs):
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    seen[name] = {m: m in sys.modules for m in ("yaml", "concurrent.futures")}
+stage("import")
+stage(
+    "analysis",
+    ["solve-z", "--epsilon", "2", "--delta", "1e-5", "--q", "0.02", "--rounds", "100"],
+    ["analytic", "ratio", "--N", "100", "--N-p", "95", "--sigma-c2", "1.0", "--gamma2", "0.01"],
+)
+stage("validate", ["validate", "--config", cfg])
+stage("run", ["run", "--config", cfg, "--out", out, "--workers", "1"])
+print(json.dumps(seen))
+"""
+
+
+def test_each_verb_imports_only_what_it_uses(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, _write(tmp_path, GOOD), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    no = {"yaml": False, "concurrent.futures": False}
+    assert seen["import"] == no
+    assert seen["analysis"] == no
+    assert seen["validate"] == {"yaml": True, "concurrent.futures": False}  # the probe sees an import
+    assert seen["run"]["concurrent.futures"] is False
+    assert (tmp_path / "out" / "rounds.csv").exists()
 
 
 def _with(mapping, dotted, value):

@@ -1,6 +1,7 @@
-"""Golden digests of run outputs: the shipped example configs, and three inline
+"""Golden digests of run outputs: the shipped example configs, three inline
 configs that cover mini-batches with an uneven last batch, several epochs,
-Ditto, sampled cohorts, every algorithm and every model kind.
+Ditto, sampled cohorts, every algorithm and every model kind, and the analysis
+plan's printed answers.
 
 Every change to the simulator must leave ``rounds.csv`` and ``summary.json``
 byte-identical for these configs, or say why they moved.
@@ -110,3 +111,40 @@ def test_inline_config_outputs_are_unchanged(name, tmp_path, capsys):
     assert got == tuple(want), (
         f"{name}: run outputs changed (rounds.csv, summary.json digests {got}). {_ON_CHANGE}"
     )
+
+
+_SERVER = ["--N", "100", "--N-p", "95", "--sigma-c2", "1.0", "--gamma2", "0.01"]
+_TETHER = ["--N", "100", "--N-p", "95", "--tau2", "0.5", "--beta2", "0.25", "--gamma2", "1.0"]
+_MC = ["--trials", "200000", "--seed", "0"]
+
+# The analysis plan: closed forms, four solve-z targets, a d = 10 r-sweep and the
+# four lambda-sweep arms, all at the CLI.
+PLAN = [
+    ["analytic", "ratio", *_SERVER],
+    ["analytic", "gaps", *_SERVER],
+    ["analytic", "lambdas", *_TETHER],
+    ["solve-z", "--epsilon", "2.0", "--delta", "1e-05", "--q", "0.02", "--rounds", "100"],
+    ["solve-z", "--epsilon", "1.0", "--delta", "1e-05", "--q", "0.05", "--rounds", "200"],
+    ["solve-z", "--epsilon", "4.0", "--delta", "1e-05", "--q", "0.01", "--rounds", "1000"],
+    ["solve-z", "--epsilon", "8.0", "--delta", "1e-05", "--q", "0.1", "--rounds", "50"],
+    ["analytic", "r-sweep", *_SERVER, "--dim", "10", "--step", "0.05", *_MC],
+    *(
+        ["analytic", "lambda-sweep", *_TETHER, "--focal", focal, "--aggregator", aggregator, *_MC]
+        for focal in ("private", "opted-out")
+        for aggregator in ("feo2", "fedavg")
+    ),
+]
+
+# SHA-256 of the plan's stdout, every call's JSON in order.
+PLAN_SHA256 = "cf6d8af6acb8f1eea7b3f699ccb02d227be5fb62c9c26ac8a60f229eb446124e"
+
+
+def test_analysis_plan_outputs_are_unchanged(capsys):
+    # Twice in one process: the second pass reuses the parser and the Monte Carlo
+    # caches, and must print the same bytes.
+    for _ in range(2):
+        capsys.readouterr()
+        for argv in PLAN:
+            assert main(argv) == 0, argv
+        got = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert got == PLAN_SHA256, f"analysis plan outputs changed (stdout digest {got}). {_ON_CHANGE}"

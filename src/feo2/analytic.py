@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
-from .config import check_field_types
+from .config import Range, check_field_types
 
 
 class UnboundedLambda(ValueError):
@@ -46,24 +47,18 @@ class AnalyticParams:
     spread, gamma2 the server-side privacy noise variance, d the dimension.
     """
 
-    N: float
-    N_p: float
-    tau2: float
-    beta2: float
-    gamma2: float
-    n_s: int = 1
-    d: int = 1
+    N: Annotated[float, Range(1)]
+    N_p: Annotated[float, Range(0)]
+    tau2: Annotated[float, Range(0)]
+    beta2: Annotated[float, Range(0)]
+    gamma2: Annotated[float, Range(0)]
+    n_s: Annotated[int, Range(1)] = 1
+    d: Annotated[int, Range(1)] = 1
 
     def __post_init__(self):
         check_field_types(self)
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if not 0 <= self.N_p <= self.N:
-            raise ValueError("N_p must lie in [0, N]")
-        if min(self.tau2, self.beta2, self.gamma2) < 0:
-            raise ValueError("variances must be >= 0")
-        if self.n_s < 1 or self.d < 1:
-            raise ValueError("n_s and d must be >= 1")
+        if self.N_p > self.N:
+            raise ValueError("N_p must be <= N")
 
     @classmethod
     def from_sigma_c2(
@@ -126,9 +121,18 @@ def server_variance_at(p: AnalyticParams, r: float) -> float:
     return (p.N_np * p.sigma_c2 + r**2 * p.N_p * p.sigma_p2) / W**2
 
 
+def _opt_denominator(p: AnalyticParams) -> float:
+    """N*(sigma_c2 + rho_np*N_p*gamma2), the denominator of the variance at r*
+    and of both gaps to it; zero when sigma_c2 and rho_np*N_p*gamma2 both are."""
+    den = p.N * (p.sigma_c2 + p.rho_np * p.N_p * p.gamma2)
+    if den <= 0:
+        raise ValueError("undefined optimum: sigma_c2 and rho_np*N_p*gamma2 are both zero")
+    return den
+
+
 def server_variance_opt(p: AnalyticParams) -> float:
     """Variance at r*: sigma_c2*sigma_p2 / (N*(sigma_c2 + rho_np*N_p*gamma2))."""
-    return (p.sigma_c2 * p.sigma_p2) / (p.N * (p.sigma_c2 + p.rho_np * p.N_p * p.gamma2))
+    return (p.sigma_c2 * p.sigma_p2) / _opt_denominator(p)
 
 
 def server_variance_fedavg(p: AnalyticParams) -> float:
@@ -143,14 +147,12 @@ def server_variance_dpfedavg(p: AnalyticParams) -> float:
 
 def gap_fedavg(p: AnalyticParams) -> float:
     """Simplified form of server_variance_fedavg - server_variance_opt."""
-    den = p.N * (p.sigma_c2 + p.rho_np * p.N_p * p.gamma2)
-    return p.rho_np * (1.0 - p.rho_np) * (p.N_p * p.gamma2) ** 2 / den
+    return p.rho_np * (1.0 - p.rho_np) * (p.N_p * p.gamma2) ** 2 / _opt_denominator(p)
 
 
 def gap_dpfedavg(p: AnalyticParams) -> float:
     """Simplified form of server_variance_dpfedavg - server_variance_opt."""
-    den = p.N * (p.sigma_c2 + p.rho_np * p.N_p * p.gamma2)
-    return p.N_p * p.gamma2 * p.rho_np * (p.sigma_c2 + p.N_p * p.gamma2) / den
+    return p.N_p * p.gamma2 * p.rho_np * (p.sigma_c2 + p.N_p * p.gamma2) / _opt_denominator(p)
 
 
 def lambda_star_np(p: AnalyticParams) -> float:

@@ -8,7 +8,9 @@ Verbs:
   analytic     closed-form quantities and Monte Carlo sweeps
 
 Exit codes: 0 success, 1 run failure (partial CSV is flushed with a trailing
-FAILED marker row), 2 configuration / usage failure or an unusable --out.
+FAILED marker row), 2 configuration / usage failure or an output that cannot
+be written: --out, or a run's manifest.json / summary.json, which are written
+after rounds.csv is complete. `main` alone turns an exception into exit 2.
 
 `main` may be called repeatedly in one process: it builds the argument parser
 on its first call and reuses it. Handlers look up the functions they call
@@ -50,6 +52,13 @@ from .simulate import RoundReport, focal_scenario, lambda_sweep, monte_carlo_ser
 _CONFIG_ERRORS = (OSError, ValueError, TypeError, KeyError)  # malformed YAML is a ValueError
 
 
+class _OutputError(Exception):
+    """An output path that cannot be written; the message is ``<path>: <reason>``."""
+
+    def __init__(self, path, exc: OSError):
+        super().__init__(f"{path}: {exc.strerror or exc}")
+
+
 def _jsonable(obj):
     """Strict-JSON-safe copy: non-finite floats become 'inf'/'-inf'/'nan' strings."""
     if isinstance(obj, dict):
@@ -65,23 +74,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
 
 
-def _output_error(out: str, exc: OSError) -> int:
-    print(f"output error: {out}: {exc.strerror or exc}", file=sys.stderr)
-    return 2
-
-
-def _emit(payload: dict, out: str | None) -> int:
-    """Write the payload to ``out`` if given, then print it; nothing is printed
-    if ``out`` cannot be written."""
-    text = _json_text(payload)
-    if out:
-        try:
-            Path(out).parent.mkdir(parents=True, exist_ok=True)
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            return _output_error(out, exc)
-    sys.stdout.write(text)
-    return 0
+def _write(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, making its directory if needed."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _OutputError(path, exc) from exc
 
 
 def _analytic_params(args) -> AnalyticParams:
@@ -136,16 +135,11 @@ def _maybe_inf(fn, *a):
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = parse_config(args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     if args.workers < 1:
-        print("config error: --workers must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--workers must be >= 1")
 
     out_dir = Path(args.out)
     manifest = {
@@ -160,7 +154,7 @@ def _cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         fh = open(out_dir / "rounds.csv", "w", encoding="utf-8", newline="")
     except OSError as exc:  # nothing is written
-        return _output_error(args.out, exc)
+        raise _OutputError(args.out, exc) from exc
 
     result = None
     failure = None
@@ -180,7 +174,7 @@ def _cmd_run(args) -> int:
 
     manifest["finished_at"] = datetime.now(timezone.utc).isoformat()
     manifest["status"] = "failed" if failure is not None else "ok"
-    (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
+    _write(out_dir / "manifest.json", _json_text(manifest))
     if failure is not None:
         print(f"run failed: {failure}", file=sys.stderr)
         return 1
@@ -192,18 +186,18 @@ def _cmd_run(args) -> int:
         "privacy": result.ledger.to_dict(),
         "config_sha256": manifest["config_sha256"],
     }
-    (out_dir / "summary.json").write_text(_json_text(summary), encoding="utf-8")
+    _write(out_dir / "summary.json", _json_text(summary))
     return 0
 
 
 def _cmd_emit(args) -> int:
-    """Verbs that answer with one JSON payload, written to --out if given, then printed."""
-    try:
-        payload = args.payload_fn(args)
-    except _CONFIG_ERRORS as exc:  # UnboundedLambda is a ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return _emit(payload, args.out)
+    """Verbs that answer with one JSON payload, written to --out if given, then
+    printed; nothing is printed if --out cannot be written."""
+    text = _json_text(args.payload_fn(args))
+    if args.out:
+        _write(args.out, text)
+    sys.stdout.write(text)
+    return 0
 
 
 def _validate(args) -> dict:
@@ -383,8 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb; a config or output error raised in it is printed here and exits 2."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+    except _CONFIG_ERRORS as exc:  # UnboundedLambda is a ValueError
+        print(f"config error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -2,9 +2,13 @@
 
 Config files are YAML (JSON is a YAML subset, so plain JSON files load too;
 floats follow YAML 1.2, so ``1e-5`` and JSON's ``1e-05`` are numbers).
-Parsing is strict: unknown keys and out-of-range values are rejected with the
-offending key named, and a parsed config serializes back to the exact mapping
-that reproduces it (`config_to_dict` / `build_experiment_config` round-trip).
+Each field declares its type and, for a bounded number, its `Range` once, in
+its annotation; `check_field_types` enforces both, with one message format
+(``"{name} must be {range}"``), and ``__post_init__`` keeps only the rules that
+span several fields. Parsing is strict: unknown keys and out-of-range values
+are rejected with the offending key named, and a parsed config serializes back
+to the exact mapping that reproduces it (`config_to_dict` /
+`build_experiment_config` round-trip).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import sys
 import typing
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Annotated, Optional
 
 
 class Algorithm(str, Enum):
@@ -33,26 +37,52 @@ class PopulationKind(str, Enum):
     LABEL_SHARD = "label_shard"
 
 
+@dataclass(frozen=True)
+class Range:
+    """A numeric field's valid interval, declared beside its type in the
+    annotation: ``r: Annotated[float, Range(0, 1)]``. Each end is closed unless
+    marked open, and no ``hi`` leaves the interval unbounded above."""
+
+    lo: float
+    hi: Optional[float] = None
+    lo_open: bool = False
+    hi_open: bool = False
+
+    def __contains__(self, value) -> bool:
+        above = self.lo < value if self.lo_open else self.lo <= value
+        below = self.hi is None or (value < self.hi if self.hi_open else value <= self.hi)
+        return above and below
+
+    def __str__(self) -> str:
+        if self.hi is None:
+            return f"{'>' if self.lo_open else '>='} {self.lo}"
+        return f"in {'(' if self.lo_open else '['}{self.lo}, {self.hi}{')' if self.hi_open else ']'}"
+
+
 @functools.cache
 def _field_types(cls) -> tuple:
-    """(name, type, optional, required) for each field of the dataclass ``cls``,
-    read from its resolved annotations; ``type`` drops the ``Optional``."""
-    hints = typing.get_type_hints(cls)
+    """(name, type, optional, required, range) for each field of the dataclass
+    ``cls``, read from its resolved annotations; ``type`` drops the ``Optional``,
+    and ``range`` is the `Range` the annotation declares, or None."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     out = []
     for f in dataclasses.fields(cls):
-        hint = hints[f.name]
+        hint, bounds = hints[f.name], None
+        if typing.get_origin(hint) is Annotated:
+            hint, bounds = typing.get_args(hint)
         optional = type(None) in typing.get_args(hint)  # Optional[X] has args (X, NoneType)
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        out.append((f.name, typing.get_args(hint)[0] if optional else hint, optional, required))
+        out.append((f.name, typing.get_args(hint)[0] if optional else hint, optional, required, bounds))
     return tuple(out)
 
 
 def check_field_types(obj) -> None:
     """Reject a field of the dataclass ``obj`` whose value its annotation does not
     admit: an int takes a Python int, a float an int or float within the finite float
-    range (NaN passes every range check), a str a string, any other type an instance
-    of it. A bool is never accepted, and None only where the annotation is ``Optional``."""
-    for name, kind, optional, _ in _field_types(type(obj)):
+    range, a str a string, any other type an instance of it. A bool is never accepted,
+    and None only where the annotation is ``Optional``. A value that passes must then
+    lie in the field's declared `Range`, if it has one."""
+    for name, kind, optional, _, bounds in _field_types(type(obj)):
         value = getattr(obj, name)
         if value is None and optional:
             continue
@@ -65,6 +95,8 @@ def check_field_types(obj) -> None:
                 kind, f"an instance of {kind.__name__}"
             )
             raise ValueError(f"{name} must be {what}, got {value!r}")
+        if bounds is not None and value not in bounds:
+            raise ValueError(f"{name} must be {bounds}")
 
 
 @dataclass(frozen=True)
@@ -75,14 +107,12 @@ class PoolSpec:
     classes: int = 10
     per_class: int = 200
     feature_dim: int = 16
-    spread: float = 3.0
+    spread: Annotated[float, Range(0)] = 3.0
     idx_images: Optional[str] = None
     idx_labels: Optional[str] = None
 
     def __post_init__(self):
         check_field_types(self)
-        if self.spread < 0:
-            raise ValueError("spread must be >= 0")
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ValueError("idx_images and idx_labels must be given together")
         for key in ("idx_images", "idx_labels"):
@@ -99,30 +129,18 @@ class PoolSpec:
 @dataclass(frozen=True)
 class PopulationSpec:
     kind: PopulationKind
-    n_clients: int
-    rho_np: float
-    samples_per_client: int = 20
-    seed: int = 0
-    tau2: float = 0.0
-    beta2: float = 1.0
-    d: int = 1
-    skew_label: Optional[int] = None
+    n_clients: Annotated[int, Range(1)]
+    rho_np: Annotated[float, Range(0, 1)]
+    samples_per_client: Annotated[int, Range(1)] = 20
+    seed: Annotated[int, Range(0)] = 0
+    tau2: Annotated[float, Range(0)] = 0.0
+    beta2: Annotated[float, Range(0)] = 1.0
+    d: Annotated[int, Range(1)] = 1
+    skew_label: Annotated[Optional[int], Range(0)] = None
     pool: Optional[PoolSpec] = None
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if not 0.0 <= self.rho_np <= 1.0:
-            raise ValueError("rho_np must be in [0, 1]")
-        if self.samples_per_client < 1:
-            raise ValueError("samples_per_client must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.tau2 < 0 or self.beta2 < 0:
-            raise ValueError("tau2 and beta2 must be >= 0")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
         if self.kind is PopulationKind.LINEAR_REGRESSION and self.samples_per_client < self.d:
             raise ValueError(
                 f"infeasible design: need samples_per_client >= d, got {self.samples_per_client} < {self.d}"
@@ -144,34 +162,18 @@ class FeO2Config:
     """Algorithm mechanics: aggregation ratio r, noise multipliers, clip-norm
     tracking, and the local training loop."""
 
-    r: float = 1.0
-    z: float = 0.0
-    z_b: float = 0.0
-    S0: float = 1.0
-    kappa: float = 0.5
-    eta_b: float = 0.2
-    eta: float = 1.0
-    epochs: int = 1
-    batch_size: Optional[int] = None
+    r: Annotated[float, Range(0, 1)] = 1.0
+    z: Annotated[float, Range(0)] = 0.0
+    z_b: Annotated[float, Range(0)] = 0.0
+    S0: Annotated[float, Range(0, lo_open=True)] = 1.0
+    kappa: Annotated[float, Range(0, 1)] = 0.5
+    eta_b: Annotated[float, Range(0, lo_open=True)] = 0.2
+    eta: Annotated[float, Range(0, lo_open=True)] = 1.0
+    epochs: Annotated[int, Range(1)] = 1
+    batch_size: Annotated[Optional[int], Range(1)] = None
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0.0 <= self.r <= 1.0:
-            raise ValueError("r must be in [0, 1]")
-        if self.z < 0 or self.z_b < 0:
-            raise ValueError("z and z_b must be >= 0")
-        if self.S0 <= 0:
-            raise ValueError("S0 must be > 0")
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError("kappa must be in [0, 1]")
-        if self.eta_b <= 0:
-            raise ValueError("eta_b must be > 0")
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 when given")
 
 
 @dataclass(frozen=True)
@@ -179,16 +181,12 @@ class DittoConfig:
     """Ditto's proximal tether: one strength per class, and the personal step
     size (None: ``1/(1+lambda)`` per class)."""
 
-    lambda_p: float
-    lambda_np: float
-    eta_p: Optional[float] = None
+    lambda_p: Annotated[float, Range(0)]
+    lambda_np: Annotated[float, Range(0)]
+    eta_p: Annotated[Optional[float], Range(0, lo_open=True)] = None
 
     def __post_init__(self):
         check_field_types(self)
-        if self.lambda_p < 0 or self.lambda_np < 0:
-            raise ValueError("lambdas must be >= 0")
-        if self.eta_p is not None and self.eta_p <= 0:
-            raise ValueError("eta_p must be > 0")
 
 
 @dataclass(frozen=True)
@@ -197,21 +195,13 @@ class ExperimentConfig:
     algorithm: Algorithm
     feo2: FeO2Config = FeO2Config()
     ditto: Optional[DittoConfig] = None
-    rounds: int = 1
-    cohort_fraction: float = 1.0
-    master_seed: int = 0
-    delta: float = 1e-5
+    rounds: Annotated[int, Range(0)] = 1
+    cohort_fraction: Annotated[float, Range(0, 1, lo_open=True)] = 1.0
+    master_seed: Annotated[int, Range(0)] = 0
+    delta: Annotated[float, Range(0, 1, lo_open=True, hi_open=True)] = 1e-5
 
     def __post_init__(self):
         check_field_types(self)
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
-        if not 0.0 < self.cohort_fraction <= 1.0:
-            raise ValueError("cohort_fraction must be in (0, 1]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
         if self.algorithm is Algorithm.FEDAVG and self.feo2.z != 0.0:
             raise ValueError("fedavg must run with z = 0")
 
@@ -227,7 +217,7 @@ def _from_mapping(cls, mapping, section: str = ""):
     if unknown:
         raise ValueError(f"unknown key '{min(unknown, key=str)}' in section '{section or 'config root'}'")
     kwargs = {}
-    for name, kind, optional, required in fields:
+    for name, kind, optional, required, _ in fields:
         child = f"{section}.{name}" if section else name
         if name not in mapping:
             if dataclasses.is_dataclass(kind) and required:

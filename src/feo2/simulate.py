@@ -139,7 +139,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     r = cfg.feo2.r if cfg.algorithm is Algorithm.FEO2 else 1.0
     # The ledger and its last best order (an index into DEFAULT_ORDERS): a round
     # moves that order little, so the next round's epsilon scan starts there.
-    ledger, start = PrivacyLedger(), None
+    ledger, eps_start = PrivacyLedger(), None
     n = len(pop.private)
     in_private_group = np.ones(n, dtype=bool) if cfg.algorithm is Algorithm.DPFEDAVG else pop.private
     cohort_size = max(1, round(cfg.cohort_fraction * n))
@@ -153,15 +153,15 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     n_ex, mini = pop.train_x.shape[1], cfg.feo2.batch_size is not None
     examples = np.tile(np.arange(n_ex), (cfg.feo2.epochs, cohort_size, 1)) if mini else None
 
-    def train(ids, order, theta, S):
+    def train(ids, batch_order, theta, S):
         """The batched client step for the sorted cohort rows ``ids``, with their
-        mini-batch example orders ``order`` (None for full batches)."""
+        mini-batch example orders ``batch_order`` (None for full batches)."""
         # Consecutive ids (all clients under full participation) are sliced, not copied.
         rows = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == len(ids) else ids
-        start = None if personal is None else np.where(trained[rows, None], personal[rows], theta)
+        personal_start = None if personal is None else np.where(trained[rows, None], personal[rows], theta)
         y = None if pop.train_y is None else pop.train_y[rows]
-        cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, start)
-        deltas, bits, stepped = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, order)
+        cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, personal_start)
+        deltas, bits, stepped = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, batch_order)
         if personal is not None:
             personal[rows], trained[rows] = stepped, True
         return deltas, bits
@@ -170,9 +170,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     with _chunk_map(workers) as run_chunks:
         for t in range(cfg.rounds):
             ids = np.sort(stream(seed, "cohort", t).choice(n, cohort_size, replace=False))
-            order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
+            batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
             parts = [p for p in np.array_split(np.arange(len(ids)), workers) if p.size]
-            chunks = [(ids[p], None if order is None else order[:, p]) for p in parts]
+            chunks = [(ids[p], None if batch_order is None else batch_order[:, p]) for p in parts]
             try:
                 results = run_chunks(lambda c: train(*c, theta, S), chunks)
                 deltas, indicators = map(np.concatenate, zip(*results))
@@ -195,8 +195,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 
             if z > 0 and N_p:
                 ledger = account_round(ledger, cfg.cohort_fraction, z)
-            epsilon, order = epsilon_at_delta(ledger, cfg.delta, start) if z > 0 else (math.inf, None)
-            start = None if order is None else DEFAULT_ORDERS.index(order)
+            epsilon, order = epsilon_at_delta(ledger, cfg.delta, eps_start) if z > 0 else (math.inf, None)
+            eps_start = None if order is None else DEFAULT_ORDERS.index(order)
 
             metrics = _evaluate(theta, pop, personal, trained, ids, local_hits)
             report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)

@@ -4,7 +4,9 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -165,13 +167,13 @@ def test_skew_label_restricted_to_shard_populations():
 
 
 POINT = PopulationSpec(kind=PopulationKind.POINT_ESTIMATION, n_clients=4, rho_np=0.5)
-VALID = [  # one valid instance of each config object
+VALID = [  # one valid instance of each config object, valid at every end of each field's range
     PoolSpec(),
-    POINT,
+    PopulationSpec(kind=PopulationKind.LABEL_SHARD, n_clients=4, rho_np=0.5, skew_label=0),
     FeO2Config(),
     DittoConfig(lambda_p=0.5, lambda_np=0.5),
     ExperimentConfig(population=POINT, algorithm=Algorithm.FEO2),
-    AnalyticParams(N=10, N_p=5, tau2=0.5, beta2=1.0, gamma2=0.1),
+    AnalyticParams(N=10, N_p=1, tau2=0.5, beta2=1.0, gamma2=0.1),
 ]
 
 
@@ -185,6 +187,54 @@ def test_every_annotated_field_rejects_values_its_type_does_not_admit(valid):
         for value in bad + ([] if optional else [None]):
             with pytest.raises(ValueError, match=f"^{field.name} must be "):
                 dataclasses.replace(valid, **{field.name: value})
+
+
+# Every bounded field, with its range as its error message reads it.
+RANGES = {
+    PoolSpec: {"spread": ">= 0"},
+    PopulationSpec: {
+        "n_clients": ">= 1", "rho_np": "in [0, 1]", "samples_per_client": ">= 1", "seed": ">= 0",
+        "tau2": ">= 0", "beta2": ">= 0", "d": ">= 1", "skew_label": ">= 0",
+    },
+    FeO2Config: {
+        "r": "in [0, 1]", "z": ">= 0", "z_b": ">= 0", "S0": "> 0", "kappa": "in [0, 1]",
+        "eta_b": "> 0", "eta": "> 0", "epochs": ">= 1", "batch_size": ">= 1",
+    },
+    DittoConfig: {"lambda_p": ">= 0", "lambda_np": ">= 0", "eta_p": "> 0"},
+    ExperimentConfig: {"rounds": ">= 0", "cohort_fraction": "in (0, 1]", "master_seed": ">= 0", "delta": "in (0, 1)"},
+    AnalyticParams: {
+        "N": ">= 1", "N_p": ">= 0", "tau2": ">= 0", "beta2": ">= 0", "gamma2": ">= 0", "n_s": ">= 1", "d": ">= 1",
+    },
+}
+
+
+def _ends(text):
+    """(value, closed, direction outward) for each finite end of a range as its message reads it."""
+    if text.startswith(">"):
+        return [(float(text.split()[-1]), text.startswith(">="), -1)]
+    lo, hi = text[4:-1].split(", ")
+    return [(float(lo), text[3] == "[", -1), (float(hi), text[-1] == "]", 1)]
+
+
+@pytest.mark.parametrize("valid", VALID, ids=[type(v).__name__ for v in VALID])
+def test_every_declared_range_admits_its_closed_ends_and_nothing_past_them(valid):
+    hints = typing.get_type_hints(type(valid), include_extras=True)
+    declared = {name for name, hint in hints.items() if getattr(hint, "__metadata__", ())}
+    assert declared == set(RANGES[type(valid)])
+    for name, text in RANGES[type(valid)].items():
+        inner = typing.get_args(hints[name])[0]  # the type the Range annotates
+        is_int = int in (inner, *typing.get_args(inner))
+        refused = f"^{re.escape(f'{name} must be {text}')}$"
+        for end, closed, outward in _ends(text):
+            past = int(end) + outward if is_int else math.nextafter(end, outward * math.inf)
+            at = int(end) if is_int else end
+            if closed:
+                assert getattr(dataclasses.replace(valid, **{name: at}), name) == at
+            else:
+                with pytest.raises(ValueError, match=refused):
+                    dataclasses.replace(valid, **{name: at})
+            with pytest.raises(ValueError, match=refused):
+                dataclasses.replace(valid, **{name: past})
 
 
 # --- CLI --------------------------------------------------------------------
@@ -285,6 +335,18 @@ def test_an_unusable_out_exits_2_and_writes_nothing(tmp_path, capsys):
     assert (tmp_path / "file").read_text(encoding="utf-8") == ""
 
 
+@pytest.mark.parametrize("name", ["manifest.json", "summary.json"])
+def test_an_unwritable_manifest_or_summary_exits_2_after_a_complete_csv(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)  # was an IsADirectoryError traceback with exit 1
+    assert main(["run", "--config", _write(tmp_path, GOOD), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: {out / name}: "), err
+    assert "Traceback" not in err
+    rows = list(csv.DictReader((out / "rounds.csv").read_text().splitlines()))
+    assert [int(r["round"]) for r in rows] == [0, 1, 2]
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs verbs in a fresh interpreter and prints, as its last line, whether PyYAML
@@ -350,6 +412,7 @@ INTEGER_FIELD_CASES = [  # (config, key, value, extra run flags)
     (GOOD, "population.n_clients", 12.0, []),
     (GOOD, "master_seed", 21, ["--seed", "-1"]),
     (SHARD, "population.skew_label", True, []),
+    (SHARD, "population.skew_label", -1, []),  # was a run failure: exit 1 and a FAILED row
     (SHARD, "population.pool.per_class", 2.5, []),
 ]
 
@@ -571,6 +634,31 @@ def test_lambda_star_is_the_sweeps_argmin_under_either_aggregator(focal, aggrega
     payload = json.loads(capsys.readouterr().out)
     assert payload["lambda_star"] >= 0.0
     assert abs(payload["lambda_star"] - payload["mc_argmin"]) <= 0.05 + 1e-9
+
+
+ZERO_VARIANCE = ["--N", "100", "--N-p", "95", "--sigma-c2", "0", "--gamma2", "0"]
+UNDEFINED_OPTIMUM_CASES = [  # sigma_c2 = 0 and rho_np*N_p*gamma2 = 0
+    ("variance", ZERO_VARIANCE),  # was a ZeroDivisionError traceback with exit 1
+    ("gaps", ZERO_VARIANCE),
+    ("rho-sweep", ZERO_VARIANCE),  # was "opt": "nan" in every row with exit 0
+    ("gaps", ["--N", "100", "--N-p", "0", "--sigma-c2", "0", "--gamma2", "0.1"]),
+]
+
+
+@pytest.mark.parametrize(
+    "verb, flags", UNDEFINED_OPTIMUM_CASES, ids=[f"{v} {' '.join(f)}" for v, f in UNDEFINED_OPTIMUM_CASES]
+)
+def test_an_undefined_optimum_is_a_named_error_with_exit_2(verb, flags, capsys):
+    assert main(["analytic", verb, *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "config error: undefined optimum: sigma_c2 and rho_np*N_p*gamma2 are both zero\n"
+
+
+def test_noise_free_clients_give_zero_variance_at_the_optimum(capsys):
+    argv = ["analytic", "variance", "--N", "100", "--N-p", "95", "--sigma-c2", "0", "--gamma2", "0.1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["opt"] == 0.0
 
 
 def test_analytic_parameterization_conflict_exits_2(capsys):

@@ -201,13 +201,14 @@ def account_round(ledger: PrivacyLedger, q: float, z: float) -> PrivacyLedger:
 
 
 def epsilon_at_delta(
-    ledger: PrivacyLedger, delta: float, start: int | None = None
+    ledger: PrivacyLedger, delta: float, start: float | None = None
 ) -> tuple[float, float]:
     """(epsilon, best order) of the ledger at ``delta``: the minimum over
     DEFAULT_ORDERS of ``rdp(a) + log(1/delta)/(a - 1)``, found by the scan of
-    the module docstring from the order index ``start`` (by default from the
-    stand-in slope ``s = Σ count · min(2 q^2, 1/2) / z^2``; order 512 for an
-    empty ledger)."""
+    the module docstring from the order ``start`` (the unit of the best order
+    returned, so a run passes back its last one; off the grid, a ValueError),
+    by default from the stand-in slope ``s = Σ count · min(2 q^2, 1/2) / z^2``
+    (order 512 for an empty ledger)."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     orders, rdp = DEFAULT_ORDERS, ledger.rdp
@@ -216,6 +217,8 @@ def epsilon_at_delta(
         slope = sum(count * min(2.0 * q * q, 0.5) / z**2 for q, z, count in ledger.counts)
         a_min = 1.0 + math.sqrt(log_inv / slope) if slope else math.inf
         start = min(bisect.bisect(orders, a_min), len(orders) - 1)
+    else:
+        start = orders.index(start)
 
     def eps_at(i: int) -> float:
         return rdp(orders[i]) + log_inv / (orders[i] - 1.0)

@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .privacy import gaussian_noise_vector, row_norms
+from .privacy import row_norms
 
 
 class RoundSkipped(RuntimeError):
@@ -24,14 +24,15 @@ def group_mean(updates: np.ndarray) -> np.ndarray:
 def dp_group_mean(
     updates: np.ndarray, S: float, z: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Mean of a (clients, dim) stack of clipped updates plus N(0, (z*S/N_p)^2) noise."""
+    """Mean of a (clients, dim) stack of clipped updates plus N(0, (z*S/N_p)^2)
+    noise, drawn from ``rng`` only when z > 0."""
     mean = group_mean(updates)
     norms = row_norms(np.asarray(updates, dtype=np.float64))
     over = norms[~(norms <= S + 1e-9)]  # negated so that a NaN norm fails too
     if over.size:
         raise ValueError(f"private update norm {over[0]:.6g} exceeds clip bound {S}")
-    n = len(updates)
-    return mean + gaussian_noise_vector(mean.shape[0], z * S / n, rng)
+    std = z * S / len(updates)
+    return mean + rng.normal(0.0, std, mean.shape[0]) if std > 0 else mean
 
 
 def feo2_combine(

@@ -123,16 +123,15 @@ def server_variance_at(p: AnalyticParams, r: float) -> float:
 
 def _opt_denominator(p: AnalyticParams) -> float:
     """N*(sigma_c2 + rho_np*N_p*gamma2), the denominator of the variance at r*
-    and of both gaps to it; zero when sigma_c2 and rho_np*N_p*gamma2 both are."""
-    den = p.N * (p.sigma_c2 + p.rho_np * p.N_p * p.gamma2)
-    if den <= 0:
-        raise ValueError("undefined optimum: sigma_c2 and rho_np*N_p*gamma2 are both zero")
-    return den
+    and of both gaps to it. It is zero only when sigma_c2 and rho_np*N_p*gamma2
+    both are; then every rule has variance sigma_p2/N, and both gaps are zero."""
+    return p.N * (p.sigma_c2 + p.rho_np * p.N_p * p.gamma2)
 
 
 def server_variance_opt(p: AnalyticParams) -> float:
     """Variance at r*: sigma_c2*sigma_p2 / (N*(sigma_c2 + rho_np*N_p*gamma2))."""
-    return (p.sigma_c2 * p.sigma_p2) / _opt_denominator(p)
+    den = _opt_denominator(p)
+    return (p.sigma_c2 * p.sigma_p2) / den if den else p.sigma_p2 / p.N
 
 
 def server_variance_fedavg(p: AnalyticParams) -> float:
@@ -147,12 +146,14 @@ def server_variance_dpfedavg(p: AnalyticParams) -> float:
 
 def gap_fedavg(p: AnalyticParams) -> float:
     """Simplified form of server_variance_fedavg - server_variance_opt."""
-    return p.rho_np * (1.0 - p.rho_np) * (p.N_p * p.gamma2) ** 2 / _opt_denominator(p)
+    den = _opt_denominator(p)
+    return p.rho_np * (1.0 - p.rho_np) * (p.N_p * p.gamma2) ** 2 / den if den else 0.0
 
 
 def gap_dpfedavg(p: AnalyticParams) -> float:
     """Simplified form of server_variance_dpfedavg - server_variance_opt."""
-    return p.N_p * p.gamma2 * p.rho_np * (p.sigma_c2 + p.N_p * p.gamma2) / _opt_denominator(p)
+    den = _opt_denominator(p)
+    return p.N_p * p.gamma2 * p.rho_np * (p.sigma_c2 + p.N_p * p.gamma2) / den if den else 0.0
 
 
 def lambda_star_np(p: AnalyticParams) -> float:

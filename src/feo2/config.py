@@ -204,6 +204,8 @@ class ExperimentConfig:
         check_field_types(self)
         if self.algorithm is Algorithm.FEDAVG and self.feo2.z != 0.0:
             raise ValueError("fedavg must run with z = 0")
+        if self.algorithm is not Algorithm.FEO2 and self.feo2.r != 1.0:
+            raise ValueError(f"{self.algorithm.value} must run with r = 1")
 
 
 def _from_mapping(cls, mapping, section: str = ""):

@@ -114,8 +114,6 @@ def client_update(
     `NumericFailure` naming the first such client."""
     from .personalization import ditto_step
 
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be positive")
     global_model = np.asarray(global_model, dtype=np.float64)
     theta = np.repeat(global_model[None, :], len(cohort.ids), axis=0)
     personal = None

@@ -1,4 +1,4 @@
-"""Clipping, Gaussian noising, and the adaptive clip-norm update."""
+"""Clipping, and the adaptive clip-norm update with its noised indicator mean."""
 
 from __future__ import annotations
 
@@ -39,15 +39,6 @@ def clip(v: np.ndarray, S: float) -> tuple[np.ndarray, int]:
     """`clip_rows` of the single vector ``v``: (clipped, b) with b = 1 iff ||v|| <= S."""
     out, b = clip_rows(np.reshape(np.asarray(v, dtype=np.float64), (1, -1)), S)
     return out[0], int(b[0])
-
-
-def gaussian_noise_vector(dim: int, std: float, rng: np.random.Generator) -> np.ndarray:
-    """I.i.d. N(0, std^2) vector; exactly zero when std == 0."""
-    if std < 0:
-        raise ValueError("std must be >= 0")
-    if std == 0.0:
-        return np.zeros(dim)
-    return rng.normal(0.0, std, dim)
 
 
 def update_clip_norm(

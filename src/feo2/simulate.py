@@ -1,9 +1,10 @@
 """Round orchestration and Monte Carlo harnesses.
 
 `run_experiment` executes the full federated loop: cohort sampling, one batched
-client step per round, two-group aggregation with optional noising, adaptive
-clip norm, privacy accounting, and evaluation against a cached per-client
-score, of which each round rescores only its cohort. Every random draw comes
+client step per round, two-group aggregation at the config's ratio r with
+optional noising, adaptive clip norm, privacy accounting, and evaluation
+against a per-client score cache (NaN until a client first trains), of which
+each round rescores only its cohort. Every random draw comes
 from a stream keyed on (master_seed, purpose, round): a round's mini-batch
 orders are drawn for the whole sorted cohort before it is split into chunks,
 and clients never mix, so reports are byte-stable for any number of workers.
@@ -28,7 +29,7 @@ from typing import ClassVar, List, Optional, Sequence
 
 import numpy as np
 
-from .accounting import DEFAULT_ORDERS, PrivacyLedger, account_round, epsilon_at_delta
+from .accounting import PrivacyLedger, account_round, epsilon_at_delta
 from .aggregation import RoundSkipped, apply_update, dp_group_mean, feo2_combine, group_mean
 from .analytic import AnalyticParams, focal_view, optimal_ratio
 from .config import Algorithm, ExperimentConfig, PopulationKind
@@ -80,31 +81,29 @@ def _group_metric(values: np.ndarray) -> float:
     return float(np.mean(values)) if len(values) else float("nan")
 
 
-def _evaluate(theta, pop: Population, personal, trained, ids, local_hits) -> dict:
+def _evaluate(theta, pop: Population, personal, ids, local) -> dict:
     """Per-round metrics. Classification: percent accuracy on test splits.
     Quadratic kinds: squared error against the hidden truths (lower is better).
 
     The global model is scored once, on the pooled server test set split into
-    the clients' equal segments. ``local_hits`` (None without Ditto) caches each
-    client's (clients, n_test) personal-model test hits: only the cohort rows
-    ``ids``, whose personal models just changed, are rescored. Any client not
-    yet ``trained`` takes its global score as its local score."""
+    the clients' equal segments. ``local`` (None without Ditto) caches each
+    client's personal-model score, NaN until its first training: only the
+    cohort rows ``ids``, whose personal models just changed, are rescored, and
+    a client not yet trained takes its global score as its local score."""
     is_private, n = pop.private, len(pop.private)
     if pop.kind is PopulationKind.LABEL_SHARD:
         x, labels = pop.server_test
         hits = (_logits(theta, x).argmax(axis=1) == labels).reshape(n, -1)
-        acc_g = 100.0 * float(np.mean(hits))
-        local = hits
-        if local_hits is not None:
-            logits = _logits(personal[ids], pop.test_x[ids])
-            local_hits[ids] = logits.argmax(axis=2) == pop.test_y[ids]
-            local = np.where(trained[:, None], local_hits, hits)
-        on_global, on_local = 100.0 * hits.mean(axis=1), 100.0 * local.mean(axis=1)
+        acc_g, on_global = 100.0 * float(np.mean(hits)), 100.0 * hits.mean(axis=1)
+        if local is not None:
+            predicted = _logits(personal[ids], pop.test_x[ids]).argmax(axis=2)
+            local[ids] = 100.0 * (predicted == pop.test_y[ids]).mean(axis=1)
     else:
         acc_g = float(np.sum((theta - pop.truth_global) ** 2))
-        models = theta if personal is None else np.where(trained[:, None], personal, theta)
         on_global = np.sum((theta - pop.truth_clients) ** 2, axis=1)
-        on_local = np.sum((models - pop.truth_clients) ** 2, axis=1)
+        if local is not None:
+            local[ids] = np.sum((personal[ids] - pop.truth_clients[ids]) ** 2, axis=1)
+    on_local = on_global if local is None else np.where(np.isnan(local), on_global, local)
     out = {
         "acc_g": acc_g,
         "acc_g_p": _group_metric(on_global[is_private]),
@@ -134,20 +133,18 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     pop = build_population(cfg.population)
     theta = np.zeros(pop.dim)
     S, z, seed = cfg.feo2.S0, cfg.feo2.z, cfg.master_seed
-    # One aggregation rule for all three algorithms: FedAvg is r = 1 with z = 0
-    # (the config enforces z = 0), DP-FedAvg is r = 1 with every client private.
-    r = cfg.feo2.r if cfg.algorithm is Algorithm.FEO2 else 1.0
-    # The ledger and its last best order (an index into DEFAULT_ORDERS): a round
-    # moves that order little, so the next round's epsilon scan starts there.
-    ledger, eps_start = PrivacyLedger(), None
+    # The ledger and its last best order: a round moves that order little, so
+    # the next round's epsilon scan starts there.
+    ledger, order = PrivacyLedger(), None
     n = len(pop.private)
+    # One aggregation rule for all three algorithms: FedAvg is r = 1 with z = 0, and
+    # DP-FedAvg r = 1 with every client private (the config enforces both rules).
     in_private_group = np.ones(n, dtype=bool) if cfg.algorithm is Algorithm.DPFEDAVG else pop.private
     cohort_size = max(1, round(cfg.cohort_fraction * n))
-    # Ditto state: every client's personal model, valid where ``trained``.
+    # Ditto state: every client's personal model and its score (see `_evaluate`),
+    # both valid where the score is not NaN, that is once the client has trained.
     personal = None if cfg.ditto is None else np.zeros((n, pop.dim))
-    trained = np.zeros(n, dtype=bool)
-    # Classification with Ditto: each client's personal-model test hits, see `_evaluate`.
-    local_hits = None if personal is None or pop.test_y is None else np.zeros_like(pop.test_y, bool)
+    local = None if personal is None else np.full(n, np.nan)
     reports: List[RoundReport] = []
     # Mini-batch runs: each epoch's example order per cohort position, shuffled each round.
     n_ex, mini = pop.train_x.shape[1], cfg.feo2.batch_size is not None
@@ -158,12 +155,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
         mini-batch example orders ``batch_order`` (None for full batches)."""
         # Consecutive ids (all clients under full participation) are sliced, not copied.
         rows = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == len(ids) else ids
-        personal_start = None if personal is None else np.where(trained[rows, None], personal[rows], theta)
+        personal_start = None if personal is None else np.where(np.isnan(local[rows, None]), theta, personal[rows])
         y = None if pop.train_y is None else pop.train_y[rows]
         cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, personal_start)
         deltas, bits, stepped = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, batch_order)
         if personal is not None:
-            personal[rows], trained[rows] = stepped, True
+            personal[rows] = stepped
         return deltas, bits
 
     # Threads take contiguous chunks of the sorted cohort.
@@ -186,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
             delta_p = dp_group_mean(priv, S, z, stream(seed, "noise", t)) if N_p else None
             del deltas, priv, nonpriv  # not held while the next round trains
             try:
-                combined = feo2_combine(delta_np, delta_p, N_np, N_p, r)
+                combined = feo2_combine(delta_np, delta_p, N_np, N_p, cfg.feo2.r)
                 theta = apply_update(theta, combined)
             except RoundSkipped:
                 pass  # no usable update; clip norm and accounting still advance
@@ -195,15 +192,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 
             if z > 0 and N_p:
                 ledger = account_round(ledger, cfg.cohort_fraction, z)
-            epsilon, order = epsilon_at_delta(ledger, cfg.delta, eps_start) if z > 0 else (math.inf, None)
-            eps_start = None if order is None else DEFAULT_ORDERS.index(order)
+            epsilon, order = epsilon_at_delta(ledger, cfg.delta, order) if z > 0 else (math.inf, None)
 
-            metrics = _evaluate(theta, pop, personal, trained, ids, local_hits)
+            metrics = _evaluate(theta, pop, personal, ids, local)
             report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)
             reports.append(report)
             if on_round is not None:
                 on_round(report)
-    personal_models = None if personal is None else np.where(trained[:, None], personal, theta)
+    personal_models = None if personal is None else np.where(np.isnan(local)[:, None], theta, personal)
     return ExperimentResult(reports, ledger, theta, pop, personal_models)
 
 

@@ -184,17 +184,22 @@ def ditto_closed_form(
 
 
 def rescored_local_metrics(result) -> dict:
-    """Final-round ``acc_g``, ``acc_l_p``, ``acc_l_np`` and ``delta_l`` of a
-    label-shard run, rescoring ``result.global_model`` and every row of
-    ``result.personal_models`` from scratch by their most probable class, with
-    the group and percent arithmetic of `feo2.simulate._evaluate`."""
+    """Final-round ``acc_g``, ``acc_l_p``, ``acc_l_np`` and ``delta_l`` of a run
+    with Ditto, rescoring ``result.global_model`` and every row of
+    ``result.personal_models`` from scratch with the group and score arithmetic
+    of `feo2.simulate._evaluate`: percent hits of the most probable class for
+    label shards, squared error against the hidden truths for the quadratic kinds."""
     pop = result.population
-    x, labels = pop.server_test
-    hits = _softmax_probs(result.global_model, x).argmax(axis=1) == labels
-    probs = _softmax_probs(result.personal_models, pop.test_x)
-    on_local = 100.0 * (probs.argmax(axis=2) == pop.test_y).mean(axis=1)
+    if pop.kind is PopulationKind.LABEL_SHARD:
+        x, labels = pop.server_test
+        acc_g = 100.0 * float(np.mean(_softmax_probs(result.global_model, x).argmax(axis=1) == labels))
+        probs = _softmax_probs(result.personal_models, pop.test_x)
+        on_local = 100.0 * (probs.argmax(axis=2) == pop.test_y).mean(axis=1)
+    else:
+        acc_g = float(np.sum((result.global_model - pop.truth_global) ** 2))
+        on_local = np.sum((result.personal_models - pop.truth_clients) ** 2, axis=1)
     out = {
-        "acc_g": 100.0 * float(np.mean(hits)),
+        "acc_g": acc_g,
         "acc_l_p": float(np.mean(on_local[pop.private])),
         "acc_l_np": float(np.mean(on_local[~pop.private])),
     }

@@ -179,24 +179,31 @@ LEDGER_ENTRIES = st.lists(
 @given(
     counts=LEDGER_ENTRIES,
     delta=st.floats(1e-10, 1e-2),
-    start=st.one_of(st.none(), st.integers(0, len(DEFAULT_ORDERS) - 1)),
+    start=st.one_of(st.none(), st.sampled_from(DEFAULT_ORDERS)),
 )
-@example(counts=[(1.0, 0.7, 100)], delta=1e-5, start=0)
-@example(counts=[(1.0, 30.0, 1)], delta=1e-2, start=len(DEFAULT_ORDERS) - 1)
-@example(counts=[(1e-4, 100.0, 1)], delta=1e-10, start=0)
+@example(counts=[(1.0, 0.7, 100)], delta=1e-5, start=DEFAULT_ORDERS[0])
+@example(counts=[(1.0, 30.0, 1)], delta=1e-2, start=DEFAULT_ORDERS[-1])
+@example(counts=[(1e-4, 100.0, 1)], delta=1e-10, start=DEFAULT_ORDERS[0])
 @example(counts=[(0.02, 1.1, 100), (1.0, 30.0, 1), (1e-4, 0.5, 5000)], delta=1e-5, start=None)
 @example(counts=[], delta=1e-5, start=None)  # a sampled run's rounds before its first charge
 # minimum in the sparse tail, scanned from the far grid end
-@example(counts=[(1e-4, 2.0, 1)], delta=1e-10, start=len(DEFAULT_ORDERS) - 1)  # order 64
-@example(counts=[(0.01, 5.0, 1)], delta=1e-10, start=0)  # order 128
-@example(counts=[(1e-4, 5.0, 1)], delta=1e-10, start=len(DEFAULT_ORDERS) - 1)  # order 256
-@example(counts=[(1e-4, 10.0, 1)], delta=1e-10, start=0)  # order 512
+@example(counts=[(1e-4, 2.0, 1)], delta=1e-10, start=DEFAULT_ORDERS[-1])  # order 64
+@example(counts=[(0.01, 5.0, 1)], delta=1e-10, start=DEFAULT_ORDERS[0])  # order 128
+@example(counts=[(1e-4, 5.0, 1)], delta=1e-10, start=DEFAULT_ORDERS[-1])  # order 256
+@example(counts=[(1e-4, 10.0, 1)], delta=1e-10, start=DEFAULT_ORDERS[0])  # order 512
 @example(counts=[(0.01, 0.8, 10_000), (0.5, 5.0, 9_999), (1.0, 60.0, 7_777)], delta=1e-5, start=None)
 def test_pruned_epsilon_equals_the_full_curve_bitwise(counts, delta, start):
     ledger = PrivacyLedger(tuple(counts))
     eps, order = epsilon_at_delta(ledger, delta, start)
     want_eps, want_order = oracles.epsilon_full_curve(ledger.counts, delta)
     assert (repr(eps), order) == (repr(want_eps), want_order)
+
+
+@pytest.mark.parametrize("start", [0, 1.3, 65.0, 1024.0])
+def test_an_epsilon_scan_start_off_the_order_grid_is_rejected(start):
+    # start is an order, the unit epsilon_at_delta returns, not an index into the grid
+    with pytest.raises(ValueError):
+        epsilon_at_delta(PrivacyLedger(((0.05, 1.0, 3),)), 1e-5, start)
 
 
 # repr of rdp_increment(q, z, PINNED_ORDERS), recorded before the series'

@@ -23,10 +23,14 @@ def test_group_mean_empty_raises():
         group_mean([])
 
 
-def test_dp_group_mean_zero_noise_is_plain_mean():
-    ups = [np.array([0.5, 0.0]), np.array([0.0, 0.5])]
-    got = dp_group_mean(ups, S=1.0, z=0.0, rng=stream(0, "n"))
-    assert np.array_equal(got, np.array([0.25, 0.25]))
+def test_noise_zero_std_is_exactly_zero():
+    # z = 0: exactly the group mean, and no draw from the generator
+    ups = [np.array([0.5, -0.25]), np.array([0.0, 0.5])]
+    rng = stream(0, "n")
+    before = rng.bit_generator.state
+    got = dp_group_mean(ups, S=1.0, z=0.0, rng=rng)
+    assert np.array_equal(got, group_mean(ups))
+    assert rng.bit_generator.state == before
 
 
 def test_dp_group_mean_rejects_unclipped_updates():
@@ -41,12 +45,13 @@ def test_dp_group_mean_rejects_non_finite_updates():
         dp_group_mean([np.array([np.nan, 0.0])], S=1.0, z=1.0, rng=stream(0, "n"))
 
 
-def test_dp_group_mean_noise_scale():
-    # empirical std of the injected noise ~ z*S/n
-    n, z, S = 4, 2.0, 1.5
-    ups = [np.zeros(50_000) for _ in range(n)]
-    got = dp_group_mean(ups, S=S, z=z, rng=stream(9, "n"))
+def test_noise_std_matches_request():
+    # the injected noise over many coordinates: mean ~ 0, std ~ z*S/N_p = 2.5
+    n, z, S = 4, 5.0, 2.0
+    ups = [np.zeros(200_000) for _ in range(n)]
+    got = dp_group_mean(ups, S=S, z=z, rng=stream(1, "n"))
     assert abs(got.std() - z * S / n) < 0.02
+    assert abs(got.mean()) < 0.02
 
 
 @given(

@@ -1,8 +1,10 @@
 """The benchmark's contract with the program. perfbench/ times feo2 by rebinding
-names that feo2 looks up at call time, reads the accountant's cache counters,
-and runs the privacy plan through feo2's CLI, checking its solve-z answers
-with feo2's own accountant, so a change to src/ must keep all three working.
-The plan's calls share one process, so they must share one parser too."""
+names that feo2 looks up at call time (`build_population` stamps a simulation's
+set-up end, `run_experiment`'s round callback each round), reads the
+accountant's cache counters, and runs the privacy plan through feo2's CLI,
+checking its solve-z answers with feo2's own accountant, so a change to src/
+must keep all three working. The plan's calls share one process, so they must
+share one parser too."""
 
 import importlib
 import json
@@ -12,8 +14,11 @@ from pathlib import Path
 import pytest
 
 import feo2.accounting
+import feo2.cli
+import feo2.simulate
 from feo2.cli import build_parser, main
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -30,6 +35,32 @@ def test_every_span_target_resolves(perfbench):
     spans, _ = perfbench
     for module, attr, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_a_run_fires_the_set_up_hook_once_then_one_round_hook_per_round(monkeypatch, tmp_path, capsys):
+    # perfbench/child.py's simulation hooks: a run that skipped them would read
+    # "set-up end was never reached" in every benchmark repetition
+    events = []
+    build_population, run_experiment = feo2.simulate.build_population, feo2.cli.run_experiment
+
+    def built(*args, **kwargs):
+        out = build_population(*args, **kwargs)
+        events.append("set-up")
+        return out
+
+    def chained(cfg, workers=1, on_round=None):
+        def on_round_stamped(report):
+            events.append("round")
+            on_round(report)
+
+        return run_experiment(cfg, workers=workers, on_round=on_round_stamped)
+
+    monkeypatch.setattr(feo2.simulate, "build_population", built)
+    monkeypatch.setattr(feo2.cli, "run_experiment", chained)
+    argv = ["run", "--config", str(CONFIGS / "point_demo.yaml"), "--out", str(tmp_path / "out"), "--workers", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert events == ["set-up"] + ["round"] * 10  # point_demo.yaml runs 10 rounds
 
 
 def test_rdp_increment_keeps_its_cache_counters():

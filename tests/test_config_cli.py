@@ -144,6 +144,24 @@ def test_fedavg_requires_zero_noise():
         build_experiment_config(dict(GOOD, algorithm="fedavg"))
 
 
+BASELINE_RATIO_CASES = [  # GOOD has r = 0.5
+    ("dpfedavg", {"r": 0.5, "z": 0.7, "S0": 2.0}),
+    ("fedavg", {"r": 0.5, "z": 0.0, "S0": 2.0}),
+]
+
+
+@pytest.mark.parametrize("algorithm, feo2", BASELINE_RATIO_CASES, ids=[a for a, _ in BASELINE_RATIO_CASES])
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_baselines_reject_a_ratio_other_than_1_with_exit_2(tmp_path, capsys, verb, algorithm, feo2):
+    # the baselines weight both groups alike, so no r other than 1 has a meaning there
+    raw = dict(GOOD, algorithm=algorithm, feo2=feo2)
+    flags = ["--out", str(tmp_path / "out")] if verb == "run" else []
+    assert main([verb, "--config", _write(tmp_path, raw), *flags]) == 2
+    assert not (tmp_path / "out").exists()
+    assert capsys.readouterr().err == f"config error: {algorithm} must run with r = 1\n"
+    assert build_experiment_config(dict(raw, feo2=dict(feo2, r=1.0))).feo2.r == 1.0
+
+
 def test_value_range_checks():
     with pytest.raises(ValueError, match=r"r must be in \[0, 1\]"):
         FeO2Config(r=1.2)
@@ -637,22 +655,45 @@ def test_lambda_star_is_the_sweeps_argmin_under_either_aggregator(focal, aggrega
 
 
 ZERO_VARIANCE = ["--N", "100", "--N-p", "95", "--sigma-c2", "0", "--gamma2", "0"]
-UNDEFINED_OPTIMUM_CASES = [  # sigma_c2 = 0 and rho_np*N_p*gamma2 = 0
-    ("variance", ZERO_VARIANCE),  # was a ZeroDivisionError traceback with exit 1
-    ("gaps", ZERO_VARIANCE),
-    ("rho-sweep", ZERO_VARIANCE),  # was "opt": "nan" in every row with exit 0
-    ("gaps", ["--N", "100", "--N-p", "0", "--sigma-c2", "0", "--gamma2", "0.1"]),
+ZERO = {"opt": 0.0, "fedavg": 0.0, "dpfedavg": 0.0}
+ZERO_GAPS = {"gap_fedavg": 0.0, "gap_dpfedavg": 0.0}
+# sigma_c2 = 0 and rho_np*N_p*gamma2 = 0: the closed forms read 0/0, but every rule
+# has the same variance there, so the optimum is sigma_p2/N and both gaps are 0.
+COINCIDENT_OPTIMUM_CASES = [
+    ("variance", ZERO_VARIANCE, ZERO),
+    ("gaps", ZERO_VARIANCE, ZERO_GAPS),
+    ("rho-sweep", [*ZERO_VARIANCE, "--step", "0.5"], {"rows": [{"rho_np": rho, **ZERO} for rho in (0.0, 0.5, 1.0)]}),
+    ("gaps", ["--N", "100", "--N-p", "0", "--sigma-c2", "0", "--gamma2", "0.1"], ZERO_GAPS),
+    # every client private at rho_np = 0: all three rules read sigma_p2/N = 100*0.1/100
+    (
+        "rho-sweep",
+        ["--N", "100", "--N-p", "95", "--sigma-c2", "0", "--gamma2", "0.1", "--step", "0.5"],
+        {
+            "rows": [
+                {"rho_np": 0.0, "opt": 0.1, "fedavg": 0.1, "dpfedavg": 0.1},
+                {"rho_np": 0.5, "opt": 0.0, "fedavg": 0.025, "dpfedavg": 0.05},
+                {"rho_np": 1.0, **ZERO},
+            ]
+        },
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "verb, flags", UNDEFINED_OPTIMUM_CASES, ids=[f"{v} {' '.join(f)}" for v, f in UNDEFINED_OPTIMUM_CASES]
+    "verb, flags, want", COINCIDENT_OPTIMUM_CASES, ids=[f"{v} {' '.join(f)}" for v, f, _ in COINCIDENT_OPTIMUM_CASES]
 )
-def test_an_undefined_optimum_is_a_named_error_with_exit_2(verb, flags, capsys):
-    assert main(["analytic", verb, *flags]) == 2
+def test_a_coincident_optimum_is_sigma_p2_over_n_with_zero_gaps(verb, flags, want, capsys):
+    assert main(["analytic", verb, *flags]) == 0
+    assert json.loads(capsys.readouterr().out) == want
+
+
+@pytest.mark.parametrize("verb, extra", [("ratio", []), ("r-sweep", ["--trials", "10"])])
+def test_an_undefined_ratio_is_a_named_error_with_exit_2(verb, extra, capsys):
+    # with every variance zero, every r gives variance 0: r* is not unique
+    assert main(["analytic", verb, *ZERO_VARIANCE, *extra]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == "config error: undefined optimum: sigma_c2 and rho_np*N_p*gamma2 are both zero\n"
+    assert out.err == "config error: undefined ratio: all variances are zero\n"
 
 
 def test_noise_free_clients_give_zero_variance_at_the_optimum(capsys):

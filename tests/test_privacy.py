@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from feo2.config import FeO2Config, build_experiment_config
-from feo2.privacy import clip, gaussian_noise_vector, update_clip_norm
+from feo2.privacy import clip, update_clip_norm
 from feo2.rng import stream
 
 vectors = hnp.arrays(
@@ -52,17 +52,6 @@ def test_clip_rejects_non_finite_input(bad):
     # NaN fails every comparison with S, so an unchecked NaN vector comes back unscaled.
     with pytest.raises(ValueError, match="norm"):
         clip(np.array([bad, 1.0]), 1.0)
-
-
-def test_noise_zero_std_is_exactly_zero():
-    out = gaussian_noise_vector(5, 0.0, stream(0, "n"))
-    assert np.array_equal(out, np.zeros(5))
-
-
-def test_noise_std_matches_request():
-    draws = gaussian_noise_vector(200_000, 2.5, stream(1, "n"))
-    assert abs(draws.std() - 2.5) < 0.02
-    assert abs(draws.mean()) < 0.02
 
 
 def test_clip_norm_update_noiseless_formula():

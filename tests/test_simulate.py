@@ -14,7 +14,7 @@ from feo2.aggregation import feo2_combine, group_mean
 from feo2.analytic import AnalyticParams, optimal_ratio, server_variance_at
 from feo2.config import Algorithm, DittoConfig, ExperimentConfig, FeO2Config, PopulationKind, PopulationSpec
 from feo2.datagen import build_population
-from feo2.privacy import clip, gaussian_noise_vector
+from feo2.privacy import clip
 from feo2.rng import stream
 from feo2.simulate import (
     RoundReport,
@@ -76,7 +76,7 @@ def test_one_round_matches_hand_computation():
     for obs, private in zip(pop.train_x, pop.private):  # cohort_fraction 1: everyone in order
         delta, _ = clip(obs.mean(axis=0), S)
         (priv if private else nonpriv).append(delta)
-    noise = gaussian_noise_vector(2, cfg.feo2.z * S / len(priv), stream(3, "noise", 0))
+    noise = stream(3, "noise", 0).normal(0.0, cfg.feo2.z * S / len(priv), 2)
     expected = feo2_combine(
         group_mean(nonpriv), group_mean(priv) + noise, len(nonpriv), len(priv), cfg.feo2.r
     )
@@ -258,10 +258,27 @@ def _sampled_shard_ditto_cfg(rounds):
     )
 
 
-@pytest.mark.parametrize("rounds", [1, 4, 9])
-def test_cached_local_scores_equal_full_rescoring(rounds):
+def _sampled_quadratic_ditto_cfg(kind):
+    """10 clients of ``kind``, 3 sampled per round for 6 rounds, full-batch Ditto;
+    clients 3, 8 and 9 are never sampled."""
+    cfg = _point_cfg(rounds=6, cohort_fraction=0.3, ditto=DittoConfig(lambda_p=0.5, lambda_np=2.0))
+    return dataclasses.replace(cfg, population=dataclasses.replace(cfg.population, kind=kind))
+
+
+RESCORING_CASES = {
+    **{f"label_shard-{rounds}": _sampled_shard_ditto_cfg(rounds) for rounds in (1, 4, 9)},
+    **{
+        kind.value: _sampled_quadratic_ditto_cfg(kind)
+        for kind in (PopulationKind.POINT_ESTIMATION, PopulationKind.LINEAR_REGRESSION)
+    },
+}
+
+
+@pytest.mark.parametrize("cfg", RESCORING_CASES.values(), ids=RESCORING_CASES.keys())
+def test_cached_local_scores_equal_full_rescoring(cfg):
     # Early on most clients are untrained and take their global score.
-    res = run_experiment(_sampled_shard_ditto_cfg(rounds))
+    res = run_experiment(cfg)
+    assert any(np.array_equal(row, res.global_model) for row in res.personal_models)
     want = rescored_local_metrics(res)
     assert {k: getattr(res.reports[-1], k) for k in want} == want
 

@@ -152,8 +152,6 @@ def _log_a_frac(q: float, sigma: float, alpha: float) -> float:
     while True:
         if i > 0:
             ratio = (alpha - i + 1.0) / i
-            if ratio == 0.0:
-                break
             log_coef += math.log(abs(ratio))
             sign *= math.copysign(1.0, ratio)
         j = alpha - i

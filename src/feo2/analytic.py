@@ -12,10 +12,13 @@ variance ``N_p*gamma2`` per client (so the private group mean carries
   weight everyone equally (r=1) or noise everyone;
 * `gap_fedavg` / `gap_dpfedavg` — baseline-minus-optimal differences in
   simplified form (they equal the literal variance differences identically);
+* `total_weight` — W = N_np + r*N_p, checked once for every weighting by r;
 * `focal_view` — a client's weight in the global estimate at ratio r and its
   peers' variance there; `lambda_star_general` — the tether that exactly
   minimises the tethered estimator's loss at any r (so under either
   aggregator), and `lambda_star_np` / `lambda_star_p` its closed forms at r*.
+  A tether is ``math.inf`` where the loss falls for every lambda, and 0.0 for
+  an exact own estimate (alpha2 = 0), whose loss is least at lambda = 0.
 
 The Bayes-optimal estimators behind these forms are independent references
 in the test suite (`tests/oracles.py`).
@@ -32,10 +35,6 @@ from dataclasses import dataclass
 from typing import Annotated
 
 from .config import Range, check_field_types
-
-
-class UnboundedLambda(ValueError):
-    """The optimal tether strength diverges (e.g. identical clients, tau2 = 0)."""
 
 
 @dataclass(frozen=True)
@@ -89,18 +88,6 @@ class AnalyticParams:
     def sigma_p2(self) -> float:
         return self.sigma_c2 + self.N_p * self.gamma2
 
-    @property
-    def Upsilon2(self) -> float:
-        if self.alpha2 <= 0:
-            raise UnboundedLambda("Upsilon2 needs alpha2 > 0")
-        return self.tau2 / self.alpha2
-
-    @property
-    def Gamma2(self) -> float:
-        if self.alpha2 <= 0:
-            raise UnboundedLambda("Gamma2 needs alpha2 > 0")
-        return self.N_p * self.gamma2 / self.alpha2
-
 
 def optimal_ratio(p: AnalyticParams) -> float:
     """r* = sigma_c2 / (sigma_c2 + N_p*gamma2): down-weight the noised group
@@ -111,13 +98,19 @@ def optimal_ratio(p: AnalyticParams) -> float:
     return p.sigma_c2 / den
 
 
-def server_variance_at(p: AnalyticParams, r: float) -> float:
-    """Variance (per coordinate) of the two-group estimator at an arbitrary r."""
+def total_weight(p: AnalyticParams, r: float) -> float:
+    """W = N_np + r*N_p, the two-group estimator's total weight at ratio r."""
     if not 0.0 <= r <= 1.0:
-        raise ValueError("r must be in [0, 1]")
+        raise ValueError(f"r must be in [0, 1], got {r}")
     W = p.N_np + r * p.N_p
     if W <= 0:
-        return float("inf")
+        raise ValueError("estimator undefined: zero total weight")
+    return W
+
+
+def server_variance_at(p: AnalyticParams, r: float) -> float:
+    """Variance (per coordinate) of the two-group estimator at an arbitrary r."""
+    W = total_weight(p, r)
     return (p.N_np * p.sigma_c2 + r**2 * p.N_p * p.sigma_p2) / W**2
 
 
@@ -157,10 +150,10 @@ def gap_dpfedavg(p: AnalyticParams) -> float:
 
 
 def lambda_star_np(p: AnalyticParams) -> float:
-    """Optimal tether for an opted-out client: 1/Upsilon2 = alpha2/tau2."""
-    if p.tau2 <= 0:
-        raise UnboundedLambda("tau2 = 0: identical client truths, lambda* diverges")
-    return p.alpha2 / p.tau2
+    """Optimal tether for an opted-out client: alpha2/tau2."""
+    if p.tau2 > 0:
+        return p.alpha2 / p.tau2
+    return math.inf if p.alpha2 else 0.0
 
 
 def lambda_star_p(p: AnalyticParams) -> float:
@@ -169,11 +162,11 @@ def lambda_star_p(p: AnalyticParams) -> float:
     (N + U2*N + G2*(N - N_p)) / (U2*(U2+1)*N + U2*G2*(N - N_p + 1) + G2)
     with U2 = tau2/alpha2 and G2 = N_p*gamma2/alpha2.
     """
-    U2, G2 = p.Upsilon2, p.Gamma2
+    if p.alpha2 == 0:
+        return 0.0
+    U2, G2 = p.tau2 / p.alpha2, p.N_p * p.gamma2 / p.alpha2
     den = U2 * (U2 + 1.0) * p.N + U2 * G2 * (p.N - p.N_p + 1.0) + G2
-    if den <= 0:
-        raise UnboundedLambda("degenerate parameters: lambda*_p diverges")
-    return (p.N + U2 * p.N + G2 * (p.N - p.N_p)) / den
+    return (p.N + U2 * p.N + G2 * (p.N - p.N_p)) / den if den > 0 else math.inf
 
 
 def focal_view(p: AnalyticParams, is_private: bool, r: float) -> tuple[float, float]:
@@ -181,8 +174,6 @@ def focal_view(p: AnalyticParams, is_private: bool, r: float) -> tuple[float, fl
     W = N_np + r*N_p, and the per-coordinate variance v of its peers' share.
     A private client has n = N_p - 1 private and m = N_np opted-out peers and
     i_j = r; an opted-out one has n = N_p, m = N_np - 1 and i_j = 1."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"r must be in [0, 1], got {r}")
     if is_private:
         i_j, n, m = r, p.N_p - 1.0, p.N_np
     else:
@@ -190,9 +181,7 @@ def focal_view(p: AnalyticParams, is_private: bool, r: float) -> tuple[float, fl
     if n < 0 or m < 0:
         kind = "private" if is_private else "opted-out"
         raise ValueError(f"focal client class not present in the population: no {kind} client")
-    W = p.N_np + r * p.N_p
-    if W <= 0:
-        raise ValueError("estimator undefined: zero total weight")
+    W = total_weight(p, r)
     return i_j / W, (m * p.sigma_c2 + r**2 * n * p.sigma_p2) / W**2
 
 
@@ -204,6 +193,6 @@ def lambda_star_general(p: AnalyticParams, is_private: bool, r: float) -> float:
     a, v = focal_view(p, is_private, r)
     A, B = p.alpha2, a * p.alpha2
     C = (1.0 - a) ** 2 * p.tau2 + a * a * A + v
-    if C - B <= 0:
-        raise UnboundedLambda("the loss falls with lambda: no finite optimal tether")
+    if C - B <= 0:  # the loss never rises with lambda, and at alpha2 = 0 it is zero
+        return math.inf if A else 0.0
     return (A - B) / (C - B)

@@ -33,7 +33,6 @@ import numpy as np
 from .accounting import PrivacyLedger, epsilon_at_delta, solve_z
 from .analytic import (
     AnalyticParams,
-    UnboundedLambda,
     gap_dpfedavg,
     gap_fedavg,
     lambda_star_general,
@@ -85,18 +84,16 @@ def _write(path, text: str) -> None:
 
 def _analytic_params(args) -> AnalyticParams:
     d = getattr(args, "dim", 1)
+    split = {key: getattr(args, key) for key in ("tau2", "beta2", "n_s") if getattr(args, key) is not None}
     if args.sigma_c2 is not None:
-        if args.tau2 is not None or args.beta2 is not None:
-            raise ValueError("give either --sigma-c2 or the --tau2/--beta2 split, not both")
+        if split:
+            raise ValueError("give either --sigma-c2 or the --tau2/--beta2/--n-s split, not both")
         return AnalyticParams.from_sigma_c2(
             N=args.N, N_p=args.N_p, sigma_c2=args.sigma_c2, gamma2=args.gamma2, d=d
         )
     if args.tau2 is None or args.beta2 is None:
         raise ValueError("need --sigma-c2, or both --tau2 and --beta2")
-    return AnalyticParams(
-        N=args.N, N_p=args.N_p, tau2=args.tau2, beta2=args.beta2,
-        gamma2=args.gamma2, n_s=args.n_s, d=d,
-    )
+    return AnalyticParams(N=args.N, N_p=args.N_p, gamma2=args.gamma2, d=d, **split)
 
 
 def _add_analytic_verb(an_sub, name: str, fn, help: str, with_dim: bool = False):
@@ -111,7 +108,7 @@ def _add_analytic_verb(an_sub, name: str, fn, help: str, with_dim: bool = False)
     sub.add_argument("--sigma-c2", type=float, default=None, help="per-client update variance (shortcut)")
     sub.add_argument("--tau2", type=float, default=None, help="client truth spread around the global truth")
     sub.add_argument("--beta2", type=float, default=None, help="per-sample observation noise variance")
-    sub.add_argument("--n-s", type=int, default=1, help="samples per client (alpha2 = beta2/n_s)")
+    sub.add_argument("--n-s", type=int, default=None, help="samples per client (alpha2 = beta2/n_s; default 1)")
     if with_dim:
         sub.add_argument("--dim", type=int, default=1, help="model dimension")
     return sub
@@ -122,13 +119,6 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"--step must be a positive finite number, got {step}")
     return np.round(np.arange(lo, hi + 1e-12, step), 10)
-
-
-def _maybe_inf(fn, *a):
-    try:
-        return fn(*a)
-    except UnboundedLambda:
-        return math.inf
 
 
 # --- verb handlers ----------------------------------------------------------
@@ -238,15 +228,15 @@ def _an_gaps(p: AnalyticParams, args) -> dict:
 
 def _an_lambdas(p: AnalyticParams, args) -> dict:
     payload = {
-        "lambda_opted_out": _maybe_inf(lambda_star_np, p),
-        "lambda_private": _maybe_inf(lambda_star_p, p),
+        "lambda_opted_out": lambda_star_np(p),
+        "lambda_private": lambda_star_p(p),
     }
     if args.r is not None:
         opted_out = focal_scenario(p, False, "fedavg")[0]  # lambda-sweep's: N_p - 1 private peers
         payload["at_r"] = {
             "r": args.r,
-            "lambda_private": _maybe_inf(lambda_star_general, p, True, args.r),
-            "lambda_opted_out": _maybe_inf(lambda_star_general, opted_out, False, args.r),
+            "lambda_private": lambda_star_general(p, True, args.r),
+            "lambda_opted_out": lambda_star_general(opted_out, False, args.r),
         }
     return payload
 
@@ -279,7 +269,7 @@ def _an_lambda_sweep(p: AnalyticParams, args) -> dict:
         "focal": args.focal,
         "aggregator": args.aggregator,
         "r": r,
-        "lambda_star": _maybe_inf(lambda_star_general, scenario, focal_private, r),
+        "lambda_star": lambda_star_general(scenario, focal_private, r),
         "mc_argmin": best["lambda"],
         "rows": rows,
     }
@@ -383,7 +373,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except _OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
-    except _CONFIG_ERRORS as exc:  # UnboundedLambda is a ValueError
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
     return 2
 

@@ -104,9 +104,9 @@ class PoolSpec:
     """Where label-shard sample pools come from: synthetic class blobs by
     default, or a pair of IDX files."""
 
-    classes: int = 10
-    per_class: int = 200
-    feature_dim: int = 16
+    classes: Annotated[int, Range(2)] = 10
+    per_class: Annotated[int, Range(1)] = 200
+    feature_dim: Annotated[int, Range(1)] = 16
     spread: Annotated[float, Range(0)] = 3.0
     idx_images: Optional[str] = None
     idx_labels: Optional[str] = None
@@ -119,11 +119,6 @@ class PoolSpec:
             path = getattr(self, key)
             if path is not None and not os.path.isfile(path):
                 raise ValueError(f"{key} must name an existing file, got {path!r}")
-        if self.idx_images is None:
-            if self.classes < 2:
-                raise ValueError("classes must be >= 2")
-            if self.per_class < 1 or self.feature_dim < 1:
-                raise ValueError("per_class and feature_dim must be >= 1")
 
 
 @dataclass(frozen=True)

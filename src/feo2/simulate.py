@@ -31,7 +31,7 @@ import numpy as np
 
 from .accounting import PrivacyLedger, account_round, epsilon_at_delta
 from .aggregation import RoundSkipped, apply_update, dp_group_mean, feo2_combine, group_mean
-from .analytic import AnalyticParams, focal_view, optimal_ratio
+from .analytic import AnalyticParams, focal_view, optimal_ratio, total_weight
 from .config import Algorithm, ExperimentConfig, PopulationKind
 from .datagen import Population, build_population
 from .models import Cohort, NumericFailure, _logits, client_update
@@ -238,12 +238,7 @@ def monte_carlo_server_variance(
     order from the ``server-variance`` stream. The draws do not depend on r, so
     a sweep over r draws once and its points share common random numbers.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("r must be in [0, 1]")
-    N_np, N_p = p.N_np, p.N_p
-    W = N_np + r * N_p
-    if W <= 0:
-        raise ValueError("estimator undefined: zero total weight")
+    N_np, N_p, W = p.N_np, p.N_p, total_weight(p, r)
     sd_np = math.sqrt(p.sigma_c2 / N_np) if N_np > 0 else None
     sd_p = math.sqrt(p.sigma_c2 / N_p + p.gamma2) if N_p > 0 else None
     (xx, xy), (_, yy) = _gram(seed, "server-variance", trials, p.d, (sd_np, sd_p))

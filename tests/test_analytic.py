@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from feo2.analytic import (
     AnalyticParams,
-    UnboundedLambda,
     focal_view,
     gap_dpfedavg,
     gap_fedavg,
@@ -26,6 +25,7 @@ from feo2.analytic import (
     server_variance_dpfedavg,
     server_variance_fedavg,
     server_variance_opt,
+    total_weight,
 )
 from feo2.rng import stream
 
@@ -53,8 +53,6 @@ def test_derived_quantities():
     assert p.alpha2 == pytest.approx(0.25)
     assert p.sigma_c2 == pytest.approx(0.75)
     assert p.sigma_p2 == pytest.approx(0.75 + 0.95)
-    assert p.Upsilon2 == pytest.approx(2.0)
-    assert p.Gamma2 == pytest.approx(3.8)
 
 
 def test_params_validation():
@@ -131,17 +129,46 @@ def test_general_lambda_collapses_opted_out(p):
 
 def test_lambda_p_limit_all_clients_private():
     p = AnalyticParams(N=40, N_p=40, tau2=0.5, beta2=0.25, gamma2=0.05)
-    U2, G2 = p.Upsilon2, p.Gamma2
+    U2, G2 = p.tau2 / p.alpha2, p.N_p * p.gamma2 / p.alpha2
     assert lambda_star_p(p) == pytest.approx(p.N / (U2 * p.N + G2), rel=1e-12)
 
 
 def test_lambda_p_limit_no_client_spread():
     p = AnalyticParams(N=40, N_p=30, tau2=0.0, beta2=0.25, gamma2=0.05)
-    G2 = p.Gamma2
+    G2 = p.N_p * p.gamma2 / p.alpha2
     want = (p.N + G2 * (p.N - p.N_p)) / G2
     assert lambda_star_p(p) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(UnboundedLambda):
-        lambda_star_np(p)
+    assert lambda_star_np(p) == math.inf
+    # with no privacy noise either, the global estimate is better at every lambda
+    assert lambda_star_p(AnalyticParams(N=40, N_p=30, tau2=0.0, beta2=0.25, gamma2=0.0)) == math.inf
+
+
+@pytest.mark.parametrize("tau2", [0.0, 0.5])
+@pytest.mark.parametrize("gamma2", [0.0, 1.0])
+def test_an_exact_own_estimate_needs_no_tether(tau2, gamma2):
+    # alpha2 = 0: the tethered loss is lam^2/(1+lam)^2 * E|theta_g - phi_j|^2, least at lam = 0
+    p = AnalyticParams(N=100, N_p=95, tau2=tau2, beta2=0.0, gamma2=gamma2)
+    assert lambda_star_np(p) == 0.0
+    assert lambda_star_p(p) == 0.0
+    for is_private in (True, False):
+        for r in (0.0, 0.3, 1.0):
+            assert lambda_star_general(p, is_private, r) == 0.0
+
+
+def test_total_weight_is_the_one_check_of_r_and_w():
+    p = AnalyticParams(N=10, N_p=10, tau2=0.5, beta2=1.0, gamma2=0.1)
+    assert total_weight(p, 0.25) == 2.5
+    for r in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"^r must be in \[0, 1\], got "):
+            total_weight(p, r)
+    # every client private and r = 0: no group carries weight
+    with pytest.raises(ValueError, match="^estimator undefined: zero total weight$"):
+        server_variance_at(p, 0.0)
+    with pytest.raises(ValueError, match="^estimator undefined: zero total weight$"):
+        focal_view(p, is_private=True, r=0.0)
+    # the absent class is named before the weight is checked
+    with pytest.raises(ValueError, match="no opted-out client"):
+        focal_view(p, is_private=False, r=0.0)
 
 
 def test_lambda_general_rejects_absent_class():
@@ -163,9 +190,8 @@ def test_general_lambda_minimises_the_tethered_loss(p, is_private, r):
     def loss(lam):
         return (A + 2.0 * lam * B + lam * lam * C) / (1.0 + lam) ** 2
 
-    try:
-        lam = lambda_star_general(p, is_private, r)
-    except UnboundedLambda:  # no finite minimiser: the loss never rises with lambda
+    lam = lambda_star_general(p, is_private, r)
+    if math.isinf(lam):  # no finite minimiser: the loss never rises with lambda
         assert loss(1e6) <= loss(0.0) * (1.0 + 1e-12)
         return
     assert lam >= 0.0

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import typing
@@ -17,6 +18,7 @@ import yaml
 
 from feo2.analytic import (
     AnalyticParams,
+    server_variance_at,
     server_variance_dpfedavg,
     server_variance_fedavg,
     server_variance_opt,
@@ -209,7 +211,7 @@ def test_every_annotated_field_rejects_values_its_type_does_not_admit(valid):
 
 # Every bounded field, with its range as its error message reads it.
 RANGES = {
-    PoolSpec: {"spread": ">= 0"},
+    PoolSpec: {"classes": ">= 2", "per_class": ">= 1", "feature_dim": ">= 1", "spread": ">= 0"},
     PopulationSpec: {
         "n_clients": ">= 1", "rho_np": "in [0, 1]", "samples_per_client": ">= 1", "seed": ">= 0",
         "tau2": ">= 0", "beta2": ">= 0", "d": ">= 1", "skew_label": ">= 0",
@@ -530,6 +532,24 @@ def test_idx_paths_must_be_strings_with_exit_2(tmp_path, capsys, verb, value, me
     assert "config error" in err and message in err
 
 
+def test_idx_pools_reject_out_of_range_blob_fields(tmp_path):
+    # the blob fields are declared once, so an IDX pool is held to their ranges too
+    for name in ("i.idx", "l.idx"):
+        (tmp_path / name).write_bytes(b"")
+    idx = {"idx_images": str(tmp_path / "i.idx"), "idx_labels": str(tmp_path / "l.idx")}
+    for key, value, text in (("classes", 1, ">= 2"), ("per_class", 0, ">= 1"), ("feature_dim", 0, ">= 1")):
+        with pytest.raises(ValueError, match=f"^{key} must be {text}$"):
+            PoolSpec(**idx, **{key: value})
+    with pytest.raises(ValueError, match="^idx_images and idx_labels must be given together$"):
+        PoolSpec(idx_images=idx["idx_images"])
+
+
+def test_a_pool_on_a_quadratic_population_is_a_config_error(tmp_path, capsys):
+    raw = _with(GOOD, "population.pool", {"classes": 3})
+    assert main(["validate", "--config", _write(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == "config error: pool only applies to label_shard populations\n"
+
+
 def test_float_fields_take_integer_literals():
     raw = _with(_with(GOOD, "feo2.S0", 2), "ditto.lambda_np", 1)
     cfg = build_experiment_config(raw)
@@ -578,6 +598,13 @@ def test_a_fully_charged_run_ends_at_the_achieved_epsilon(capsys):
     assert result.reports[-1].epsilon == payload["achieved_epsilon"]
 
 
+def test_solve_z_needs_a_round(capsys):
+    assert main(["solve-z", "--epsilon", "2", "--delta", "1e-5", "--q", "0.02", "--rounds", "0"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "config error: rounds must be >= 1\n"
+
+
 def test_solve_z_unreachable_exits_2(capsys):
     rc = main(["solve-z", "--epsilon", "1e-12", "--delta", "1e-5", "--q", "1.0", "--rounds", "1000"])
     assert rc == 2
@@ -609,6 +636,41 @@ def test_analytic_lambdas_reports_unbounded_as_inf(capsys):
 
 
 TETHER_FLAGS = ["--N", "100", "--N-p", "95", "--tau2", "0.5", "--beta2", "0.25", "--gamma2", "1.0"]
+EXACT_FLAGS = ["--N", "100", "--N-p", "95", "--tau2", "0.5", "--beta2", "0", "--gamma2", "1.0"]
+
+
+def test_an_exact_own_estimate_gets_a_zero_tether_in_every_form(capsys):
+    # beta2 = 0 makes alpha2 = 0: the closed forms, their --r form and the sweep all say 0
+    assert main(["analytic", "lambdas", *EXACT_FLAGS, "--r", "0.3"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "lambda_opted_out": 0.0,
+        "lambda_private": 0.0,
+        "at_r": {"r": 0.3, "lambda_private": 0.0, "lambda_opted_out": 0.0},
+    }
+    assert main(["analytic", "lambda-sweep", *EXACT_FLAGS, "--trials", "10", "--step", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["lambda_star"] == 0.0
+
+
+ALL_PRIVATE = ["--N", "10", "--N-p", "10", "--sigma-c2", "1.0", "--gamma2", "0.1"]
+ZERO_WEIGHT_CASES = [
+    ("variance", [*ALL_PRIVATE, "--r", "0"]),  # printed "inf" before
+    ("lambdas", [*ALL_PRIVATE, "--r", "0"]),
+    ("r-sweep", [*ALL_PRIVATE, "--trials", "10", "--step", "0.5"]),
+]
+
+
+@pytest.mark.parametrize("verb, flags", ZERO_WEIGHT_CASES, ids=[v for v, _ in ZERO_WEIGHT_CASES])
+def test_zero_total_weight_is_a_named_error_with_exit_2(verb, flags, capsys):
+    assert main(["analytic", verb, *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "config error: estimator undefined: zero total weight\n"
+
+
+def test_variance_at_r_reports_the_closed_form(capsys):
+    assert main(["analytic", "variance", *TETHER_FLAGS, "--r", "0.3"]) == 0
+    p = AnalyticParams(N=100, N_p=95, tau2=0.5, beta2=0.25, gamma2=1.0)
+    assert json.loads(capsys.readouterr().out)["at_r"] == {"r": 0.3, "variance": server_variance_at(p, 0.3)}
 ANALYTIC_VALUE_CASES = [  # (verb, flags, the name the error must give)
     ("ratio", ["--N", "100", "--N-p", "95", "--sigma-c2", "nan", "--gamma2", "0.01"], "sigma_c2"),
     ("ratio", ["--N", "100", "--N-p", "95", "--sigma-c2", "1.0", "--gamma2", "inf"], "gamma2"),
@@ -713,6 +775,20 @@ def test_analytic_parameterization_conflict_exits_2(capsys):
     assert "not both" in capsys.readouterr().err
 
 
+def test_n_s_is_refused_beside_sigma_c2(capsys):
+    # --sigma-c2 lumps alpha2 = beta2/n_s already, so an --n-s there would be ignored
+    argv = ["analytic", "lambdas", "--N", "100", "--N-p", "95", "--sigma-c2", "1", "--gamma2", "1", "--n-s", "5"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "config error: give either --sigma-c2 or the --tau2/--beta2/--n-s split, not both\n"
+
+
+def test_the_split_needs_both_tau2_and_beta2(capsys):
+    assert main(["analytic", "ratio", "--N", "10", "--N-p", "5", "--gamma2", "0.1", "--tau2", "0.5"]) == 2
+    assert capsys.readouterr().err == "config error: need --sigma-c2, or both --tau2 and --beta2\n"
+
+
 def test_analytic_r_sweep_argmin(capsys):
     rc = main(
         [
@@ -781,3 +857,41 @@ def test_analytic_out_flag_writes_file(tmp_path, capsys):
 def test_workers_flag_validation(tmp_path, capsys):
     rc = main(["run", "--config", _write(tmp_path, GOOD), "--out", str(tmp_path / "o"), "--workers", "0"])
     assert rc == 2
+
+
+# --- README -----------------------------------------------------------------
+
+
+def _readme_commands() -> list:
+    """Each `feo2 ...` command in README's bash blocks, with backslash
+    continuations joined; a command that reads a shell variable is left out."""
+    commands, in_bash, line = [], False, ""
+    for raw in (SRC.parent / "README.md").read_text(encoding="utf-8").splitlines():
+        if raw.startswith("```"):
+            in_bash = raw == "```bash"
+        elif in_bash:
+            line += raw.strip()
+            if line.endswith("\\"):
+                line = line[:-1]
+                continue
+            if line.startswith("feo2 ") and "$" not in line:
+                commands.append(line)
+            line = ""
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_the_readme_shows_every_top_level_verb():
+    assert {"run", "analytic", "solve-z"} <= {command.split()[1] for command in README_COMMANDS}
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_each_readme_command_runs(command, tmp_path, monkeypatch, capsys):
+    argv = shlex.split(command, comments=True)[1:]
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / Path(argv[at]).name)
+    monkeypatch.chdir(SRC.parent)  # README paths are relative to the repository root
+    assert main(argv) == 0, capsys.readouterr().err

@@ -343,7 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
         with_dim=True,
     )
     rs.add_argument("--step", type=float, default=0.05)
-    rs.add_argument("--trials", type=int, default=200_000)
+    trials_help = (
+        "Monte Carlo trials; the trial-mean Gram matrix is sampled from its law, "
+        "so cost and memory do not grow with this"
+    )
+    rs.add_argument("--trials", type=int, default=200_000, help=trials_help)
     rs.add_argument("--seed", type=int, default=0)
 
     ls = _add_analytic_verb(
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--lambda-min", type=float, default=0.0)
     ls.add_argument("--lambda-max", type=float, default=2.0)
     ls.add_argument("--step", type=float, default=0.05)
-    ls.add_argument("--trials", type=int, default=100_000)
+    ls.add_argument("--trials", type=int, default=100_000, help=trials_help)
     ls.add_argument("--seed", type=int, default=0)
 
     rho = _add_analytic_verb(

@@ -99,6 +99,12 @@ def check_field_types(obj) -> None:
             raise ValueError(f"{name} must be {bounds}")
 
 
+def _set_away_from_default(obj, names) -> list:
+    """The fields among ``names`` that the dataclass ``obj`` sets to other than their defaults."""
+    defaults = {f.name: f.default for f in dataclasses.fields(obj)}
+    return [name for name in names if getattr(obj, name) != defaults[name]]
+
+
 @dataclass(frozen=True)
 class PoolSpec:
     """Where label-shard sample pools come from: synthetic class blobs by
@@ -115,6 +121,9 @@ class PoolSpec:
         check_field_types(self)
         if (self.idx_images is None) != (self.idx_labels is None):
             raise ValueError("idx_images and idx_labels must be given together")
+        blob = _set_away_from_default(self, ("classes", "per_class", "feature_dim", "spread"))
+        if blob and self.idx_images is not None:
+            raise ValueError(f"{blob[0]} only applies to synthetic pools, not beside idx_images")
         for key in ("idx_images", "idx_labels"):
             path = getattr(self, key)
             if path is not None and not os.path.isfile(path):
@@ -144,6 +153,9 @@ class PopulationSpec:
             raise ValueError("skew_label only applies to label_shard populations")
         if self.pool is not None and self.kind is not PopulationKind.LABEL_SHARD:
             raise ValueError("pool only applies to label_shard populations")
+        gaussian = _set_away_from_default(self, ("tau2", "beta2", "d"))
+        if gaussian and self.kind is PopulationKind.LABEL_SHARD:
+            raise ValueError(f"{gaussian[0]} only applies to point_estimation and linear_regression populations")
         if self.kind is PopulationKind.LABEL_SHARD and self.pool is None:
             object.__setattr__(self, "pool", PoolSpec())
 

@@ -14,7 +14,9 @@ directly (noise folded to the client side, which is variance-equivalent) to
 check the closed forms in `analytic` empirically. Both losses are quadratic
 forms over independent Gaussian draws, so both read one cached trial-mean Gram
 matrix of those draws (`_gram`) and evaluate every grid point from it: calls
-that share seed, trials, dimension and the draws' laws draw once.
+that share seed, trials, dimension and the draws' laws draw once. The Gram
+matrix is sampled from its exact Wishart law, not computed from the draws, so
+its cost and memory do not depend on the number of trials.
 """
 
 from __future__ import annotations
@@ -209,17 +211,31 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 @lru_cache(maxsize=32)
 def _gram(seed: int, purpose: str, trials: int, d: int, sds: tuple) -> tuple[tuple[float, ...], ...]:
     """Trial-mean Gram matrix <x_i, x_j> of independent N(0, sd_i^2) (trials, d)
-    draws x_i, taken in order from the ``purpose`` stream. An sd of None is an
-    absent group: it is not drawn, and its row and column are zero. Only the
-    floats are kept; every call that shares the key reads one draw."""
+    draws x_i, sampled from its exact law instead of computed from the draws.
+    An sd of None is an absent group: it is not drawn, and its row and column
+    are zero.
+
+    With n = trials*d, the k present groups' matrix is sd_i*sd_j*W_ij/trials
+    for W ~ Wishart(I_k, n), sampled by the Bartlett decomposition W = L L^T
+    (Odell & Feiveson, JASA 1966): taken in order from the ``purpose`` stream,
+    row i of the lower-triangular L gets sqrt(chisquare(n - i)) on its diagonal
+    when i < n, then min(i, n) standard normals below it. Rows from n on have
+    no diagonal, which is the rank-deficient law when trials*d < k. So a call
+    makes k chi-square and at most k(k-1)/2 normal draws, and its cost and
+    memory do not depend on ``trials``. Only the floats are kept; every call
+    that shares the key reads one draw."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = stream(seed, purpose)
-    draws = [None if sd is None else rng.normal(0.0, sd, (trials, d)) for sd in sds]
+    rng, n = stream(seed, purpose), trials * d
+    present = [i for i, sd in enumerate(sds) if sd is not None]
+    rows = []  # L's rows, each cut after its last nonzero entry
+    for i in range(len(present)):
+        diagonal = [math.sqrt(rng.chisquare(n - i))] if i < n else []
+        rows.append(rng.standard_normal(min(i, n)).tolist() + diagonal)
     gram = [[0.0] * len(sds) for _ in sds]
-    for (i, x), (j, y) in combinations_with_replacement(enumerate(draws), 2):
-        if x is not None and y is not None:
-            gram[i][j] = gram[j][i] = float(np.einsum("ij,ij->", x, y)) / trials
+    for (a, i), (b, j) in combinations_with_replacement(enumerate(present), 2):
+        w = sum(x * y for x, y in zip(rows[a], rows[b]))
+        gram[i][j] = gram[j][i] = sds[i] * sds[j] * w / trials
     return tuple(map(tuple, gram))
 
 
@@ -234,8 +250,8 @@ def monte_carlo_server_variance(
     location invariance): the opted-out mean X has variance sigma_c2/N_np, the
     private mean Y sigma_c2/N_p + gamma2 per coordinate. The estimate is
     a*X + b*Y with a = N_np/W and b = r*N_p/W, so its mean squared norm is
-    a^2<X,X> + 2ab<X,Y> + b^2<Y,Y> from the `_gram` of (X, Y), drawn in that
-    order from the ``server-variance`` stream. The draws do not depend on r, so
+    a^2<X,X> + 2ab<X,Y> + b^2<Y,Y> from the `_gram` of (X, Y), sampled from
+    its law on the ``server-variance`` stream. The Gram does not depend on r, so
     a sweep over r draws once and its points share common random numbers.
     """
     N_np, N_p, W = p.N_np, p.N_p, total_weight(p, r)
@@ -274,12 +290,12 @@ def lambda_sweep(
     (its own estimate enters clean: it knows its own update).
 
     The draws are the focal truth T ~ N(0, tau2) (phi at zero), its own error
-    E ~ N(0, alpha2) and its peers' unit noise U ~ N(0, 1), in that order from
-    the ``lambda-sweep`` stream. The personal estimate's error is
-    (e + lam*g)/(1 + lam), with e = E and the global estimate's error
-    g = (a - 1)T + aE + sqrt(v)U, so the loss at every lambda is
-    (A + 2*lam*B + lam^2*C)/(1 + lam)^2 with A = <e,e>, B = <e,g>, C = <g,g>:
-    quadratic forms over the `_gram` of (T, E, U). The draws depend only on
+    E ~ N(0, alpha2) and its peers' unit noise U ~ N(0, 1). The personal
+    estimate's error is (e + lam*g)/(1 + lam), with e = E and the global
+    estimate's error g = (a - 1)T + aE + sqrt(v)U, so the loss at every lambda
+    is (A + 2*lam*B + lam^2*C)/(1 + lam)^2 with A = <e,e>, B = <e,g>,
+    C = <g,g>: quadratic forms over the `_gram` of (T, E, U), sampled from its
+    law on the ``lambda-sweep`` stream. That Gram depends only on
     (seed, trials, d, tau2, alpha2), so arms that share those (both focal
     classes, both aggregators) draw once and are common-random-number paired.
     """

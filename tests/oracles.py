@@ -7,6 +7,7 @@ agreement is meaningful.
 """
 
 import math
+from itertools import combinations_with_replacement
 
 import mpmath as mp
 import numpy as np
@@ -14,6 +15,7 @@ import numpy as np
 from feo2.accounting import DEFAULT_ORDERS, rdp_increment
 from feo2.config import PopulationKind
 from feo2.models import _softmax_probs
+from feo2.rng import stream
 
 
 def rdp_subsampled_gaussian_quadrature(q: float, sigma: float, alpha: float, dps: int = 30) -> float:
@@ -205,3 +207,21 @@ def rescored_local_metrics(result) -> dict:
     }
     out["delta_l"] = out["acc_l_np"] - out["acc_l_p"]
     return out
+
+
+def raw_gram(seed: int, purpose: str, trials: int, d: int, sds: tuple) -> tuple[tuple[float, ...], ...]:
+    """Trial-mean Gram matrix <x_i, x_j> of independent N(0, sd_i^2) (trials, d)
+    draws x_i, computed from the draws themselves, taken in order from the
+    ``purpose`` stream; an sd of None is an absent group, not drawn, with a zero
+    row and column. A drop-in for `feo2.simulate._gram`, which samples the same
+    matrix from its Wishart law: with it, the harnesses' losses equal a
+    per-trial evaluation of the same draws to rounding."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = stream(seed, purpose)
+    draws = [None if sd is None else rng.normal(0.0, sd, (trials, d)) for sd in sds]
+    gram = [[0.0] * len(sds) for _ in sds]
+    for (i, x), (j, y) in combinations_with_replacement(enumerate(draws), 2):
+        if x is not None and y is not None:
+            gram[i][j] = gram[j][i] = float(np.einsum("ij,ij->", x, y)) / trials
+    return tuple(map(tuple, gram))

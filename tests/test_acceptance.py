@@ -1,4 +1,4 @@
-"""Release gate: ten end-to-end checks, one test per criterion.
+"""Release gate: eleven end-to-end checks, one test per criterion.
 
 Each test prints exactly one ``[criterion NN] PASS/FAIL`` line (visible with
 ``pytest -s`` and in failure output) and pins its tolerances inline next to
@@ -30,6 +30,7 @@ from feo2.analytic import (
     lambda_star_np,
     lambda_star_p,
     optimal_ratio,
+    server_variance_at,
     server_variance_dpfedavg,
     server_variance_fedavg,
     server_variance_opt,
@@ -406,3 +407,48 @@ master_seed: 123
         outs.append((out_dir / "rounds.csv").read_bytes())
     ok = outs[0] == outs[1] and len(outs[0]) > 0
     _gate(10, ok, f"rounds.csv identical across --workers 1 vs 3 ({len(outs[0])} bytes)")
+
+
+def test_criterion_11_simulator_recovers_optimal_ratio():
+    # One round of the shipped simulator is the paper's server-side estimator:
+    # with eta = 1 and one epoch each delta is the client's sample mean, S0 is far
+    # above every update norm so nothing clips, and z*S0/N_p = sqrt(gamma2) puts
+    # variance gamma2 on the private mean. So acc_g / d estimates server_variance_at
+    # for sigma_c2 = tau2 + beta2/n_s; seeds 0-499 pair the three ratios.
+    t0 = time.monotonic()
+    n_clients, n_s, tau2, beta2, gamma2, d, S0 = 100, 10, 0.5, 1.0, 0.05, 10, 1e3
+    p = AnalyticParams.from_sigma_c2(N=n_clients, N_p=95, sigma_c2=tau2 + beta2 / n_s, gamma2=gamma2, d=d)
+    z = math.sqrt(gamma2) * p.N_p / S0
+    rstar, seeds = optimal_ratio(p), range(500)
+    mse = {}
+    for r in (1e-9, rstar, 1.0):
+        mse[r] = np.array([
+            run_experiment(ExperimentConfig(
+                population=PopulationSpec(
+                    kind=PopulationKind.POINT_ESTIMATION, n_clients=n_clients, rho_np=0.05,
+                    samples_per_client=n_s, tau2=tau2, beta2=beta2, d=d, seed=seed,
+                ),
+                algorithm=Algorithm.FEO2,
+                feo2=FeO2Config(r=r, z=z, S0=S0, eta=1.0, epochs=1),
+                rounds=1,
+                master_seed=seed,
+            )).reports[0].acc_g / d
+            for seed in seeds
+        ])
+
+    def se(x):
+        return float(np.std(x, ddof=1)) / math.sqrt(len(x))
+
+    z_scores = {r: abs(x.mean() - server_variance_at(p, r)) / se(x) for r, x in mse.items()}
+    # r* against each end, on the paired per-seed differences
+    margins = {r: (x - mse[rstar]).mean() / se(x - mse[rstar]) for r, x in mse.items() if r != rstar}
+    elapsed = time.monotonic() - t0
+    ok = (
+        max(z_scores.values()) <= 4.0          # each point within 4 SE of its closed form
+        and min(margins.values()) > 4.0        # r* beats r -> 0 and r = 1 by over 4 SE
+        and elapsed < 60.0
+    )
+    points = ", ".join(
+        f"r={r:.3g}: {x.mean():.4f} +- {se(x):.4f} vs {server_variance_at(p, r):.4f}" for r, x in mse.items()
+    )
+    _gate(11, ok, f"{points}; r* margins {min(margins.values()):.1f} SE > 4; {elapsed:.1f}s < 60s")

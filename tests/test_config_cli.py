@@ -187,9 +187,10 @@ def test_skew_label_restricted_to_shard_populations():
 
 
 POINT = PopulationSpec(kind=PopulationKind.POINT_ESTIMATION, n_clients=4, rho_np=0.5)
-VALID = [  # one valid instance of each config object, valid at every end of each field's range
+LABEL_SHARD = PopulationSpec(kind=PopulationKind.LABEL_SHARD, n_clients=4, rho_np=0.5, skew_label=0)
+VALID = [  # one valid instance of each config object
     PoolSpec(),
-    PopulationSpec(kind=PopulationKind.LABEL_SHARD, n_clients=4, rho_np=0.5, skew_label=0),
+    LABEL_SHARD,
     FeO2Config(),
     DittoConfig(lambda_p=0.5, lambda_np=0.5),
     ExperimentConfig(population=POINT, algorithm=Algorithm.FEO2),
@@ -236,12 +237,27 @@ def _ends(text):
     return [(float(lo), text[3] == "[", -1), (float(hi), text[-1] == "]", 1)]
 
 
-@pytest.mark.parametrize("valid", VALID, ids=[type(v).__name__ for v in VALID])
-def test_every_declared_range_admits_its_closed_ends_and_nothing_past_them(valid):
+def _without(ranges, *names):
+    return {name: text for name, text in ranges.items() if name not in names}
+
+
+# (instance, the ranges it checks): each instance is valid at every end of those
+# ranges. A label shard takes no tau2, beta2 or d, and the Gaussian kinds take no
+# skew_label, so the PopulationSpec ranges are split between the two kinds.
+RANGE_CASES = {
+    **{type(v).__name__: (v, RANGES[type(v)]) for v in VALID if v is not LABEL_SHARD},
+    "PopulationSpec": (LABEL_SHARD, _without(RANGES[PopulationSpec], "tau2", "beta2", "d")),
+    "PopulationSpec-point_estimation": (POINT, _without(RANGES[PopulationSpec], "skew_label")),
+}
+
+
+@pytest.mark.parametrize("valid, ranges", RANGE_CASES.values(), ids=list(RANGE_CASES))
+def test_every_declared_range_admits_its_closed_ends_and_nothing_past_them(valid, ranges):
     hints = typing.get_type_hints(type(valid), include_extras=True)
     declared = {name for name, hint in hints.items() if getattr(hint, "__metadata__", ())}
     assert declared == set(RANGES[type(valid)])
-    for name, text in RANGES[type(valid)].items():
+    assert declared == set().union(*(r for v, r in RANGE_CASES.values() if type(v) is type(valid)))
+    for name, text in ranges.items():
         inner = typing.get_args(hints[name])[0]  # the type the Range annotates
         is_int = int in (inner, *typing.get_args(inner))
         refused = f"^{re.escape(f'{name} must be {text}')}$"
@@ -418,7 +434,10 @@ def _with(mapping, dotted, value):
     return out
 
 
-SHARD = _with(GOOD, "population.kind", "label_shard")
+# GOOD as a label-shard run, without the Gaussian kinds' tau2 and d, which a label shard refuses
+SHARD = _with(GOOD, "population", {
+    **{k: v for k, v in GOOD["population"].items() if k not in ("tau2", "d")}, "kind": "label_shard",
+})
 
 
 INTEGER_FIELD_CASES = [  # (config, key, value, extra run flags)
@@ -548,6 +567,35 @@ def test_a_pool_on_a_quadratic_population_is_a_config_error(tmp_path, capsys):
     raw = _with(GOOD, "population.pool", {"classes": 3})
     assert main(["validate", "--config", _write(tmp_path, raw)]) == 2
     assert capsys.readouterr().err == "config error: pool only applies to label_shard populations\n"
+
+
+@pytest.mark.parametrize("key, value", [("tau2", 0.2), ("beta2", 2.0), ("d", 7)])
+def test_a_label_shard_refuses_the_gaussian_fields(tmp_path, capsys, key, value):
+    # the label-shard builder reads none of them, so a config that set one would
+    # hash differently from the run it describes
+    raw = _with(SHARD, f"population.{key}", value)
+    assert main(["validate", "--config", _write(tmp_path, raw)]) == 2
+    want = f"config error: {key} only applies to point_estimation and linear_regression populations\n"
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("key, value", [("classes", 3), ("per_class", 50), ("feature_dim", 4), ("spread", 1.0)])
+def test_an_idx_pool_refuses_the_blob_fields(tmp_path, capsys, key, value):
+    for name in ("i.idx", "l.idx"):
+        (tmp_path / name).write_bytes(b"")
+    idx = {"idx_images": str(tmp_path / "i.idx"), "idx_labels": str(tmp_path / "l.idx")}
+    raw = _with(SHARD, "population.pool", {**idx, key: value})
+    assert main(["validate", "--config", _write(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == f"config error: {key} only applies to synthetic pools, not beside idx_images\n"
+
+
+def test_fields_a_kind_does_not_read_are_accepted_at_their_defaults(tmp_path):
+    spec = PopulationSpec(kind=PopulationKind.LABEL_SHARD, n_clients=4, rho_np=0.5, tau2=0.0, beta2=1, d=1)
+    assert spec == PopulationSpec(kind=PopulationKind.LABEL_SHARD, n_clients=4, rho_np=0.5)
+    for name in ("i.idx", "l.idx"):
+        (tmp_path / name).write_bytes(b"")
+    idx = {"idx_images": str(tmp_path / "i.idx"), "idx_labels": str(tmp_path / "l.idx")}
+    assert PoolSpec(**idx, classes=10, per_class=200, feature_dim=16, spread=3.0) == PoolSpec(**idx)
 
 
 def test_float_fields_take_integer_literals():

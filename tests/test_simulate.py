@@ -4,6 +4,7 @@ against their closed forms."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from feo2.simulate import (
     monte_carlo_server_variance,
     run_experiment,
 )
-from oracles import ditto_closed_form, rescored_local_metrics
+from oracles import ditto_closed_form, raw_gram, rescored_local_metrics
 
 
 def _point_cfg(**overrides):
@@ -375,6 +376,13 @@ def test_mc_server_variance_multidimensional_scales_with_trace():
     assert mc == pytest.approx(4 * server_variance_at(p1, 0.5), rel=0.03)
 
 
+@pytest.fixture
+def raw_draws(monkeypatch):
+    """The harnesses with `_gram` computed from raw per-trial draws: their losses
+    must then equal a per-trial evaluation of those same draws to rounding."""
+    monkeypatch.setattr(feo2.simulate, "_gram", raw_gram)
+
+
 def _direct_server_variance(p, r, trials, seed):
     """Per-trial reference: combine each trial's group means, then square."""
     rng = stream(seed, "server-variance")
@@ -390,7 +398,7 @@ def _direct_server_variance(p, r, trials, seed):
 
 @pytest.mark.parametrize("d", [1, 10])
 @pytest.mark.parametrize("N_p", [0, 30, 40])
-def test_mc_server_variance_moments_match_per_trial_evaluation(d, N_p):
+def test_mc_server_variance_moments_match_per_trial_evaluation(d, N_p, raw_draws):
     p = AnalyticParams.from_sigma_c2(N=40, N_p=N_p, sigma_c2=1.0, gamma2=0.05, d=d)
     for r in (0.0, optimal_ratio(p), 1.0):
         if p.N_np + r * p.N_p == 0:
@@ -417,7 +425,7 @@ def _direct_lambda_sweep(p, focal_private, grid, trials, seed, aggregator):
     ]
 
 
-def test_mc_server_variance_cache_keeps_sweeps_apart():
+def test_mc_server_variance_cache_keeps_sweeps_apart(raw_draws):
     base = AnalyticParams.from_sigma_c2(N=40, N_p=30, sigma_c2=1.0, gamma2=0.05, d=2)
     # same seed and trials; only the private group's law or the dimension differs
     for p in (base, dataclasses.replace(base, gamma2=0.5), dataclasses.replace(base, d=3), base):
@@ -458,9 +466,72 @@ def test_mc_moments_stay_python_floats():
     assert type(monte_carlo_server_variance(p, 0.5, 100, seed=3)) is float
 
 
+def test_gram_cache_keys_on_every_argument():
+    key = (8, "server-variance", 1000, 2, (0.5, 1.0))
+    keys = [key, (9, *key[1:]), (8, "lambda-sweep", *key[2:]), (8, key[1], 1001, 2, key[4]),
+            (*key[:3], 3, key[4]), (*key[:4], (0.5, 1.1)), (*key[:4], (None, 1.0))]
+    cached = [feo2.simulate._gram(*k) for k in keys]
+    assert len(set(cached)) == len(keys)
+    assert cached == [feo2.simulate._gram(*k) for k in keys] == [feo2.simulate._gram.__wrapped__(*k) for k in keys]
+
+
+# (trials, d, sds): two and three groups, an absent group, an sd of 0, and
+# trials*d = 1 and 2 beside three groups, where the Wishart law is rank-deficient.
+WISHART_CASES = [
+    (5, 2, (0.5, 2.0)),
+    (3, 1, (1.0, 0.7, 1.5)),
+    (4, 2, (1.2, None, 0.8)),
+    (2, 3, (0.0, 1.0, 0.6)),
+    (1, 1, (1.0, 0.5, 2.0)),
+    (2, 1, (1.0, 0.5, 2.0)),
+]
+
+
+@pytest.mark.parametrize("trials, d, sds", WISHART_CASES)
+def test_gram_entries_follow_the_wishart_moments(trials, d, sds):
+    # Entry (i, j) is sd_i*sd_j*W_ij/trials for W ~ Wishart(I, n = trials*d): its mean
+    # is n*sd_i^2*[i=j]/trials and its variance n*(sd_i^2*sd_j^2 + [i=j]*sd_i^4)/trials^2.
+    n, seeds = trials * d, 3000
+    grams = np.array([feo2.simulate._gram.__wrapped__(s, "law", trials, d, sds) for s in range(seeds)])
+    sd = [0.0 if x is None else x for x in sds]
+    for i in range(len(sds)):
+        for j in range(len(sds)):
+            x, same = grams[:, i, j], float(i == j)
+            mean = n * sd[i] ** 2 * same / trials
+            var = n * (sd[i] ** 2 * sd[j] ** 2 + same * sd[i] ** 4) / trials**2
+            if var == 0.0:  # an absent group or an sd of 0
+                assert not x.any()
+                continue
+            assert abs(x.mean() - mean) <= 4 * math.sqrt(var / seeds), (i, j)
+            spread = (x - x.mean()) ** 2
+            assert abs(spread.mean() - var) <= 4 * spread.std() / math.sqrt(seeds), (i, j)
+
+
+def test_an_absent_group_takes_no_draw():
+    with_absent = feo2.simulate._gram(7, "law", 4, 2, (1.2, None, 0.8))
+    (xx, xy), (_, yy) = feo2.simulate._gram(7, "law", 4, 2, (1.2, 0.8))
+    assert with_absent == ((xx, 0.0, xy), (0.0, 0.0, 0.0), (xy, 0.0, yy))
+
+
+def test_a_gram_costs_the_same_at_any_trial_count():
+    # 10^13 normals per group if drawn one by one; sampled from its law, a few variates
+    p = AnalyticParams.from_sigma_c2(N=100, N_p=95, sigma_c2=1.0, gamma2=0.01, d=10)
+    r = optimal_ratio(p)
+    mc = monte_carlo_server_variance(p, r, trials=10**12, seed=0)
+    assert mc == pytest.approx(p.d * server_variance_at(p, r), rel=1e-5)
+    # the plan's r-sweep Gram held 32 MB of draws when computed from them
+    tracemalloc.start()
+    try:
+        feo2.simulate._gram.__wrapped__(0, "server-variance", 200_000, 10, (0.1, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 @pytest.mark.parametrize("focal_private", [True, False])
 @pytest.mark.parametrize("aggregator", ["feo2", "fedavg"])
-def test_lambda_sweep_moments_match_per_lambda_evaluation(focal_private, aggregator):
+def test_lambda_sweep_moments_match_per_lambda_evaluation(focal_private, aggregator, raw_draws):
     p = AnalyticParams(N=100, N_p=95, tau2=0.5, beta2=0.25, gamma2=1.0, d=3)
     grid = [0.0, 0.05, 0.4, 1.0, 3.0, 50.0]
     got = lambda_sweep(p, focal_private, grid, 3000, seed=6, aggregator=aggregator)

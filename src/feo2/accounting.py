@@ -74,20 +74,10 @@ class PrivacyLedger:
             total += count * _rdp_one_order(q, z, order)
         return total
 
-    @property
-    def cumulative_rdp(self) -> tuple[float, ...]:
-        return tuple(self.rdp(a) for a in DEFAULT_ORDERS)
-
-    @property
-    def rounds_recorded(self) -> int:
-        return sum(count for _, _, count in self.counts)
-
     def to_dict(self) -> dict:
-        return {
-            "orders": list(DEFAULT_ORDERS),
-            "rdp": list(self.cumulative_rdp),
-            "rounds_recorded": self.rounds_recorded,
-        }
+        """The charged mechanisms, as ``summary.json`` lists them; `rdp` gives
+        their curve at any order."""
+        return {"charged": [{"q": q, "z": z, "rounds": count} for q, z, count in self.counts]}
 
 
 def _log_add(a: float, b: float) -> float:

@@ -149,6 +149,8 @@ class PopulationSpec:
             raise ValueError(
                 f"infeasible design: need samples_per_client >= d, got {self.samples_per_client} < {self.d}"
             )
+        if self.kind is PopulationKind.LABEL_SHARD and self.samples_per_client < 2:
+            raise ValueError("label_shard needs samples_per_client >= 2 (a train and a test example)")
         if self.skew_label is not None and self.kind is not PopulationKind.LABEL_SHARD:
             raise ValueError("skew_label only applies to label_shard populations")
         if self.pool is not None and self.kind is not PopulationKind.LABEL_SHARD:

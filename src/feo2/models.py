@@ -25,7 +25,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .config import PopulationKind
-from .privacy import clip_rows
 
 
 class NumericFailure(RuntimeError):
@@ -87,38 +86,34 @@ def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], k
 
 def _batches(x, y, batch_size: Optional[int], order: Optional[np.ndarray]) -> Iterator[tuple]:
     """Full batch when batch_size is None, else one pass of mini-batches taking
-    row i's examples in the order ``order[i]`` (in order when order is None)."""
+    row i's examples in the order ``order[i]``."""
     if batch_size is None:
         yield x, y
         return
-    m, n = x.shape[:2]
-    if order is None:
-        order = np.broadcast_to(np.arange(n), (m, n))
-    rows = np.arange(m)[:, None]
-    for lo in range(0, n, batch_size):
+    rows = np.arange(x.shape[0])[:, None]
+    for lo in range(0, x.shape[1], batch_size):
         idx = order[:, lo : lo + batch_size]
         yield x[rows, idx], None if y is None else y[rows, idx]
 
 
 def client_update(
-    global_model: np.ndarray, cohort: Cohort, clip_norm: float, cfg, kind: PopulationKind, ditto=None,
+    global_model: np.ndarray, cohort: Cohort, cfg, kind: PopulationKind, ditto=None,
     order: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Train every cohort client at once; return (clipped deltas (clients, dim), bits,
-    personal models) with bit 1 iff the raw delta's L2 norm was within ``clip_norm``.
-    ``cfg`` gives epochs / eta / batch_size, ``order`` (epochs, clients, examples)
-    each epoch's mini-batch example order per client, taken in order when None.
-    The personal models are None without ``ditto``; with it, each starts from
-    ``cohort.personal`` (else the broadcast ``global_model``) and takes one
-    proximal step per batch. A non-finite delta or personal model raises
-    `NumericFailure` naming the first such client."""
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Train every cohort client at once; return (raw deltas (clients, dim),
+    personal models). ``cfg`` gives epochs / eta / batch_size, ``order``
+    (epochs, clients, examples) each epoch's mini-batch example order per client
+    (None for full batches). The personal models are None without ``ditto``;
+    with it, each starts from ``cohort.personal`` and takes one proximal step
+    per batch. A non-finite delta or personal model raises `NumericFailure`
+    naming the first such client."""
     from .personalization import ditto_step
 
     global_model = np.asarray(global_model, dtype=np.float64)
     theta = np.repeat(global_model[None, :], len(cohort.ids), axis=0)
     personal = None
     if ditto is not None:
-        personal = theta.copy() if cohort.personal is None else cohort.personal
+        personal = cohort.personal
         lam = np.where(cohort.private, ditto.lambda_p, ditto.lambda_np).astype(np.float64)[:, None]
         eta_p = 1.0 / (1.0 + lam) if ditto.eta_p is None else ditto.eta_p
     for epoch in range(cfg.epochs):
@@ -135,4 +130,4 @@ def client_update(
         i = int(np.argmin(finite & personal_ok))
         what = "update" if personal_ok[i] else "personalized model"
         raise NumericFailure(f"non-finite {what} from client {cohort.ids[i]}")
-    return (*clip_rows(delta, clip_norm), personal)
+    return delta, personal

@@ -7,6 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import FeO2Config
+from .models import NumericFailure
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -47,7 +48,8 @@ def update_clip_norm(
     """Geometric step of the clip norm toward the kappa-quantile of update norms.
 
     S' = S * exp(-eta_b * ((mean(b) + N(0, z_b^2 / N_t^2)) - kappa)), with
-    N_t = len(indicators); z_b, kappa and eta_b come from ``cfg``.
+    N_t = len(indicators); z_b, kappa and eta_b come from ``cfg``. A step
+    that leaves (0, inf) raises `NumericFailure` naming the value.
     """
     if S <= 0:
         raise ValueError("S must be positive")
@@ -57,4 +59,8 @@ def update_clip_norm(
     b_mean = float(np.mean(indicators))
     if cfg.z_b > 0:
         b_mean += float(rng.normal(0.0, cfg.z_b / N_t))
-    return S * float(np.exp(-cfg.eta_b * (b_mean - cfg.kappa)))
+    with np.errstate(over="ignore"):
+        S_new = S * float(np.exp(-cfg.eta_b * (b_mean - cfg.kappa)))
+    if not 0.0 < S_new < np.inf:
+        raise NumericFailure(f"clip norm update gave S = {S_new!r}")
+    return S_new

@@ -1,13 +1,15 @@
 """Round orchestration and Monte Carlo harnesses.
 
 `run_experiment` executes the full federated loop: cohort sampling, one batched
-client step per round, two-group aggregation at the config's ratio r with
-optional noising, adaptive clip norm, privacy accounting, and evaluation
-against a per-client score cache (NaN until a client first trains), of which
-each round rescores only its cohort. Every random draw comes
-from a stream keyed on (master_seed, purpose, round): a round's mini-batch
-orders are drawn for the whole sorted cohort before it is split into chunks,
-and clients never mix, so reports are byte-stable for any number of workers.
+client step per round, then each privacy step in one place: the loop clips the
+cohort's raw updates to S, aggregates the two groups at the config's ratio r
+with the private mean noised, adapts S from the clip bits, and charges the
+accountant. It ends the round with evaluation against a per-client score cache
+(NaN until a client first trains), of which each round rescores only its
+cohort. Every random draw comes from a stream keyed on (master_seed, purpose,
+round): a round's mini-batch orders are drawn for the whole sorted cohort
+before it is split into chunks, and clients never mix (clipping included), so
+reports are byte-stable for any number of workers.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
@@ -37,7 +39,7 @@ from .analytic import AnalyticParams, focal_view, optimal_ratio, total_weight
 from .config import Algorithm, ExperimentConfig, PopulationKind
 from .datagen import Population, build_population
 from .models import Cohort, NumericFailure, _logits, client_update
-from .privacy import update_clip_norm
+from .privacy import clip_rows, update_clip_norm
 from .rng import stream
 
 
@@ -152,18 +154,20 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     n_ex, mini = pop.train_x.shape[1], cfg.feo2.batch_size is not None
     examples = np.tile(np.arange(n_ex), (cfg.feo2.epochs, cohort_size, 1)) if mini else None
 
-    def train(ids, batch_order, theta, S):
+    def train(ids, batch_order, theta):
         """The batched client step for the sorted cohort rows ``ids``, with their
-        mini-batch example orders ``batch_order`` (None for full batches)."""
+        mini-batch example orders ``batch_order`` (None for full batches): their
+        raw deltas. A Ditto client starts from its personal model once it has
+        trained, from the broadcast ``theta`` before."""
         # Consecutive ids (all clients under full participation) are sliced, not copied.
         rows = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == len(ids) else ids
         personal_start = None if personal is None else np.where(np.isnan(local[rows, None]), theta, personal[rows])
         y = None if pop.train_y is None else pop.train_y[rows]
         cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, personal_start)
-        deltas, bits, stepped = client_update(theta, cohort, S, cfg.feo2, pop.kind, cfg.ditto, batch_order)
+        deltas, stepped = client_update(theta, cohort, cfg.feo2, pop.kind, cfg.ditto, batch_order)
         if personal is not None:
             personal[rows] = stepped
-        return deltas, bits
+        return deltas
 
     # Threads take contiguous chunks of the sorted cohort.
     with _chunk_map(workers) as run_chunks:
@@ -172,25 +176,25 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
             batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
             parts = [p for p in np.array_split(np.arange(len(ids)), workers) if p.size]
             chunks = [(ids[p], None if batch_order is None else batch_order[:, p]) for p in parts]
-            try:
-                results = run_chunks(lambda c: train(*c, theta, S), chunks)
-                deltas, indicators = map(np.concatenate, zip(*results))
+            try:  # a NumericFailure from a client's training or the clip norm names the round
+                raw = np.concatenate(list(run_chunks(lambda c: train(*c, theta), chunks)))
+                # Every update, in either group, is clipped to S and releases its clip bit.
+                deltas, indicators = clip_rows(raw, S)
+                grouped = in_private_group[ids]
+                priv, nonpriv = deltas[grouped], deltas[~grouped]
+                N_p, N_np = len(priv), len(nonpriv)
+                delta_np = group_mean(nonpriv) if N_np else None
+                delta_p = dp_group_mean(priv, S, z, stream(seed, "noise", t)) if N_p else None
+                del raw, deltas, priv, nonpriv  # not held while the next round trains
+                try:
+                    combined = feo2_combine(delta_np, delta_p, N_np, N_p, cfg.feo2.r)
+                    theta = apply_update(theta, combined)
+                except RoundSkipped:
+                    pass  # no usable update; clip norm and accounting still advance
+
+                S = update_clip_norm(S, indicators, cfg.feo2, stream(seed, "clip", t))
             except NumericFailure as exc:
                 raise NumericFailure(f"{exc} in round {t}") from None
-
-            grouped = in_private_group[ids]
-            priv, nonpriv = deltas[grouped], deltas[~grouped]
-            N_p, N_np = len(priv), len(nonpriv)
-            delta_np = group_mean(nonpriv) if N_np else None
-            delta_p = dp_group_mean(priv, S, z, stream(seed, "noise", t)) if N_p else None
-            del deltas, priv, nonpriv  # not held while the next round trains
-            try:
-                combined = feo2_combine(delta_np, delta_p, N_np, N_p, cfg.feo2.r)
-                theta = apply_update(theta, combined)
-            except RoundSkipped:
-                pass  # no usable update; clip norm and accounting still advance
-
-            S = update_clip_norm(S, indicators, cfg.feo2, stream(seed, "clip", t))
 
             if z > 0 and N_p:
                 ledger = account_round(ledger, cfg.cohort_fraction, z)

@@ -1,4 +1,4 @@
-"""Release gate: eleven end-to-end checks, one test per criterion.
+"""Release gate: twelve end-to-end checks, one test per criterion.
 
 Each test prints exactly one ``[criterion NN] PASS/FAIL`` line (visible with
 ``pytest -s`` and in failure output) and pins its tolerances inline next to
@@ -24,6 +24,7 @@ from feo2.accounting import (
 from feo2.aggregation import RoundSkipped, feo2_combine
 from feo2.analytic import (
     AnalyticParams,
+    focal_view,
     gap_dpfedavg,
     gap_fedavg,
     lambda_star_general,
@@ -274,7 +275,7 @@ def test_criterion_08_accountant_contract():
         ledger = account_round(ledger, q, z)
         inc = rdp_increment(q, z, DEFAULT_ORDERS)
         manual = tuple(c + i for c, i in zip(manual, inc))
-        additive = additive and ledger.cumulative_rdp == manual
+        additive = additive and tuple(ledger.rdp(a) for a in DEFAULT_ORDERS) == manual
 
     # epsilon monotone: decreasing in z at fixed T, increasing in T at fixed z
     zs, Ts = (0.6, 1.0, 2.0, 4.0, 8.0), (1, 5, 20, 60, 120)
@@ -452,3 +453,56 @@ def test_criterion_11_simulator_recovers_optimal_ratio():
         f"r={r:.3g}: {x.mean():.4f} +- {se(x):.4f} vs {server_variance_at(p, r):.4f}" for r, x in mse.items()
     )
     _gate(11, ok, f"{points}; r* margins {min(margins.values()):.1f} SE > 4; {elapsed:.1f}s < 60s")
+
+
+def test_criterion_12_simulator_recovers_optimal_tether():
+    # Two rounds of the shipped simulator with Ditto are the paper's client-side
+    # estimator: round 0 broadcasts the criterion-11 global estimate g (eta = 1,
+    # one epoch, nothing clips, variance gamma2 on the private mean), and in round
+    # 1 each personal model, stepped once at the default eta_p = 1/(1+lam) from
+    # where round 0 left it, lands on (e + lam*g)/(1 + lam) for its clean local
+    # mean e. So round 1's acc_l_p / d estimates the tethered loss of a private
+    # client at r*; seeds 0-299 pair the three tethers.
+    t0 = time.monotonic()
+    n_clients, n_s, tau2, beta2, gamma2, d, S0 = 100, 10, 0.5, 2.5, 0.05, 10, 1e3
+    p = AnalyticParams(N=n_clients, N_p=95, tau2=tau2, beta2=beta2, gamma2=gamma2, n_s=n_s, d=d)
+    z = math.sqrt(gamma2) * p.N_p / S0
+    rstar, lstar, seeds = optimal_ratio(p), lambda_star_p(p), range(300)
+    a, v = focal_view(p, True, rstar)
+    A, B = p.alpha2, a * p.alpha2
+    C = (1.0 - a) ** 2 * p.tau2 + a * a * A + v
+
+    def loss(lam):
+        return (A + 2.0 * lam * B + lam * lam * C) / (1.0 + lam) ** 2
+
+    mse = {}
+    for lam in (0.1, lstar, 3.0):
+        mse[lam] = np.array([
+            run_experiment(ExperimentConfig(
+                population=PopulationSpec(
+                    kind=PopulationKind.POINT_ESTIMATION, n_clients=n_clients, rho_np=0.05,
+                    samples_per_client=n_s, tau2=tau2, beta2=beta2, d=d, seed=seed,
+                ),
+                algorithm=Algorithm.FEO2,
+                feo2=FeO2Config(r=rstar, z=z, S0=S0, eta=1.0, epochs=1),
+                ditto=DittoConfig(lambda_p=lam, lambda_np=lam),
+                rounds=2,
+                master_seed=seed,
+            )).reports[1].acc_l_p / d
+            for seed in seeds
+        ])
+
+    def se(x):
+        return float(np.std(x, ddof=1)) / math.sqrt(len(x))
+
+    z_scores = {lam: abs(x.mean() - loss(lam)) / se(x) for lam, x in mse.items()}
+    # lambda* against each end, on the paired per-seed differences
+    margins = {lam: (x - mse[lstar]).mean() / se(x - mse[lstar]) for lam, x in mse.items() if lam != lstar}
+    elapsed = time.monotonic() - t0
+    ok = (
+        max(z_scores.values()) <= 4.0          # each point within 4 SE of its closed form
+        and min(margins.values()) > 4.0        # lambda* beats 0.1 and 3 by over 4 SE
+        and elapsed < 60.0
+    )
+    points = ", ".join(f"lam={lam:.3g}: {x.mean():.5f} +- {se(x):.5f} vs {loss(lam):.5f}" for lam, x in mse.items())
+    _gate(12, ok, f"{points}; lambda* margins {min(margins.values()):.1f} SE > 4; {elapsed:.1f}s < 60s")

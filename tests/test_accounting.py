@@ -54,19 +54,20 @@ def test_ledger_charges_count_times_increment():
     for t in range(1, 8):
         ledger = account_round(ledger, 0.02, 1.1)
         assert ledger.counts == ((0.02, 1.1, t),)
-        assert ledger.cumulative_rdp == tuple(t * i for i in inc)  # exact float equality
-        assert ledger.rounds_recorded == t
+        curve = tuple(ledger.rdp(a) for a in DEFAULT_ORDERS)
+        assert curve == tuple(t * i for i in inc)  # exact float equality
+        assert sum(c for *_, c in ledger.counts) == t
     ledger = account_round(account_round(ledger, 0.5, 2.0), 0.02, 1.1)
     assert ledger.counts == ((0.02, 1.1, 8), (0.5, 2.0, 1))
-    assert ledger.rounds_recorded == 9
+    assert sum(c for *_, c in ledger.counts) == 9
 
 
 def test_account_round_leaves_input_ledger_untouched():
     ledger = account_round(PrivacyLedger(), 0.1, 1.0)
-    before = ledger.cumulative_rdp
+    before = tuple(ledger.rdp(a) for a in DEFAULT_ORDERS)
     account_round(ledger, 0.1, 1.0)
-    assert ledger.cumulative_rdp == before
-    assert ledger.rounds_recorded == 1
+    assert tuple(ledger.rdp(a) for a in DEFAULT_ORDERS) == before
+    assert sum(c for *_, c in ledger.counts) == 1
 
 
 def _eps(q, z, rounds, delta=1e-5):
@@ -116,9 +117,7 @@ def test_matches_binomial_oracle_at_integer_orders(q, z):
 def test_epsilon_conversion_picks_best_order():
     ledger = account_round(PrivacyLedger(), 0.01, 1.0)
     eps, order = epsilon_at_delta(ledger, 1e-5)
-    by_hand = min(
-        r + math.log(1e5) / (a - 1.0) for a, r in zip(DEFAULT_ORDERS, ledger.cumulative_rdp)
-    )
+    by_hand = min(ledger.rdp(a) + math.log(1e5) / (a - 1.0) for a in DEFAULT_ORDERS)
     assert eps == pytest.approx(by_hand, abs=0)
     assert order in DEFAULT_ORDERS
 

@@ -1,9 +1,10 @@
 """The batched cohort step keeps clients apart.
 
 Stacking clients must not change any client's bytes: a cohort run as one
-stack, one row at a time, or in two chunks gives bitwise equal deltas,
-indicator bits and personal models. This is what lets ``--workers`` split a
-cohort into chunks without changing a run's outputs.
+stack, one row at a time, or in two chunks gives bitwise equal deltas and
+personal models, and clipping those deltas gives bitwise equal clipped deltas
+and indicator bits. This is what lets ``--workers`` split a cohort into chunks
+without changing a run's outputs.
 """
 
 import numpy as np
@@ -40,7 +41,8 @@ SPECS = {
 
 def _step(pop, ids, theta, start, S, cfg, ditto):
     """client_update on the clients ``ids``, with their rows of one mini-batch
-    order matrix drawn for every client from one stream."""
+    order matrix drawn for every client from one stream, and its deltas clipped
+    to ``S``: (clipped deltas, bits, personal models)."""
     order = None
     if cfg.batch_size is not None:
         examples = np.tile(np.arange(pop.train_x.shape[1]), (cfg.epochs, len(pop.private), 1))
@@ -48,7 +50,8 @@ def _step(pop, ids, theta, start, S, cfg, ditto):
     y = None if pop.train_y is None else pop.train_y[ids]
     personal = None if start is None else start[ids].copy()
     cohort = Cohort(ids, pop.private[ids], pop.train_x[ids], y, personal)
-    return client_update(theta, cohort, S, cfg, pop.kind, ditto, order)
+    deltas, stepped = client_update(theta, cohort, cfg, pop.kind, ditto, order)
+    return (*clip_rows(deltas, S), stepped)
 
 
 @pytest.mark.parametrize("with_ditto", [False, True], ids=["plain", "ditto"])
@@ -81,7 +84,7 @@ def test_numeric_failure_names_the_first_bad_client_in_cohort_order():
     ids = np.array([1, 3, 5])
     cohort = Cohort(ids, np.ones(3, dtype=bool), x[ids], None)
     with np.errstate(invalid="ignore"), pytest.raises(NumericFailure, match="update from client 3$"):
-        client_update(np.zeros(pop.dim), cohort, 1.0, FeO2Config(), pop.kind)
+        client_update(np.zeros(pop.dim), cohort, FeO2Config(), pop.kind)
 
 
 def test_population_datasets_are_views_of_the_stacks():

@@ -242,11 +242,12 @@ def _without(ranges, *names):
 
 
 # (instance, the ranges it checks): each instance is valid at every end of those
-# ranges. A label shard takes no tau2, beta2 or d, and the Gaussian kinds take no
-# skew_label, so the PopulationSpec ranges are split between the two kinds.
+# ranges. A label shard takes no tau2, beta2 or d, and needs samples_per_client
+# >= 2 (a cross-field rule), and the Gaussian kinds take no skew_label, so the
+# PopulationSpec ranges are split between the two kinds.
 RANGE_CASES = {
     **{type(v).__name__: (v, RANGES[type(v)]) for v in VALID if v is not LABEL_SHARD},
-    "PopulationSpec": (LABEL_SHARD, _without(RANGES[PopulationSpec], "tau2", "beta2", "d")),
+    "PopulationSpec": (LABEL_SHARD, _without(RANGES[PopulationSpec], "tau2", "beta2", "d", "samples_per_client")),
     "PopulationSpec-point_estimation": (POINT, _without(RANGES[PopulationSpec], "skew_label")),
 }
 
@@ -343,6 +344,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", short, "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
     assert capsys.readouterr().err.count("samples_per_client >= d") == 2
+    # a label shard keeps at least one example per client for test, so one is too few
+    single = _write(tmp_path, _with(SHARD, "population.samples_per_client", 1), name="single.yaml")
+    assert main(["validate", "--config", single]) == 2
+    assert main(["run", "--config", single, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    assert capsys.readouterr().err.count("config error: label_shard needs samples_per_client >= 2") == 2
 
 
 def test_malformed_yaml_is_a_config_error_with_exit_2(tmp_path, capsys):
@@ -642,7 +649,7 @@ def test_a_fully_charged_run_ends_at_the_achieved_epsilon(capsys):
         "delta": 1e-5,
     }
     result = run_experiment(build_experiment_config(raw))
-    assert result.ledger.rounds_recorded == 100
+    assert sum(c for *_, c in result.ledger.counts) == 100
     assert result.reports[-1].epsilon == payload["achieved_epsilon"]
 
 

@@ -21,11 +21,11 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = {
     "point_demo.yaml": (
         "c8b507ab43d417582c2580e135a31ad2b61df94886a16888ca0c77d694845bc7",
-        "de7dc999bcb1d292016f5e53d3c34111d930bac540c5a00c8ba06e5efeb396eb",
+        "05053b15f8031d63f43a4f255bb484683b375a20f6af1834c717e38ac836b2b9",
     ),
     "skewed_label_shard.yaml": (
         "cc741ec34cf2de59f1273ae0b03526b865b55e82f40747dbcf702b68f121fe83",
-        "a391e7c175508aedf85ed31eea0a9301e5a0bd5a3b6526c41700bcb4e3214662",
+        "f821a1bc50698a7ad66168273f47b97fdc98dd6943309ef84d233378a3fa0dff",
     ),
 }
 
@@ -47,7 +47,7 @@ INLINE = {
             "master_seed": 11,
         },
         "04997ffb448ae977629d96cef519ec69285b3dc064d94135b98690e0a3cf104d",
-        "84f3bb70db0722efc1e0f0bfe77452498c91d020513dc040dfa19e62d56b4716",
+        "aa78fb82eb3e92ff9f0dd45fd48def9b9505d9ef16c526d2ec9de0116c0ce213",
     ),
     "regression_dpfedavg_minibatch": (
         {
@@ -63,7 +63,7 @@ INLINE = {
             "master_seed": 5,
         },
         "bc4a18e6ddc93031fd2d52483d145971c72534ce7300ee38cd5b0ac47b5d1c3d",
-        "7c3106f735181bd535d97f61b344b79e1d53e2ce1ce4c596a6c790cc83dc9081",
+        "7da7795cfe9264b506ad1de6ff8f5ab1c79615df665161ded8d8133bc39fabd2",
     ),
     "point_1d_fedavg_minibatch": (
         {
@@ -78,7 +78,7 @@ INLINE = {
             "master_seed": 8,
         },
         "04acbcfb61f39e451f9f8afe0c45686e7d6f8081fcc2ba8c849725abd9b2a0db",
-        "3f79de82199f20afc20570dd9d737f0b186c0ab82b6e69ac68fce639c7735ab1",
+        "b4cb3f48f8a14c869e1496ab08649db3d4a412480ac8e8419d5fb3fc98ce2991",
     ),
 }
 

@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from feo2.config import DittoConfig, FeO2Config, PopulationKind
 from feo2.models import Cohort, NumericFailure, client_update, local_gradient
+from feo2.privacy import clip_rows
 from feo2.rng import stream
 
 from oracles import local_loss, numeric_gradient
@@ -49,14 +50,14 @@ def _grad(theta, data, kind):
     return local_gradient(theta[None], *_stack(data), kind)[0]
 
 
-def _cohort(data, client_id=0, private=True):
-    return Cohort(np.array([client_id]), np.array([private]), *_stack(data))
+def _cohort(data, client_id=0, private=True, personal=None):
+    return Cohort(np.array([client_id]), np.array([private]), *_stack(data), personal)
 
 
-def _update(theta, cohort, clip_norm, cfg, kind, ditto=None, order=None):
-    """client_update of a one-client cohort: (delta, bit, personal model or None)."""
-    deltas, bits, personal = client_update(theta, cohort, clip_norm, cfg, kind, ditto, order)
-    return deltas[0], int(bits[0]), None if personal is None else personal[0]
+def _update(theta, cohort, cfg, kind, ditto=None, order=None):
+    """client_update of a one-client cohort: (raw delta, personal model or None)."""
+    deltas, personal = client_update(theta, cohort, cfg, kind, ditto, order)
+    return deltas[0], None if personal is None else personal[0]
 
 
 def test_point_loss_closed_form():
@@ -120,20 +121,22 @@ def test_regression_gradient_zero_at_least_squares_solution():
 )
 def test_one_step_full_batch_lands_on_sample_mean(obs, theta):
     """eta = 1, one epoch, full batch: the raw point-estimation delta is exactly
-    mean(obs) - theta (before clipping)."""
+    mean(obs) - theta, and a clip bound above its norm keeps it."""
     cohort = _cohort((obs, None))
     cfg = FeO2Config(eta=1.0, epochs=1, batch_size=None)
-    delta, b, _ = _update(theta, cohort, 1e9, cfg, PopulationKind.POINT_ESTIMATION)
+    delta, _ = _update(theta, cohort, cfg, PopulationKind.POINT_ESTIMATION)
     assert np.allclose(delta, obs.mean(axis=0) - theta, atol=1e-9)
-    assert b == 1
+    clipped, bits = clip_rows(delta[None], 1e9)
+    assert bits[0] == 1 and np.array_equal(clipped[0], delta)
 
 
 def test_clip_indicator_reflects_raw_norm():
     cohort = _cohort((np.full((3, 2), 10.0), None))
     cfg = FeO2Config(eta=1.0)
-    delta, b, _ = _update(np.zeros(2), cohort, 0.5, cfg, PopulationKind.POINT_ESTIMATION)
-    assert b == 0
-    assert np.linalg.norm(delta) <= 0.5
+    raw, _ = _update(np.zeros(2), cohort, cfg, PopulationKind.POINT_ESTIMATION)
+    delta, bits = clip_rows(raw[None], 0.5)
+    assert bits[0] == 0
+    assert np.linalg.norm(delta[0]) <= 0.5
 
 
 def test_minibatches_partition_the_data():
@@ -156,9 +159,9 @@ def test_minibatch_order_is_stream_determined():
     def order():  # (epochs, clients, examples)
         return stream(7, "c").permuted(np.tile(np.arange(9), (2, 1, 1)), axis=-1)
 
-    da, _, _ = _update(np.zeros(2), _cohort(data), 10.0, cfg, kind, order=order())
-    db, _, _ = _update(np.zeros(2), _cohort(data), 10.0, cfg, kind, order=order())
-    in_order, _, _ = _update(np.zeros(2), _cohort(data), 10.0, cfg, kind)
+    da, _ = _update(np.zeros(2), _cohort(data), cfg, kind, order=order())
+    db, _ = _update(np.zeros(2), _cohort(data), cfg, kind, order=order())
+    in_order, _ = _update(np.zeros(2), _cohort(data), cfg, kind, order=np.tile(np.arange(9), (2, 1, 1)))
     assert np.array_equal(da, db)
     assert not np.array_equal(da, in_order)
 
@@ -169,17 +172,17 @@ def test_divergent_training_raises_numeric_failure():
     cohort = _cohort(_point(stream(1, "nf"), n_s=4, d=2), client_id=3, private=False)
     cfg = FeO2Config(eta=4.0, epochs=3000)  # |1 - eta| > 1 compounds to overflow
     with pytest.raises(NumericFailure, match="client 3"):
-        _update(np.zeros(2), cohort, 1.0, cfg, PopulationKind.POINT_ESTIMATION)
+        _update(np.zeros(2), cohort, cfg, PopulationKind.POINT_ESTIMATION)
 
 
 def test_ditto_initializes_personal_model_from_broadcast():
+    # the round loop starts a client that has not trained yet from the broadcast
     obs, _ = _point(stream(8, "di"), n_s=5, d=2)
-    cohort = _cohort((obs, None))
-    cfg = FeO2Config(eta=1.0)
     theta0 = np.array([0.5, -0.25])
-    assert cohort.personal is None
-    *_, personal = _update(theta0, cohort, 1e6, cfg, PopulationKind.POINT_ESTIMATION, ditto=DittoConfig(1.0, 1.0))
-    assert cohort.personal is None  # an input only: the stepped models are returned
+    cohort = _cohort((obs, None), personal=theta0[None].copy())
+    cfg = FeO2Config(eta=1.0)
+    _, personal = _update(theta0, cohort, cfg, PopulationKind.POINT_ESTIMATION, ditto=DittoConfig(1.0, 1.0))
+    assert np.array_equal(cohort.personal, theta0[None])  # an input only: the stepped models are returned
     # one proximal step with eta_p = 1/(1+lam) from theta0:
     target = (obs.mean(axis=0) + 1.0 * theta0) / 2.0
     assert np.allclose(personal, target, atol=1e-12)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from feo2.cli import main
 from feo2.config import FeO2Config, build_experiment_config
+from feo2.models import NumericFailure
 from feo2.privacy import clip, update_clip_norm
 from feo2.rng import stream
 
@@ -77,6 +80,35 @@ def test_clip_norm_update_validates_counts():
         update_clip_norm(1.0, [], cfg, stream(0, "c"))
     with pytest.raises(ValueError):
         update_clip_norm(-1.0, [1], cfg, stream(0, "c"))
+
+
+def test_clip_norm_update_outside_zero_to_inf_is_a_numeric_failure():
+    cfg = FeO2Config(eta_b=2000.0)  # a step of exp(+-1000)
+    with pytest.raises(NumericFailure, match=r"^clip norm update gave S = inf$"):
+        update_clip_norm(1.0, [0], cfg, stream(0, "c"))
+    with pytest.raises(NumericFailure, match=r"^clip norm update gave S = 0\.0$"):
+        update_clip_norm(1.0, [1], cfg, stream(0, "c"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_run_whose_clip_norm_leaves_zero_to_inf_fails_naming_the_round(tmp_path, capsys, seed):
+    # noisy clip bits at z_b = 1000 over a cohort of one push S to 0 or inf within a few rounds
+    raw = {
+        "population": {"kind": "point_estimation", "n_clients": 10, "rho_np": 0.5},
+        "algorithm": "feo2",
+        "feo2": {"r": 0.5, "z": 1, "z_b": 1000, "eta_b": 1},
+        "cohort_fraction": 0.1,
+        "rounds": 60,
+        "master_seed": seed,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    *rows, last = (tmp_path / "out" / "rounds.csv").read_text().splitlines()[1:]
+    assert all(0.0 < float(row.split(",")[1]) < math.inf for row in rows)
+    failed = f"FAILED,clip norm update gave S = {'inf' if seed in (1, 3, 4, 5) else '0.0'} in round {len(rows)}"
+    assert last == failed
+    assert f"run failed: {failed[len('FAILED,'):]}" in capsys.readouterr().err
 
 
 # The DP knobs live on FeO2Config (section "feo2") and delta on ExperimentConfig.

@@ -318,7 +318,7 @@ def test_a_round_derives_the_same_few_streams_at_any_cohort_size(monkeypatch):
     assert len(doubled) == len(paths)
 
 
-def test_round_orders_are_permutations_and_none_keeps_the_order(monkeypatch):
+def test_round_orders_are_permutations_and_an_arange_order_keeps_the_order(monkeypatch):
     from feo2.models import _batches
 
     update, orders = feo2.simulate.client_update, []
@@ -336,7 +336,7 @@ def test_round_orders_are_permutations_and_none_keeps_the_order(monkeypatch):
     assert np.array_equal(np.sort(rows, axis=1), np.broadcast_to(np.arange(n_ex), rows.shape))
     assert len({row.tobytes() for row in rows}) == len(rows)  # a fresh order per epoch and client
     x = np.arange(14.0).reshape(2, 7, 1)
-    batches = [xb for xb, _ in _batches(x, None, 3, None)]
+    batches = [xb for xb, _ in _batches(x, None, 3, np.tile(np.arange(7), (2, 1)))]
     assert [xb.shape[1] for xb in batches] == [3, 3, 1]
     assert np.array_equal(np.concatenate(batches, axis=1), x)
 

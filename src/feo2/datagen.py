@@ -100,7 +100,7 @@ def gen_label_shard_population(spec: PopulationSpec, features: np.ndarray, label
         raise ValueError("spec kind must be label_shard")
     rng = stream(spec.seed, "population")
     n, n_samp = spec.n_clients, spec.samples_per_client
-    labels_present = np.unique(labels)
+    labels_present = np.flatnonzero(np.bincount(labels))  # np.unique would import numpy.ma
     by_label = {int(lab): np.flatnonzero(labels == lab) for lab in labels_present}
     for lab, idx in by_label.items():
         if idx.size < n_samp:

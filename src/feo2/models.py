@@ -58,7 +58,10 @@ def _logits(model: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _softmax_probs(model: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities, laid out as in `_logits`."""
     p = _logits(model, x)
-    p -= p.max(axis=-1, keepdims=True)
+    top = p[..., 0].copy()  # the row max, column by column: a reduction over the short class axis is slower
+    for k in range(1, p.shape[-1]):
+        np.maximum(top, p[..., k], out=top)
+    p -= top[..., None]
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     return p
@@ -75,7 +78,8 @@ def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], k
     if kind is PopulationKind.LABEL_SHARD:
         p = _softmax_probs(models, x)
         (m, n), c, f = y.shape, p.shape[2], x.shape[2]
-        p[np.arange(m)[:, None], np.arange(n), y] -= 1.0  # minus the one-hot labels
+        hot = np.arange(m * n) * c + y.reshape(-1)  # the one-hot labels' flat index into p
+        np.put(p, hot, p.take(hot) - 1.0)  # put writes into p itself, never into a copy
         err = np.divide(p, n, out=p)
         grad = np.empty(models.shape)  # weight gradients (c, f) per row, then bias gradients
         np.matmul(np.swapaxes(err, 1, 2), x, out=grad[:, : c * f].reshape(m, c, f))
@@ -124,9 +128,9 @@ def client_update(
             if ditto is not None:
                 personal = ditto_step(personal, global_model, xb, yb, kind, lam, eta_p)
     delta = np.subtract(theta, global_model, out=theta)
-    finite = np.isfinite(delta).all(axis=1)
-    personal_ok = np.ones_like(finite) if ditto is None else np.isfinite(personal).all(axis=1)
-    if not (finite & personal_ok).all():
+    if not (np.isfinite(delta).all() and (ditto is None or np.isfinite(personal).all())):
+        finite = np.isfinite(delta).all(axis=1)
+        personal_ok = np.ones_like(finite) if ditto is None else np.isfinite(personal).all(axis=1)
         i = int(np.argmin(finite & personal_ok))
         what = "update" if personal_ok[i] else "personalized model"
         raise NumericFailure(f"non-finite {what} from client {cohort.ids[i]}")

@@ -20,7 +20,9 @@ def clip_rows(rows: np.ndarray, S: float) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row onto the L2 ball of radius ``S``; return (clipped, b) with
     b[i] = 1 iff ||rows[i]|| <= S before clipping. The rescale loop guards
     against a scaled norm landing a few ulps above S, which makes a second clip
-    a bitwise no-op (idempotent). Rows are clipped independently."""
+    a bitwise no-op (idempotent). Rows are clipped independently: each pass
+    rescales and re-norms only the rows still above S, since a row that fits
+    keeps its bits."""
     if S <= 0:
         raise ValueError("clip norm must be positive")
     out = np.array(rows, dtype=np.float64, copy=True)
@@ -28,11 +30,14 @@ def clip_rows(rows: np.ndarray, S: float) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(norms).all():
         raise ValueError(f"cannot clip a vector of norm {norms[~np.isfinite(norms)][0]}")
     b = (norms <= S).astype(np.int64)
-    over = norms > S
-    while over.any():
-        out *= np.where(over, S / np.maximum(norms, S), 1.0)[:, None]  # rows that fit: times 1
-        norms = row_norms(out)
-        over = norms > S
+    over = np.flatnonzero(norms > S)  # the rows above S, and their norms
+    norms = norms[over]
+    while over.size:
+        scaled = out[over] * (S / norms)[:, None]
+        out[over] = scaled
+        norms = row_norms(scaled)
+        keep = norms > S
+        over, norms = over[keep], norms[keep]
     return out, b
 
 

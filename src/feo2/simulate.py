@@ -7,9 +7,11 @@ with the private mean noised, adapts S from the clip bits, and charges the
 accountant. It ends the round with evaluation against a per-client score cache
 (NaN until a client first trains), of which each round rescores only its
 cohort. Every random draw comes from a stream keyed on (master_seed, purpose,
-round): a round's mini-batch orders are drawn for the whole sorted cohort
-before it is split into chunks, and clients never mix (clipping included), so
-reports are byte-stable for any number of workers.
+round); at full participation (q = 1) the cohort is every client and no
+cohort stream is built, which moves no other draw. A round's mini-batch
+orders are drawn for the whole sorted cohort before it is split into chunks,
+and clients never mix (clipping included), so reports are byte-stable for
+any number of workers.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
@@ -172,12 +174,16 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     # Threads take contiguous chunks of the sorted cohort.
     with _chunk_map(workers) as run_chunks:
         for t in range(cfg.rounds):
-            ids = np.sort(stream(seed, "cohort", t).choice(n, cohort_size, replace=False))
+            if cohort_size == n:  # q = 1: every client, and no cohort stream is built
+                ids = np.arange(n)
+            else:
+                ids = np.sort(stream(seed, "cohort", t).choice(n, cohort_size, replace=False))
             batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
             parts = [p for p in np.array_split(np.arange(len(ids)), workers) if p.size]
             chunks = [(ids[p], None if batch_order is None else batch_order[:, p]) for p in parts]
             try:  # a NumericFailure from a client's training or the clip norm names the round
-                raw = np.concatenate(list(run_chunks(lambda c: train(*c, theta), chunks)))
+                chunk_deltas = list(run_chunks(lambda c: train(*c, theta), chunks))
+                raw = chunk_deltas[0] if len(chunk_deltas) == 1 else np.concatenate(chunk_deltas)
                 # Every update, in either group, is clipped to S and releases its clip bit.
                 deltas, indicators = clip_rows(raw, S)
                 grouped = in_private_group[ids]
@@ -185,7 +191,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
                 N_p, N_np = len(priv), len(nonpriv)
                 delta_np = group_mean(nonpriv) if N_np else None
                 delta_p = dp_group_mean(priv, S, z, stream(seed, "noise", t)) if N_p else None
-                del raw, deltas, priv, nonpriv  # not held while the next round trains
+                del chunk_deltas, raw, deltas, priv, nonpriv  # not held while the next round trains
                 try:
                     combined = feo2_combine(delta_np, delta_p, N_np, N_p, cfg.feo2.r)
                     theta = apply_update(theta, combined)

@@ -3,7 +3,8 @@
 Everything here is deliberately written from first principles with different
 numerics than the library code (mpmath quadrature instead of log-domain
 series, a dense linear solve instead of closed-form coefficients), so
-agreement is meaningful.
+agreement is meaningful. The array kernels' references are their plainer
+first formulations instead, which the library must match byte for byte.
 """
 
 import math
@@ -14,7 +15,8 @@ import numpy as np
 
 from feo2.accounting import DEFAULT_ORDERS, rdp_increment
 from feo2.config import PopulationKind
-from feo2.models import _softmax_probs
+from feo2.models import _logits, _softmax_probs
+from feo2.privacy import row_norms
 from feo2.rng import stream
 
 
@@ -225,3 +227,42 @@ def raw_gram(seed: int, purpose: str, trials: int, d: int, sds: tuple) -> tuple[
         if x is not None and y is not None:
             gram[i][j] = gram[j][i] = float(np.einsum("ij,ij->", x, y)) / trials
     return tuple(map(tuple, gram))
+
+
+def clip_rows_every_row(rows: np.ndarray, S: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """`feo2.privacy.clip_rows` rescaling and re-norming every row on every
+    pass (a row that fits is multiplied by exactly 1.0): (clipped, b, passes),
+    with ``passes`` the number of rescale passes taken."""
+    out = np.array(rows, dtype=np.float64, copy=True)
+    norms = row_norms(out)
+    b = (norms <= S).astype(np.int64)
+    over, passes = norms > S, 0
+    while over.any():
+        out *= np.where(over, S / np.maximum(norms, S), 1.0)[:, None]
+        norms = row_norms(out)
+        over, passes = norms > S, passes + 1
+    return out, b, passes
+
+
+def softmax_by_reduction(model: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`feo2.models._softmax_probs` with the row max taken as one reduction
+    over the class axis."""
+    p = _logits(model, x)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def label_shard_gradient_three_index(models: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The label-shard `feo2.models.local_gradient` of a (clients, dim) stack:
+    probabilities from `softmax_by_reduction`, minus the one-hot labels
+    subtracted through three broadcast index arrays, averaged over examples."""
+    p = softmax_by_reduction(models, x)
+    (m, n), c, f = y.shape, p.shape[2], x.shape[2]
+    p[np.arange(m)[:, None], np.arange(n), y] -= 1.0
+    err = np.divide(p, n, out=p)
+    grad = np.empty(models.shape)
+    np.matmul(np.swapaxes(err, 1, 2), x, out=grad[:, : c * f].reshape(m, c, f))
+    err.sum(axis=1, out=grad[:, c * f :])
+    return grad

@@ -10,13 +10,16 @@ without changing a run's outputs.
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from feo2.cli import main
 from feo2.config import DittoConfig, FeO2Config, PoolSpec, PopulationKind, PopulationSpec
 from feo2.datagen import build_population
-from feo2.models import Cohort, NumericFailure, client_update
+from feo2.models import Cohort, NumericFailure, _softmax_probs, client_update, local_gradient
 from feo2.privacy import clip, clip_rows, row_norms
 from feo2.rng import stream
+from oracles import clip_rows_every_row, label_shard_gradient_three_index, softmax_by_reduction
 
 SPECS = {
     "point": PopulationSpec(
@@ -112,6 +115,68 @@ def test_clip_rows_matches_clip_of_each_row():
     for row, got, b in zip(rows, out, bits):
         want, want_b = clip(row, 1.3)
         assert np.array_equal(got, want) and b == want_b
+
+
+def _assert_clips_like_every_row_rescaling(rows, S):
+    out, bits = clip_rows(rows, S)
+    want, want_bits, passes = clip_rows_every_row(rows, S)
+    assert out.tobytes() == want.tobytes() and np.array_equal(bits, want_bits)
+    return passes
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 64),
+    d=st.sampled_from((1, 2, 5, 17, 170)),
+    log_S=st.floats(-3.0, 3.0),
+    at_S=st.integers(0, 3),
+)
+def test_clip_rows_equals_rescaling_every_row_bitwise(seed, k, d, log_S, at_S):
+    # About half the rows start above S; a quarter land a few ulps above S after
+    # one rescale. The first at_S rows have norm exactly S: sqrt(S * S) == S.
+    rng = np.random.default_rng(seed)
+    S = float(np.exp(log_S))
+    rows = rng.normal(0.0, 1.0, (k, d)) * (S * rng.lognormal(0.0, 1.0, (k, 1)) / np.sqrt(d))
+    rows[:at_S] = 0.0
+    rows[:at_S, 0] = S * rng.choice((-1.0, 1.0), rows[:at_S].shape[0])
+    assert (row_norms(rows[:at_S]) == S).all()
+    _assert_clips_like_every_row_rescaling(rows, S)
+
+
+def test_clip_rows_equals_rescaling_every_row_when_rows_need_three_passes():
+    rng = stream(13, "clip-passes")
+    rows = rng.normal(0.0, 1.0, (2_000, 170)) * rng.lognormal(0.0, 2.0, (2_000, 1))
+    assert _assert_clips_like_every_row_rescaling(rows, 0.37) >= 3
+
+
+# (clients, examples, classes, features): skewed_shard's full batch, sampled_ditto's
+# mini-batch, and small stacks.
+GRADIENT_SHAPES = ((200, 16, 10, 16), (50, 4, 10, 16), (50, 4, 10, 10), (1, 1, 2, 1), (7, 5, 3, 4))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from(GRADIENT_SHAPES),
+    scale=st.sampled_from((0.0, 1e-3, 1.0, 40.0)),
+    tie=st.booleans(),
+    strided_y=st.booleans(),
+)
+def test_label_shard_gradient_equals_reduction_and_three_index_form_bitwise(
+    seed, shape, scale, tie, strided_y
+):
+    # scale 0 draws signed zeros, so every logit ties at +0 or -0; ``tie`` makes
+    # the last class a copy of the first.
+    m, n, c, f = shape
+    rng = np.random.default_rng(seed)
+    w, b = rng.normal(0.0, 1.0, (m, c, f)) * scale, rng.normal(0.0, 1.0, (m, c)) * scale
+    if tie:
+        w[:, -1], b[:, -1] = w[:, 0], b[:, 0]
+    models = np.concatenate([w.reshape(m, c * f), b], axis=1)
+    x = rng.normal(0.0, 1.0, (m, n, f))
+    y = rng.integers(0, c, (n, m)).T if strided_y else rng.integers(0, c, (m, n))
+    got = local_gradient(models, x, y, PopulationKind.LABEL_SHARD)
+    assert got.tobytes() == label_shard_gradient_three_index(models, x, y).tobytes()
+    assert _softmax_probs(models[0], x[0]).tobytes() == softmax_by_reduction(models[0], x[0]).tobytes()
 
 
 def test_personalized_failure_names_client_and_round(tmp_path, capsys):

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +112,26 @@ def test_label_shard_skew_pins_opted_out_clients():
     assert len(opted_out) == 4
     for j in opted_out:
         assert set(pop.train_y[j].tolist()) == {2}
+
+
+def test_label_shard_draws_only_labels_the_pool_holds():
+    features, labels = gen_blob_pool(8, 30, 3, 3.0, seed=4)
+    keep = np.isin(labels, (1, 4, 6))
+    pop = gen_label_shard_population(_spec(PopulationKind.LABEL_SHARD), features[keep], labels[keep])
+    assert set(pop.train_y.ravel().tolist()) <= {1, 4, 6}
+    assert pop.dim == 7 * 4  # classes 0..6: the largest label present plus one
+
+
+def test_building_a_label_shard_population_does_not_import_numpy_ma():
+    probe = (
+        "import sys; from feo2.config import PopulationKind, PopulationSpec; "
+        "from feo2.datagen import build_population; "
+        "build_population(PopulationSpec(kind=PopulationKind.LABEL_SHARD, n_clients=20, rho_np=0.1)); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_label_shard_insufficient_pool_raises():

@@ -297,7 +297,8 @@ def test_a_sampled_round_scores_only_its_cohort(monkeypatch):
 
 
 def _stream_paths(monkeypatch, cfg):
-    """The path of every stream `run_experiment` derives, in call order."""
+    """The path of every stream `run_experiment` derives, in call order, and the
+    run's reports."""
     paths = []
 
     def recording(seed, *path):
@@ -305,17 +306,24 @@ def _stream_paths(monkeypatch, cfg):
         return stream(seed, *path)
 
     monkeypatch.setattr(feo2.simulate, "stream", recording)
-    run_experiment(cfg)
-    return paths
+    return paths, run_experiment(cfg).reports
 
 
 def test_a_round_derives_the_same_few_streams_at_any_cohort_size(monkeypatch):
     small = dataclasses.replace(_sampled_shard_ditto_cfg(5), cohort_fraction=0.2)
-    paths = _stream_paths(monkeypatch, small)
+    paths, _ = _stream_paths(monkeypatch, small)
     assert all(len(path) == 2 and isinstance(path[0], str) for path in paths)  # (purpose, round)
     assert [p for p in paths if p[0] == "minibatch"] == [("minibatch", t) for t in range(5)]
-    doubled = _stream_paths(monkeypatch, dataclasses.replace(small, cohort_fraction=0.4))
+    doubled, _ = _stream_paths(monkeypatch, dataclasses.replace(small, cohort_fraction=0.4))
     assert len(doubled) == len(paths)
+
+
+@pytest.mark.parametrize("fraction, cohort_streams", [(1.0, []), (0.5, [("cohort", t) for t in range(4)])])
+def test_only_a_sampled_cohort_builds_a_cohort_stream(monkeypatch, fraction, cohort_streams):
+    # At q = 1 the cohort is every client; no stream is built only to be sorted back to arange(n).
+    paths, reports = _stream_paths(monkeypatch, _point_cfg(cohort_fraction=fraction, rounds=4))
+    assert [p for p in paths if p[0] == "cohort"] == cohort_streams
+    assert [r.N_p_t + r.N_np_t for r in reports] == [round(fraction * 10)] * 4
 
 
 def test_round_orders_are_permutations_and_an_arange_order_keeps_the_order(monkeypatch):

@@ -22,16 +22,15 @@ def group_mean(updates: np.ndarray) -> np.ndarray:
 
 
 def dp_group_mean(
-    updates: np.ndarray, S: float, z: float, rng: np.random.Generator
+    updates: np.ndarray, S: float, std: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Mean of a (clients, dim) stack of clipped updates plus N(0, (z*S/N_p)^2)
-    noise, drawn from ``rng`` only when z > 0."""
+    """Mean of a (clients, dim) stack of updates clipped to ``S``, plus N(0, std^2)
+    noise per coordinate (`Mechanism.update_std`), drawn from ``rng`` if std > 0."""
     mean = group_mean(updates)
     norms = row_norms(np.asarray(updates, dtype=np.float64))
     over = norms[~(norms <= S + 1e-9)]  # negated so that a NaN norm fails too
     if over.size:
         raise ValueError(f"private update norm {over[0]:.6g} exceeds clip bound {S}")
-    std = z * S / len(updates)
     return mean + rng.normal(0.0, std, mean.shape[0]) if std > 0 else mean
 
 

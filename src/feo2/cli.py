@@ -2,7 +2,7 @@
 
 Verbs:
   run          execute an experiment config, writing rounds.csv / summary.json /
-               manifest.json into --out
+               manifest.json (which names the privacy `Mechanism`) into --out
   validate     check a config and build its population; print the resolved config and hash
   solve-z      invert the privacy accountant for a target (epsilon, delta)
   analytic     closed-form quantities and Monte Carlo sweeps
@@ -46,6 +46,7 @@ from .analytic import (
 )
 from .config import config_to_dict, manifest_hash, parse_config
 from .datagen import build_population
+from .privacy import Mechanism
 from .simulate import RoundReport, focal_scenario, lambda_sweep, monte_carlo_server_variance, run_experiment
 
 _CONFIG_ERRORS = (OSError, ValueError, TypeError, KeyError)  # malformed YAML is a ValueError
@@ -136,6 +137,7 @@ def _cmd_run(args) -> int:
         "config_path": str(Path(args.config).resolve()),
         "config": config_to_dict(cfg),
         "config_sha256": manifest_hash(cfg),
+        "mechanism": Mechanism.from_config(cfg).to_dict(),
         "out_dir": str(out_dir.resolve()),
         "workers": args.workers,
         "started_at": datetime.now(timezone.utc).isoformat(),

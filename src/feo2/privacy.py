@@ -1,13 +1,44 @@
-"""Clipping, and the adaptive clip-norm update with its noised indicator mean."""
+"""A run's private `Mechanism` (what a round releases and charges), clipping,
+and the adaptive clip-norm update with its noised indicator mean."""
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 import numpy as np
 
-from .config import FeO2Config
 from .models import NumericFailure
+
+
+@dataclasses.dataclass(frozen=True)
+class Mechanism:
+    """Each round draws ``cohort_size`` clients without replacement, noises the private
+    mean with std update_std(S, N_p) per coordinate and the clip bits' mean with std
+    bit_std(N_t), and charges ``(q, z)`` if it drew a private client; q = cohort_size / n_clients."""
+
+    q: float
+    cohort_size: int
+    z: float
+    z_b: float
+
+    @classmethod
+    def from_config(cls, cfg) -> Mechanism:
+        """The `ExperimentConfig`'s mechanism: a cohort of max(1, round(cohort_fraction * n_clients))."""
+        n = cfg.population.n_clients
+        cohort_size = max(1, round(cfg.cohort_fraction * n))
+        return cls(cohort_size / n, cohort_size, cfg.feo2.z, cfg.feo2.z_b)
+
+    def update_std(self, S: float, N_p: int) -> float:
+        return self.z * S / N_p
+
+    def bit_std(self, N_t: int) -> float:
+        return self.z_b / N_t
+
+    def to_dict(self) -> dict:
+        """The fields, and the terms of the release that the charge assumes."""
+        terms = {"sampling": "fixed-size without replacement", "noise_denominator": "realised count"}
+        return {**dataclasses.asdict(self), **terms, "clip_bits_charged": False}
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -48,12 +79,12 @@ def clip(v: np.ndarray, S: float) -> tuple[np.ndarray, int]:
 
 
 def update_clip_norm(
-    S: float, indicators: Sequence[int], cfg: FeO2Config, rng: np.random.Generator
+    S: float, indicators: Sequence[int], std: float, kappa: float, eta_b: float, rng: np.random.Generator
 ) -> float:
     """Geometric step of the clip norm toward the kappa-quantile of update norms.
 
-    S' = S * exp(-eta_b * ((mean(b) + N(0, z_b^2 / N_t^2)) - kappa)), with
-    N_t = len(indicators); z_b, kappa and eta_b come from ``cfg``. A step
+    S' = S * exp(-eta_b * ((mean(b) + N(0, std^2)) - kappa)), the noise drawn
+    from ``rng`` only when std > 0 (a run passes `Mechanism.bit_std`). A step
     that leaves (0, inf) raises `NumericFailure` naming the value.
     """
     if S <= 0:
@@ -62,10 +93,10 @@ def update_clip_norm(
     if N_t < 1:
         raise ValueError("need at least one indicator bit")
     b_mean = float(np.mean(indicators))
-    if cfg.z_b > 0:
-        b_mean += float(rng.normal(0.0, cfg.z_b / N_t))
+    if std > 0:
+        b_mean += float(rng.normal(0.0, std))
     with np.errstate(over="ignore"):
-        S_new = S * float(np.exp(-cfg.eta_b * (b_mean - cfg.kappa)))
+        S_new = S * float(np.exp(-eta_b * (b_mean - kappa)))
     if not 0.0 < S_new < np.inf:
         raise NumericFailure(f"clip norm update gave S = {S_new!r}")
     return S_new

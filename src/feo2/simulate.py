@@ -3,15 +3,15 @@
 `run_experiment` executes the full federated loop: cohort sampling, one batched
 client step per round, then each privacy step in one place: the loop clips the
 cohort's raw updates to S, aggregates the two groups at the config's ratio r
-with the private mean noised, adapts S from the clip bits, and charges the
-accountant. It ends the round with evaluation against a per-client score cache
-(NaN until a client first trains), of which each round rescores only its
-cohort. Every random draw comes from a stream keyed on (master_seed, purpose,
-round); at full participation (q = 1) the cohort is every client and no
-cohort stream is built, which moves no other draw. A round's mini-batch
-orders are drawn for the whole sorted cohort before it is split into chunks,
-and clients never mix (clipping included), so reports are byte-stable for
-any number of workers.
+with the private mean noised, adapts S from the noised clip bits, and charges
+the accountant; the run's `privacy.Mechanism` gives the cohort size, both noise
+stds and the charge. Evaluation uses a per-client score cache (NaN until a
+client first trains) and rescores only the cohort. Every random draw comes from
+a stream keyed on (master_seed, purpose, round); at full participation (q = 1)
+the cohort is every client and no cohort stream is built, which moves no other
+draw. A round's mini-batch orders are drawn for the whole sorted cohort before
+it is split into chunks, and clients never mix (clipping included), so reports
+are byte-stable for any number of workers.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
@@ -41,7 +41,7 @@ from .analytic import AnalyticParams, focal_view, optimal_ratio, total_weight
 from .config import Algorithm, ExperimentConfig, PopulationKind
 from .datagen import Population, build_population
 from .models import Cohort, NumericFailure, _logits, client_update
-from .privacy import clip_rows, update_clip_norm
+from .privacy import Mechanism, clip_rows, update_clip_norm
 from .rng import stream
 
 
@@ -138,7 +138,7 @@ def _chunk_map(workers: int):
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> ExperimentResult:
     pop = build_population(cfg.population)
     theta = np.zeros(pop.dim)
-    S, z, seed = cfg.feo2.S0, cfg.feo2.z, cfg.master_seed
+    S, seed, mech = cfg.feo2.S0, cfg.master_seed, Mechanism.from_config(cfg)
     # The ledger and its last best order: a round moves that order little, so
     # the next round's epsilon scan starts there.
     ledger, order = PrivacyLedger(), None
@@ -146,7 +146,6 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     # One aggregation rule for all three algorithms: FedAvg is r = 1 with z = 0, and
     # DP-FedAvg r = 1 with every client private (the config enforces both rules).
     in_private_group = np.ones(n, dtype=bool) if cfg.algorithm is Algorithm.DPFEDAVG else pop.private
-    cohort_size = max(1, round(cfg.cohort_fraction * n))
     # Ditto state: every client's personal model and its score (see `_evaluate`),
     # both valid where the score is not NaN, that is once the client has trained.
     personal = None if cfg.ditto is None else np.zeros((n, pop.dim))
@@ -154,7 +153,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     reports: List[RoundReport] = []
     # Mini-batch runs: each epoch's example order per cohort position, shuffled each round.
     n_ex, mini = pop.train_x.shape[1], cfg.feo2.batch_size is not None
-    examples = np.tile(np.arange(n_ex), (cfg.feo2.epochs, cohort_size, 1)) if mini else None
+    examples = np.tile(np.arange(n_ex), (cfg.feo2.epochs, mech.cohort_size, 1)) if mini else None
 
     def train(ids, batch_order, theta):
         """The batched client step for the sorted cohort rows ``ids``, with their
@@ -174,10 +173,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     # Threads take contiguous chunks of the sorted cohort.
     with _chunk_map(workers) as run_chunks:
         for t in range(cfg.rounds):
-            if cohort_size == n:  # q = 1: every client, and no cohort stream is built
+            if mech.cohort_size == n:  # q = 1: every client, and no cohort stream is built
                 ids = np.arange(n)
             else:
-                ids = np.sort(stream(seed, "cohort", t).choice(n, cohort_size, replace=False))
+                ids = np.sort(stream(seed, "cohort", t).choice(n, mech.cohort_size, replace=False))
             batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
             parts = [p for p in np.array_split(np.arange(len(ids)), workers) if p.size]
             chunks = [(ids[p], None if batch_order is None else batch_order[:, p]) for p in parts]
@@ -190,7 +189,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
                 priv, nonpriv = deltas[grouped], deltas[~grouped]
                 N_p, N_np = len(priv), len(nonpriv)
                 delta_np = group_mean(nonpriv) if N_np else None
-                delta_p = dp_group_mean(priv, S, z, stream(seed, "noise", t)) if N_p else None
+                delta_p = dp_group_mean(priv, S, mech.update_std(S, N_p), stream(seed, "noise", t)) if N_p else None
                 del chunk_deltas, raw, deltas, priv, nonpriv  # not held while the next round trains
                 try:
                     combined = feo2_combine(delta_np, delta_p, N_np, N_p, cfg.feo2.r)
@@ -198,13 +197,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
                 except RoundSkipped:
                     pass  # no usable update; clip norm and accounting still advance
 
-                S = update_clip_norm(S, indicators, cfg.feo2, stream(seed, "clip", t))
+                bit_std = mech.bit_std(len(indicators))
+                S = update_clip_norm(S, indicators, bit_std, cfg.feo2.kappa, cfg.feo2.eta_b, stream(seed, "clip", t))
             except NumericFailure as exc:
                 raise NumericFailure(f"{exc} in round {t}") from None
 
-            if z > 0 and N_p:
-                ledger = account_round(ledger, cfg.cohort_fraction, z)
-            epsilon, order = epsilon_at_delta(ledger, cfg.delta, order) if z > 0 else (math.inf, None)
+            if mech.z > 0 and N_p:
+                ledger = account_round(ledger, mech.q, mech.z)
+            epsilon, order = epsilon_at_delta(ledger, cfg.delta, order) if mech.z > 0 else (math.inf, None)
 
             metrics = _evaluate(theta, pop, personal, ids, local)
             report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)

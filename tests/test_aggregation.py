@@ -24,11 +24,11 @@ def test_group_mean_empty_raises():
 
 
 def test_noise_zero_std_is_exactly_zero():
-    # z = 0: exactly the group mean, and no draw from the generator
+    # std = 0 (z = 0): exactly the group mean, and no draw from the generator
     ups = [np.array([0.5, -0.25]), np.array([0.0, 0.5])]
     rng = stream(0, "n")
     before = rng.bit_generator.state
-    got = dp_group_mean(ups, S=1.0, z=0.0, rng=rng)
+    got = dp_group_mean(ups, S=1.0, std=0.0, rng=rng)
     assert np.array_equal(got, group_mean(ups))
     assert rng.bit_generator.state == before
 
@@ -36,20 +36,20 @@ def test_noise_zero_std_is_exactly_zero():
 def test_dp_group_mean_rejects_unclipped_updates():
     ups = [np.array([5.0, 0.0])]
     with pytest.raises(ValueError, match="exceeds clip bound"):
-        dp_group_mean(ups, S=1.0, z=1.0, rng=stream(0, "n"))
+        dp_group_mean(ups, S=1.0, std=1.0, rng=stream(0, "n"))
 
 
 def test_dp_group_mean_rejects_non_finite_updates():
     # A NaN norm fails "norm > S" as well as "norm <= S"; it must count as out of bound.
     with pytest.raises(ValueError, match="exceeds clip bound"):
-        dp_group_mean([np.array([np.nan, 0.0])], S=1.0, z=1.0, rng=stream(0, "n"))
+        dp_group_mean([np.array([np.nan, 0.0])], S=1.0, std=1.0, rng=stream(0, "n"))
 
 
 def test_noise_std_matches_request():
     # the injected noise over many coordinates: mean ~ 0, std ~ z*S/N_p = 2.5
     n, z, S = 4, 5.0, 2.0
     ups = [np.zeros(200_000) for _ in range(n)]
-    got = dp_group_mean(ups, S=S, z=z, rng=stream(1, "n"))
+    got = dp_group_mean(ups, S=S, std=z * S / n, rng=stream(1, "n"))
     assert abs(got.std() - z * S / n) < 0.02
     assert abs(got.mean()) < 0.02
 

@@ -17,6 +17,8 @@ import feo2.accounting
 import feo2.cli
 import feo2.simulate
 from feo2.cli import build_parser, main
+from feo2.config import build_experiment_config
+from test_golden_outputs import INLINE
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -35,6 +37,35 @@ def test_every_span_target_resolves(perfbench):
     spans, _ = perfbench
     for module, attr, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+
+
+def test_the_loop_calls_each_privacy_step_through_its_span_target(monkeypatch):
+    # perfbench times these three steps by the bindings in feo2.simulate: a loop
+    # that bypassed one would read 0 s for its layer, and raise no error
+    cfg = build_experiment_config(INLINE["label_shard_minibatch_ditto"][0])
+    calls = {name: [] for name in ("dp_group_mean", "update_clip_norm", "account_round")}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(feo2.simulate, name, counted(name, getattr(feo2.simulate, name)))
+    reports = feo2.simulate.run_experiment(cfg).reports
+    incoming = [cfg.feo2.S0] + [report.S for report in reports[:-1]]  # each round's clip norm S
+    private = [t for t, report in enumerate(reports) if report.N_p_t]
+    assert len(reports) == cfg.rounds and private
+    z, z_b, N_t = cfg.feo2.z, cfg.feo2.z_b, 12  # a cohort of 0.1 * 120 clients
+    assert [(len(updates), S, std) for updates, S, std, _ in calls["dp_group_mean"]] == [
+        (reports[t].N_p_t, incoming[t], z * incoming[t] / reports[t].N_p_t) for t in private
+    ]
+    assert [(S, len(bits), std) for S, bits, std, *_ in calls["update_clip_norm"]] == [
+        (S, N_t, z_b / N_t) for S in incoming
+    ]
+    assert [(q, z) for _, q, z in calls["account_round"]] == [(0.1, z)] * len(private)
 
 
 def test_a_run_fires_the_set_up_hook_once_then_one_round_hook_per_round(monkeypatch, tmp_path, capsys):

@@ -37,6 +37,7 @@ from feo2.config import (
     manifest_hash,
     parse_config,
 )
+from feo2.privacy import Mechanism
 from feo2.simulate import run_experiment
 
 GOOD = {
@@ -298,6 +299,15 @@ def test_run_writes_the_three_artifacts(tmp_path):
     assert manifest["status"] == "ok"
     assert manifest["config"]["rounds"] == 3
     assert len(manifest["config_sha256"]) == 64
+    assert manifest["mechanism"] == Mechanism.from_config(build_experiment_config(GOOD)).to_dict()
+    assert manifest["mechanism"] == {
+        "q": 1.0, "cohort_size": 12, "z": 0.7, "z_b": 0.0, "sampling": "fixed-size without replacement",
+        "noise_denominator": "realised count", "clip_bits_charged": False,
+    }
+
+    fedavg = _with(_with(GOOD, "algorithm", "fedavg"), "feo2", {"S0": 2.0})
+    assert main(["run", "--config", _write(tmp_path, fedavg, "fedavg.yaml"), "--out", str(tmp_path / "fedavg")]) == 0
+    assert json.loads((tmp_path / "fedavg" / "manifest.json").read_text())["mechanism"]["z"] == 0
 
 
 def test_run_seed_flag_overrides_master_seed(tmp_path):

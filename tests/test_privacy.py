@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from feo2.accounting import PrivacyLedger, epsilon_at_delta
 from feo2.cli import main
-from feo2.config import FeO2Config, build_experiment_config
+from feo2.config import build_experiment_config
 from feo2.models import NumericFailure
-from feo2.privacy import clip, update_clip_norm
+from feo2.privacy import Mechanism, clip, update_clip_norm
 from feo2.rng import stream
 
 vectors = hnp.arrays(
@@ -58,16 +59,19 @@ def test_clip_rejects_non_finite_input(bad):
 
 
 def test_clip_norm_update_noiseless_formula():
-    cfg = FeO2Config(z=1.0, z_b=0.0, kappa=0.5, eta_b=0.2)
+    # std = 0 (z_b = 0): the exact step, and no draw from the generator
     bits = [1, 1, 1, 0]
-    got = update_clip_norm(2.0, bits, cfg, stream(0, "c"))
+    rng = stream(0, "c")
+    before = rng.bit_generator.state
+    got = update_clip_norm(2.0, bits, std=0.0, kappa=0.5, eta_b=0.2, rng=rng)
     assert got == pytest.approx(2.0 * math.exp(-0.2 * (0.75 - 0.5)), abs=1e-15)
+    assert rng.bit_generator.state == before
 
 
 def test_clip_norm_update_with_noise_is_reproducible():
-    cfg = FeO2Config(z=1.0, z_b=3.0, kappa=0.5, eta_b=0.2)
-    a = update_clip_norm(1.0, [1, 0], cfg, stream(5, "c"))
-    b = update_clip_norm(1.0, [1, 0], cfg, stream(5, "c"))
+    step = dict(std=3.0 / 2.0, kappa=0.5, eta_b=0.2)  # z_b = 3 over N_t = 2 bits
+    a = update_clip_norm(1.0, [1, 0], rng=stream(5, "c"), **step)
+    b = update_clip_norm(1.0, [1, 0], rng=stream(5, "c"), **step)
     assert a == b
     # manual reconstruction with the same stream
     noise = float(stream(5, "c").normal(0.0, 3.0 / 2.0))
@@ -75,19 +79,19 @@ def test_clip_norm_update_with_noise_is_reproducible():
 
 
 def test_clip_norm_update_validates_counts():
-    cfg = FeO2Config()
+    step = dict(std=0.0, kappa=0.5, eta_b=0.2)  # the config defaults
     with pytest.raises(ValueError):
-        update_clip_norm(1.0, [], cfg, stream(0, "c"))
+        update_clip_norm(1.0, [], rng=stream(0, "c"), **step)
     with pytest.raises(ValueError):
-        update_clip_norm(-1.0, [1], cfg, stream(0, "c"))
+        update_clip_norm(-1.0, [1], rng=stream(0, "c"), **step)
 
 
 def test_clip_norm_update_outside_zero_to_inf_is_a_numeric_failure():
-    cfg = FeO2Config(eta_b=2000.0)  # a step of exp(+-1000)
+    step = dict(std=0.0, kappa=0.5, eta_b=2000.0)  # a step of exp(+-1000)
     with pytest.raises(NumericFailure, match=r"^clip norm update gave S = inf$"):
-        update_clip_norm(1.0, [0], cfg, stream(0, "c"))
+        update_clip_norm(1.0, [0], rng=stream(0, "c"), **step)
     with pytest.raises(NumericFailure, match=r"^clip norm update gave S = 0\.0$"):
-        update_clip_norm(1.0, [1], cfg, stream(0, "c"))
+        update_clip_norm(1.0, [1], rng=stream(0, "c"), **step)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -109,6 +113,9 @@ def test_a_run_whose_clip_norm_leaves_zero_to_inf_fails_naming_the_round(tmp_pat
     failed = f"FAILED,clip norm update gave S = {'inf' if seed in (1, 3, 4, 5) else '0.0'} in round {len(rows)}"
     assert last == failed
     assert f"run failed: {failed[len('FAILED,'):]}" in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["mechanism"] == Mechanism.from_config(build_experiment_config(raw)).to_dict()
 
 
 # The DP knobs live on FeO2Config (section "feo2") and delta on ExperimentConfig.
@@ -129,3 +136,21 @@ def test_dp_config_validation(kwargs):
     bad_key = list(kwargs.get("feo2", kwargs))[-1]
     with pytest.raises(ValueError, match=bad_key):
         build_experiment_config(raw)
+
+
+def test_a_run_charges_the_sampling_rate_it_runs(tmp_path):
+    # q·n = 0.1 rounds up to a cohort of one in 100, so each round samples at 1%, not 0.1%
+    raw = {
+        "population": {"kind": "point_estimation", "n_clients": 100, "rho_np": 0},
+        "algorithm": "feo2",
+        "feo2": {"z": 1, "z_b": 1},
+        "cohort_fraction": 0.001,
+        "rounds": 100,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["privacy"] == {"charged": [{"q": 0.01, "z": 1.0, "rounds": 100}]}
+    want, _ = epsilon_at_delta(PrivacyLedger(((0.01, 1.0, 100),)), 1e-5)
+    assert summary["final_round"]["epsilon"] == want

@@ -2,8 +2,8 @@
 
 A `PrivacyLedger` counts the rounds charged per (sampling rate q, noise
 multiplier z). RDP composes by addition, so the ledger's RDP at order a is
-``Σ count · rdp_(q,z)(a)``, and `epsilon_at_delta` converts it to
-(epsilon, delta) as the minimum over DEFAULT_ORDERS of
+``Σ count · rdp_increment(q, z, a)``, and `epsilon_at_delta` converts it
+to (epsilon, delta) as the minimum over DEFAULT_ORDERS of
 ``rdp(a) + log(1/delta)/(a - 1)``. That is the only epsilon computation: a
 run, `solve_z` and ``feo2 solve-z`` all call it, so a run that charges every
 round ends at the epsilon ``solve-z`` reports for its z, bit for bit.
@@ -68,10 +68,10 @@ class PrivacyLedger:
             _check_mechanism(q, z)
 
     def rdp(self, order: float) -> float:
-        """The ledger's RDP at ``order``: Σ count · rdp_(q,z)(order)."""
+        """The ledger's RDP at ``order``: Σ count · rdp_increment(q, z, order)."""
         total = 0.0  # a loop, not sum() of a generator: half the cost per order scanned
         for q, z, count in self.counts:
-            total += count * _rdp_one_order(q, z, order)
+            total += count * rdp_increment(q, z, order)
         return total
 
     def to_dict(self) -> dict:
@@ -101,14 +101,14 @@ def _log_sub(a: float, b: float) -> float:
 
 
 def _log_erfc(x: float) -> float:
-    if x <= 8.0:
+    if x <= 25.0:
         return math.log(math.erfc(x))
-    # asymptotic expansion; erfc underflows float64 near x ~ 26.6
+    # asymptotic series to x^-6 (next term 105/(16 x^8) < 5e-11); erfc underflows near 26.6
     return (
         -(x**2)
         - math.log(x)
         - 0.5 * math.log(math.pi)
-        + math.log1p(-0.5 / x**2 + 0.75 / x**4)
+        + math.log1p(-0.5 / x**2 + 0.75 / x**4 - 1.875 / x**6)
     )
 
 
@@ -164,21 +164,16 @@ def _log_a_frac(q: float, sigma: float, alpha: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _rdp_one_order(q: float, sigma: float, alpha: float) -> float:
-    if q == 1.0:
-        return alpha / (2.0 * sigma**2)
-    if float(alpha).is_integer():
-        log_a = _log_a_int(q, sigma, int(alpha))
-    else:
-        log_a = _log_a_frac(q, sigma, alpha)
-    return max(log_a / (alpha - 1.0), 0.0)
-
-
-@lru_cache(maxsize=256)
-def rdp_increment(q: float, z: float, orders: tuple[float, ...]) -> tuple[float, ...]:
-    """Per-order RDP of a single subsampled Gaussian round."""
+def rdp_increment(q: float, z: float, order: float) -> float:
+    """RDP at ``order`` of a single (q, z) subsampled Gaussian round."""
     _check_mechanism(q, z)
-    return tuple(_rdp_one_order(q, z, a) for a in orders)
+    if q == 1.0:
+        return order / (2.0 * z**2)
+    if float(order).is_integer():
+        log_a = _log_a_int(q, z, int(order))
+    else:
+        log_a = _log_a_frac(q, z, order)
+    return max(log_a / (order - 1.0), 0.0)
 
 
 def account_round(ledger: PrivacyLedger, q: float, z: float) -> PrivacyLedger:

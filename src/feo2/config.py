@@ -79,9 +79,10 @@ def _field_types(cls) -> tuple:
 def check_field_types(obj) -> None:
     """Reject a field of the dataclass ``obj`` whose value its annotation does not
     admit: an int takes a Python int, a float an int or float within the finite float
-    range, a str a string, any other type an instance of it. A bool is never accepted,
-    and None only where the annotation is ``Optional``. A value that passes must then
-    lie in the field's declared `Range`, if it has one."""
+    range (stored as a float, so ``z: 1`` and ``z: 1.0`` hash alike), a str a string,
+    any other type an instance of it. A bool is never accepted, and None only where
+    the annotation is ``Optional``. A value that passes must then lie in the field's
+    declared `Range`, if it has one."""
     for name, kind, optional, _, bounds in _field_types(type(obj)):
         value = getattr(obj, name)
         if value is None and optional:
@@ -97,6 +98,8 @@ def check_field_types(obj) -> None:
             raise ValueError(f"{name} must be {what}, got {value!r}")
         if bounds is not None and value not in bounds:
             raise ValueError(f"{name} must be {bounds}")
+        if kind is float and type(value) is not float:
+            object.__setattr__(obj, name, float(value))
 
 
 def _set_away_from_default(obj, names) -> list:

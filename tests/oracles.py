@@ -59,11 +59,13 @@ def rdp_subsampled_gaussian_binomial(q: float, sigma: float, alpha: int, dps: in
 def epsilon_full_curve(counts, delta: float) -> tuple[float, float]:
     """(epsilon, order) of a ledger's (q, z, count) entries with every order
     evaluated: the minimum over DEFAULT_ORDERS of
-    Σ count · rdp_increment + log(1/delta)/(a - 1), the first minimum winning.
+    Σ count · rdp_increment(q, z, a) + log(1/delta)/(a - 1), the first minimum
+    winning.
     The reference for the accountant's pruned scan."""
     rdp = [0.0] * len(DEFAULT_ORDERS)
     for q, z, count in counts:
-        rdp = [r + count * i for r, i in zip(rdp, rdp_increment(q, z, DEFAULT_ORDERS))]
+        curve = tuple(rdp_increment(q, z, a) for a in DEFAULT_ORDERS)
+        rdp = [r + count * i for r, i in zip(rdp, curve)]
     eps = [r + math.log(1.0 / delta) / (a - 1.0) for a, r in zip(DEFAULT_ORDERS, rdp)]
     best = eps.index(min(eps))
     return eps[best], DEFAULT_ORDERS[best]

@@ -273,7 +273,7 @@ def test_criterion_08_accountant_contract():
     additive = True
     for q, z in rounds:
         ledger = account_round(ledger, q, z)
-        inc = rdp_increment(q, z, DEFAULT_ORDERS)
+        inc = tuple(rdp_increment(q, z, a) for a in DEFAULT_ORDERS)
         manual = tuple(c + i for c, i in zip(manual, inc))
         additive = additive and tuple(ledger.rdp(a) for a in DEFAULT_ORDERS) == manual
 
@@ -291,7 +291,7 @@ def test_criterion_08_accountant_contract():
     mono_z = all(eps[b][t] < eps[a][t] for t in Ts for a, b in zip(zs, zs[1:]))
 
     # q = 1 closed form at integer orders
-    full = dict(zip(DEFAULT_ORDERS, rdp_increment(1.0, 1.7, DEFAULT_ORDERS)))
+    full = {a: rdp_increment(1.0, 1.7, a) for a in DEFAULT_ORDERS}
     q1_dev = max(
         abs(full[a] - a / (2 * 1.7**2)) / (a / (2 * 1.7**2)) for a in (2.0, 16.0, 64.0, 256.0)
     )
@@ -300,7 +300,7 @@ def test_criterion_08_accountant_contract():
     oracle_dev = 0.0
     for q in (0.02, 0.37):
         for z in (0.8, 2.0):
-            inc = dict(zip(DEFAULT_ORDERS, rdp_increment(q, z, DEFAULT_ORDERS)))
+            inc = {a: rdp_increment(q, z, a) for a in DEFAULT_ORDERS}
             for a in (1.5, 7.25, 64.0):
                 oracle_dev = max(
                     oracle_dev, abs(inc[a] - oracles.rdp_subsampled_gaussian_quadrature(q, z, a))

@@ -8,6 +8,7 @@ share one parser too."""
 
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -94,9 +95,38 @@ def test_a_run_fires_the_set_up_hook_once_then_one_round_hook_per_round(monkeypa
     assert events == ["set-up"] + ["round"] * 10  # point_demo.yaml runs 10 rounds
 
 
-def test_rdp_increment_keeps_its_cache_counters():
-    info = feo2.accounting.rdp_increment.cache_info()
-    assert info.hits >= 0 and info.misses >= 0
+def test_rdp_increment_keeps_its_cache_counters(perfbench):
+    # perfbench/child.py reports rdp_increment.cache_info() as the accounting.rdp_*
+    # metrics, so it must be the cache that a ledger's solve fills and reads
+    _, run = perfbench
+    eps, q, rounds = run.SOLVE_Z_TARGETS[0]
+    cache = feo2.accounting.rdp_increment
+    cache.cache_clear()
+    z = feo2.accounting.solve_z(eps, run.PLAN_DELTA, q, rounds)
+    solved = cache.cache_info()
+    assert solved.misses > 0
+    ledger = feo2.accounting.PrivacyLedger(((q, z, rounds),))
+    _, order = feo2.accounting.epsilon_at_delta(ledger, run.PLAN_DELTA)  # the solve's last scan
+    replayed = cache.cache_info()
+    assert replayed.misses == solved.misses and replayed.hits > solved.hits
+    ledger.rdp(order)
+    after = cache.cache_info()
+    assert (after.hits, after.misses) == (replayed.hits + 1, replayed.misses)
+
+
+def test_a_traced_plan_repetition_counts_rdp_cache_misses(perfbench, tmp_path):
+    # one traced solve-z repetition of the privacy plan, run as the harness runs it
+    spans, run = perfbench
+    argv = next(argv for argv in run.privacy_plan(0, tmp_path) if argv[0] == "solve-z")
+    job = {"kind": "plan", "argv": [argv], "trace": True, "calibrate": False, "run_id": "contract",
+           "result": str(tmp_path / "result.json")}
+    (tmp_path / "job.json").write_text(json.dumps(job), encoding="utf-8")
+    child = [sys.executable, str(PERFBENCH / "child.py"), str(tmp_path / "job.json")]
+    assert subprocess.run(child, env=run.child_env(), timeout=120, check=False).returncode == 0
+    result = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert result["trace"]["rdp_cache"]["misses"] > 0
+    metrics = spans.layer_metrics(result["trace"], result["setup_end"], result["steps"], result["done"])
+    assert metrics["accounting.rdp_increment_misses"] > 0
 
 
 def test_plan_gate_accepts_solve_z_and_rejects_a_wrong_z(perfbench, tmp_path, capsys):

@@ -622,6 +622,22 @@ def test_float_fields_take_integer_literals():
     assert build_experiment_config(config_to_dict(cfg)) == cfg
 
 
+def test_an_integer_literal_in_a_float_field_is_stored_as_its_float(tmp_path):
+    # z: 1 and z: 1.0 are one config: one hash, one mapping, and 1.0 in every output
+    cfgs = [build_experiment_config(_with(GOOD, "feo2.z", z)) for z in (1, 1.0)]
+    assert type(cfgs[0].feo2.z) is float
+    assert len({manifest_hash(cfg) for cfg in cfgs}) == 1
+    assert len({json.dumps(config_to_dict(cfg), sort_keys=True) for cfg in cfgs}) == 1
+    for name, z in (("int", 1), ("float", 1.0)):
+        out, path = tmp_path / name, _write(tmp_path, _with(GOOD, "feo2.z", z), f"{name}.yaml")
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        summary = json.loads((out / "summary.json").read_text())
+        assert manifest["config_sha256"] == manifest_hash(cfgs[1])
+        zs = (manifest["config"]["feo2"]["z"], manifest["mechanism"]["z"], summary["privacy"]["charged"][0]["z"])
+        assert [repr(z) for z in zs] == ["1.0"] * 3
+
+
 def test_validate_prints_resolved_config(tmp_path, capsys):
     rc = main(["validate", "--config", _write(tmp_path, GOOD)])
     assert rc == 0

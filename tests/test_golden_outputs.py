@@ -46,8 +46,8 @@ INLINE = {
             "cohort_fraction": 0.1,
             "master_seed": 11,
         },
-        "04997ffb448ae977629d96cef519ec69285b3dc064d94135b98690e0a3cf104d",
-        "aa78fb82eb3e92ff9f0dd45fd48def9b9505d9ef16c526d2ec9de0116c0ce213",
+        "3096d9498291a356ccad3d7fbc89d48acadc4702ce598ca43c5d9d887464f0e0",
+        "7d56237bb7c0477ec64f4462823d1c1117e8133f23db0a8b58ae0e8af89187fb",
     ),
     "regression_dpfedavg_minibatch": (
         {
@@ -62,8 +62,8 @@ INLINE = {
             "cohort_fraction": 0.5,
             "master_seed": 5,
         },
-        "bc4a18e6ddc93031fd2d52483d145971c72534ce7300ee38cd5b0ac47b5d1c3d",
-        "7da7795cfe9264b506ad1de6ff8f5ab1c79615df665161ded8d8133bc39fabd2",
+        "61db92059a0d0def459d0d16b936fea5119fd74bc86151bbd7e05800bf4ec04b",
+        "4361ad50ea2b393aa6f10937d9ab4c3ce723ba1ddb3f0fdf637746d41de7e317",
     ),
     "point_1d_fedavg_minibatch": (
         {
@@ -142,7 +142,7 @@ PLAN = {
 
 # SHA-256 of each part's stdout, every call's JSON in order.
 PLAN_SHA256 = {
-    "closed forms and solve-z": "357fa1e53cc66dc02bd27a888e234a405bd645724ac0e55eb3fd34bc75c044a5",
+    "closed forms and solve-z": "67c0b10eabe05a8ab0d5a1bb10af3f5bd80f26d69c9881f59208a4771f813809",
     "Monte Carlo": "be42bbf4bb803f5badf61c700617007b2eb6d45e420968371868f2710a7e2ed1",
 }
 

@@ -54,14 +54,14 @@ def test_a_full_participation_round_evaluates_a_few_orders(monkeypatch):
     # that order and its two neighbours; a walk to twice the best order made ~144
     # calls per round.
     calls = 0
-    one_order = feo2.accounting._rdp_one_order
+    one_order = feo2.accounting.rdp_increment
 
     def counted(*args):
         nonlocal calls
         calls += 1
         return one_order(*args)
 
-    monkeypatch.setattr(feo2.accounting, "_rdp_one_order", counted)
+    monkeypatch.setattr(feo2.accounting, "rdp_increment", counted)
     res = run_experiment(_point_cfg(rounds=50, feo2=FeO2Config(r=0.4, z=48.0, S0=1.5)))
     assert res.ledger.counts == ((1.0, 48.0, 50),)
     assert calls <= 8 * 50  # 349 here

@@ -16,9 +16,13 @@ around order 64 already for modest q/z).
 ``eps(a) = rdp(a) + log(1/delta)/(a - 1)`` is quasi-convex, so only orders near
 its minimum are evaluated: {a: eps(a) <= t} is {a: (a - 1)(rdp(a) - t) +
 log(1/delta) <= 0}, and ``(a - 1) * rdp(a)`` is convex in a (van Erven &
-Harremoës, IEEE T-IT 2014). The scan starts by default at the grid neighbour of
-``1 + sqrt(log(1/delta)/s)``, the minimiser for a linear stand-in ``s * a`` of
-the rdp, gallops downhill in doubling steps, then walks out order by order. A
+Harremoës, IEEE T-IT 2014). A scan starts by default where a stand-in epsilon
+stops falling, with rdp ``s·a + e^K(a)/(a - 1)`` per round: ``s·a``, with
+``s = q²(e^(1/z²) - 1)/2``, is the small-q rdp of the binomial expansion's i = 2
+term and ``K(a) = a·log q + a(a - 1)/(2z²)`` the log of its i = a term (at q = 1,
+the exact ``a/(2z²)``); a rescan of the latest scan's ledger starts at its best.
+It gallops downhill in steps of 1, 2, 4, ... orders, again from each new best,
+until both neighbours of the best are worse, then walks out order by order. A
 walk stops once epsilon exceeds the best by the relative margin RISE_MARGIN: if
 the computed epsilon is within relative error e of the quasi-convex curve and
 RISE_MARGIN >= 2e/(1 - e), no order beyond can win. Exact rules stop it too:
@@ -42,7 +46,11 @@ import numpy as np
 DEFAULT_ORDERS: tuple[float, ...] = tuple(
     float(x) for x in np.arange(1.25, 63.75 + 1e-9, 0.25)
 ) + (64.0, 128.0, 256.0, 512.0)
-RISE_MARGIN = 1e-6  # see the module docstring; the rdp matches quadrature to 8e-8 relative
+# >= 2e/(1 - e), see the module docstring: the tests hold the rdp to its oracles within
+# 1e-9 relative (1e-11 at fractional orders, absolute below 1) and epsilon >=
+# log(1/delta)/511, so e < 1e-8 for any delta <= 0.01
+RISE_MARGIN = 1e-6
+_LOG_FACTORIAL = tuple(math.lgamma(k + 1) for k in range(int(DEFAULT_ORDERS[-1]) + 1))  # log k!
 
 
 class InfinitePrivacyLoss(ValueError):
@@ -64,8 +72,12 @@ class PrivacyLedger:
     counts: tuple[tuple[float, float, int], ...] = ()
 
     def __post_init__(self):
-        for q, z, _ in self.counts:
+        for q, z, count in self.counts:
             _check_mechanism(q, z)
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ValueError(f"rounds must be an integer, got {count!r}")
+            if count < 1:
+                raise ValueError("rounds must be >= 1")
 
     def rdp(self, order: float) -> float:
         """The ledger's RDP at ``order``: Σ count · rdp_increment(q, z, order)."""
@@ -115,16 +127,20 @@ def _log_erfc(x: float) -> float:
 def _log_a_int(q: float, sigma: float, alpha: int) -> float:
     """log E[(...)^alpha] via the exact binomial sum at integer alpha."""
     log_q, log_1mq, two_s2 = math.log(q), math.log1p(-q), 2.0 * sigma**2
-    lg_alpha = math.lgamma(alpha + 1)
+    lg = _LOG_FACTORIAL if alpha < len(_LOG_FACTORIAL) else [math.lgamma(k + 1) for k in range(alpha + 1)]
+    lg_alpha, log1p, exp = lg[alpha], math.log1p, math.exp
     log_a = -math.inf
     for i in range(alpha + 1):
         term = (
-            lg_alpha - math.lgamma(i + 1) - math.lgamma(alpha - i + 1)  # log binom(alpha, i)
+            lg_alpha - lg[i] - lg[alpha - i]  # log binom(alpha, i)
             + i * log_q
             + (alpha - i) * log_1mq
             + (i * i - i) / two_s2
         )
-        log_a = _log_add(log_a, term)
+        if term > log_a:  # _log_add(log_a, term) inline: the larger first
+            log_a, term = term, log_a
+        if term != -math.inf:
+            log_a += log1p(exp(term - log_a))
     return log_a
 
 
@@ -135,6 +151,7 @@ def _log_a_frac(q: float, sigma: float, alpha: float) -> float:
     log_q, log_1mq, two_s2 = math.log(q), math.log1p(-q), 2.0 * sigma**2
     sqrt2_sigma, log_half = math.sqrt(2.0) * sigma, math.log(0.5)
     z0 = sigma**2 * math.log(1.0 / q - 1.0) + 0.5
+    log, erfc, log1p, exp, inf = math.log, math.erfc, math.log1p, math.exp, math.inf
     # running log|binom(alpha, i)| and its sign, built by the product rule
     log_coef = 0.0
     sign = 1.0
@@ -142,23 +159,25 @@ def _log_a_frac(q: float, sigma: float, alpha: float) -> float:
     while True:
         if i > 0:
             ratio = (alpha - i + 1.0) / i
-            log_coef += math.log(abs(ratio))
+            log_coef += log(abs(ratio))
             sign *= math.copysign(1.0, ratio)
         j = alpha - i
-        log_t0 = log_coef + i * log_q + j * log_1mq
-        log_t1 = log_coef + j * log_q + i * log_1mq
-        log_e0 = log_half + _log_erfc((i - z0) / sqrt2_sigma)
-        log_e1 = log_half + _log_erfc((z0 - j) / sqrt2_sigma)
-        log_s0 = log_t0 + (i * i - i) / two_s2 + log_e0
-        log_s1 = log_t1 + (j * j - j) / two_s2 + log_e1
+        # _log_erfc, _log_add and _log_sub inline, with the same float operations
+        x0, x1 = (i - z0) / sqrt2_sigma, (z0 - j) / sqrt2_sigma
+        log_e0 = log_half + (log(erfc(x0)) if x0 <= 25.0 else _log_erfc(x0))
+        log_e1 = log_half + (log(erfc(x1)) if x1 <= 25.0 else _log_erfc(x1))
+        log_s0 = log_coef + i * log_q + j * log_1mq + (i * i - i) / two_s2 + log_e0
+        log_s1 = log_coef + j * log_q + i * log_1mq + (j * j - j) / two_s2 + log_e1
         if sign > 0:
-            log_a0 = _log_add(log_a0, log_s0)
-            log_a1 = _log_add(log_a1, log_s1)
+            hi, lo = (log_a0, log_s0) if log_a0 > log_s0 else (log_s0, log_a0)
+            log_a0 = hi + log1p(exp(lo - hi)) if lo != -inf else hi
+            hi, lo = (log_a1, log_s1) if log_a1 > log_s1 else (log_s1, log_a1)
+            log_a1 = hi + log1p(exp(lo - hi)) if lo != -inf else hi
         else:
-            log_a0 = _log_sub(log_a0, log_s0)
-            log_a1 = _log_sub(log_a1, log_s1)
+            log_a0 = log_a0 + log1p(-exp(log_s0 - log_a0)) if log_a0 > log_s0 > -inf else _log_sub(log_a0, log_s0)
+            log_a1 = log_a1 + log1p(-exp(log_s1 - log_a1)) if log_a1 > log_s1 > -inf else _log_sub(log_a1, log_s1)
         i += 1
-        if max(log_s0, log_s1) < -30.0 and i > alpha:
+        if i > alpha and max(log_s0, log_s1) < -30.0:
             break
     return _log_add(log_a0, log_a1)
 
@@ -183,6 +202,29 @@ def account_round(ledger: PrivacyLedger, q: float, z: float) -> PrivacyLedger:
     return PrivacyLedger(tuple((kq, kz, count) for (kq, kz), count in counts.items()))
 
 
+def _stand_in_start(counts, log_inv: float) -> int:
+    """Index of the first order where the module docstring's stand-in epsilon stops falling."""
+
+    def slope(a: float) -> float:  # of the stand-in epsilon
+        u = a - 1.0
+        total = -log_inv / (u * u)
+        for q, z, count in counts:
+            c, log_q = 0.5 / (z * z), math.log(q)
+            if q == 1.0:
+                total += count * c
+                continue
+            top = math.exp(min(a * log_q + a * u * c, 700.0)) * ((log_q + (2.0 * a - 1.0) * c) * u - 1.0)
+            total += count * (q * q * math.expm1(min(2.0 * c, 700.0)) / 2.0 + top / (u * u))
+        return total
+
+    return min(bisect.bisect_left(DEFAULT_ORDERS, 0.0, key=slope), len(DEFAULT_ORDERS) - 1)
+
+
+# counts, delta and best order of the latest scan: a scan of the same ledger at the same
+# delta without a start begins at that order, so `feo2 solve-z` rescans its z from cache
+_latest_scan: list = [(), 0.0, DEFAULT_ORDERS[-1]]
+
+
 def epsilon_at_delta(
     ledger: PrivacyLedger, delta: float, start: float | None = None
 ) -> tuple[float, float]:
@@ -190,38 +232,43 @@ def epsilon_at_delta(
     DEFAULT_ORDERS of ``rdp(a) + log(1/delta)/(a - 1)``, found by the scan of
     the module docstring from the order ``start`` (the unit of the best order
     returned, so a run passes back its last one; off the grid, a ValueError),
-    by default from the stand-in slope ``s = Σ count · min(2 q^2, 1/2) / z^2``
-    (order 512 for an empty ledger)."""
+    by default from the latest scan's best order if that scan was of this ledger
+    at this delta, else from the stand-in's minimum."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    orders, rdp = DEFAULT_ORDERS, ledger.rdp
+    orders, rdp, n = DEFAULT_ORDERS, ledger.rdp, len(DEFAULT_ORDERS)
     log_inv = math.log(1.0 / delta)
-    if start is None:
-        slope = sum(count * min(2.0 * q * q, 0.5) / z**2 for q, z, count in ledger.counts)
-        a_min = 1.0 + math.sqrt(log_inv / slope) if slope else math.inf
-        start = min(bisect.bisect(orders, a_min), len(orders) - 1)
-    else:
-        start = orders.index(start)
+    if start is None and _latest_scan[:2] == [ledger.counts, delta]:
+        start = _latest_scan[2]
+    s = _stand_in_start(ledger.counts, log_inv) if start is None else orders.index(start)
+
+    losses: dict[int, float] = {}  # each order's rdp, read once
 
     def eps_at(i: int) -> float:
-        return rdp(orders[i]) + log_inv / (orders[i] - 1.0)
+        if not 0 <= i < n:
+            return math.inf
+        if i not in losses:
+            losses[i] = rdp(orders[i])
+        return losses[i] + log_inv / (orders[i] - 1.0)
 
-    best = eps_at(start)
-    for step in (1, -1):  # gallop: double the step while epsilon falls
-        while 0 <= start + step < len(orders) and (eps := eps_at(start + step)) < best:
-            start, best, step = start + step, eps, 2 * step
-    best_i = start
-    for i in range(start + 1, len(orders)):
-        eps = (loss := rdp(orders[i])) + log_inv / (orders[i] - 1.0)
-        if loss >= best or eps > best * (1.0 + RISE_MARGIN):
+    b, best, step = s, eps_at(s), 4
+    while step > 2:  # gallop downhill by offsets 1, 2, 4, ... from b, again from each new best
+        s, step, d = b, 1, -1 if eps_at(b - 1) < best else 1
+        while (eps := eps_at(s + d * step)) < best:
+            b, best, step = s + d * step, eps, 2 * step
+    best_i = b
+    for i in range(b + 1, n):
+        eps = eps_at(i)
+        if losses[i] >= best or eps > best * (1.0 + RISE_MARGIN):
             break
         if eps < best:
             best, best_i = eps, i
-    for i in range(start - 1, -1, -1):
+    for i in range(b - 1, -1, -1):
         if log_inv / (orders[i] - 1.0) > best or (eps := eps_at(i)) > best * (1.0 + RISE_MARGIN):
             break
         if eps <= best:
             best, best_i = eps, i
+    _latest_scan[:] = [ledger.counts, delta, orders[best_i]]
     return best, orders[best_i]
 
 
@@ -241,38 +288,44 @@ def solve_z(
     epsilon is strictly decreasing in z, so the root is unique when the target
     lies between epsilon(z_hi) and epsilon(z_lo). The root is found by Illinois
     false position on (log z, log epsilon), where the curve is close to a line,
-    so a solve takes about 7-10 accountant evaluations, both ends included. A
-    step that leaves the bracket falls back to the bracket's midpoint. Raises
-    ValueError for arguments out of range, and when 200 steps do not meet tol.
+    so a solve takes about 6-10 epsilon scans, both ends included. A step that
+    leaves the bracket falls back to the bracket's midpoint. The ends scan from
+    the stand-in start; each later scan from the previous one's best order, if
+    below 64, scaled as the stand-in start scales with z (a* - 1 ∝ z for the
+    Gaussian mechanism). Raises ValueError for arguments out of range, and when
+    200 steps do not meet tol.
     """
     if target_epsilon <= 0:
         raise ValueError("target epsilon must be > 0")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if not 0 < z_lo < z_hi:
         raise ValueError(f"need 0 < z_lo < z_hi, got z_lo={z_lo}, z_hi={z_hi}")
 
-    def eps_of(z: float) -> float:
-        return epsilon_at_delta(PrivacyLedger(((q, z, rounds),)), delta)[0]
-
-    eps_lo, eps_hi = eps_of(z_lo), eps_of(z_hi)
+    eps_lo = epsilon_at_delta(PrivacyLedger(((q, z_lo, rounds),)), delta)[0]
+    eps_hi = epsilon_at_delta(PrivacyLedger(((q, z_hi, rounds),)), delta)[0]
     if not (eps_hi <= target_epsilon <= eps_lo):
         raise ValueError(
             f"target epsilon {target_epsilon} outside reachable range "
             f"[{eps_hi:.4g}, {eps_lo:.4g}] for z in [{z_lo}, {z_hi}]"
         )
-    log_target = math.log(target_epsilon)
+    log_target, log_inv = math.log(target_epsilon), math.log(1.0 / delta)
     # f(x) = log epsilon(e^x) - log target, with f(lo) >= 0 >= f(hi).
     lo, hi = math.log(z_lo), math.log(z_hi)
     f_lo, f_hi = math.log(eps_lo) - log_target, math.log(eps_hi) - log_target
     kept = 0  # which end survived the last step: -1 lo, +1 hi
+    last = None  # (stand-in start, best order) of the previous interior scan
     for _ in range(200):
         x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        e = eps_of(math.exp(x))
+        ledger = PrivacyLedger(((q, math.exp(x), rounds),))
+        guess = start = DEFAULT_ORDERS[_stand_in_start(ledger.counts, log_inv)]
+        if last is not None and last[1] < 64.0:
+            scaled = 1.0 + (guess - 1.0) * (last[1] - 1.0) / (last[0] - 1.0)
+            start = min(max(round(4.0 * scaled) / 4.0, 1.25), 63.75)  # the nearest order up to 63.75
+        e, order = epsilon_at_delta(ledger, delta, start)
+        last = (guess, order)
         if abs(e - target_epsilon) < tol:
             return math.exp(x)
         f = math.log(e) - log_target

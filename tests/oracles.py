@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import mpmath as mp
 import numpy as np
 
-from feo2.accounting import DEFAULT_ORDERS, rdp_increment
+from feo2.accounting import DEFAULT_ORDERS, PrivacyLedger, _log_add, _log_erfc, _log_sub, rdp_increment
 from feo2.config import PopulationKind
 from feo2.models import _logits, _softmax_probs
 from feo2.privacy import row_norms
@@ -69,6 +69,94 @@ def epsilon_full_curve(counts, delta: float) -> tuple[float, float]:
     eps = [r + math.log(1.0 / delta) / (a - 1.0) for a, r in zip(DEFAULT_ORDERS, rdp)]
     best = eps.index(min(eps))
     return eps[best], DEFAULT_ORDERS[best]
+
+
+def solve_z_full_curve(target_epsilon: float, delta: float, q: float, rounds: int,
+                       z_lo: float = 0.1, z_hi: float = 100.0, tol: float = 1e-3) -> float:
+    """`feo2.accounting.solve_z`'s Illinois false position on (log z, log epsilon),
+    step for step, with every epsilon taken from `epsilon_full_curve`: the
+    reference for the solver's pruned, warm-started scans."""
+
+    def log_eps(z: float) -> float:
+        return math.log(epsilon_full_curve(PrivacyLedger(((q, z, rounds),)).counts, delta)[0])
+
+    log_target = math.log(target_epsilon)
+    lo, hi = math.log(z_lo), math.log(z_hi)
+    f_lo, f_hi = log_eps(z_lo) - log_target, log_eps(z_hi) - log_target
+    kept = 0
+    for _ in range(200):
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        e = epsilon_full_curve(PrivacyLedger(((q, math.exp(x), rounds),)).counts, delta)[0]
+        if abs(e - target_epsilon) < tol:
+            return math.exp(x)
+        f = math.log(e) - log_target
+        if f > 0:
+            lo, f_lo = x, f
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, f
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+    raise ValueError("no z within tol after 200 steps")
+
+
+def log_a_int_by_helpers(q: float, sigma: float, alpha: int) -> float:
+    """`feo2.accounting._log_a_int` with ``math.lgamma`` and `_log_add` called per
+    term, its first formulation: the shipped series must equal it bit for bit."""
+    log_q, log_1mq, two_s2 = math.log(q), math.log1p(-q), 2.0 * sigma**2
+    lg_alpha = math.lgamma(alpha + 1)
+    log_a = -math.inf
+    for i in range(alpha + 1):
+        term = (
+            lg_alpha - math.lgamma(i + 1) - math.lgamma(alpha - i + 1)  # log binom(alpha, i)
+            + i * log_q
+            + (alpha - i) * log_1mq
+            + (i * i - i) / two_s2
+        )
+        log_a = _log_add(log_a, term)
+    return log_a
+
+
+def log_a_frac_by_helpers(q: float, sigma: float, alpha: float) -> float:
+    """`feo2.accounting._log_a_frac` with `_log_erfc`, `_log_add` and `_log_sub`
+    called per term, its first formulation: the shipped series must equal it bit
+    for bit."""
+    log_a0 = -math.inf
+    log_a1 = -math.inf
+    log_q, log_1mq, two_s2 = math.log(q), math.log1p(-q), 2.0 * sigma**2
+    sqrt2_sigma, log_half = math.sqrt(2.0) * sigma, math.log(0.5)
+    z0 = sigma**2 * math.log(1.0 / q - 1.0) + 0.5
+    # running log|binom(alpha, i)| and its sign, built by the product rule
+    log_coef = 0.0
+    sign = 1.0
+    i = 0
+    while True:
+        if i > 0:
+            ratio = (alpha - i + 1.0) / i
+            log_coef += math.log(abs(ratio))
+            sign *= math.copysign(1.0, ratio)
+        j = alpha - i
+        log_t0 = log_coef + i * log_q + j * log_1mq
+        log_t1 = log_coef + j * log_q + i * log_1mq
+        log_e0 = log_half + _log_erfc((i - z0) / sqrt2_sigma)
+        log_e1 = log_half + _log_erfc((z0 - j) / sqrt2_sigma)
+        log_s0 = log_t0 + (i * i - i) / two_s2 + log_e0
+        log_s1 = log_t1 + (j * j - j) / two_s2 + log_e1
+        if sign > 0:
+            log_a0 = _log_add(log_a0, log_s0)
+            log_a1 = _log_add(log_a1, log_s1)
+        else:
+            log_a0 = _log_sub(log_a0, log_s0)
+            log_a1 = _log_sub(log_a1, log_s1)
+        i += 1
+        if max(log_s0, log_s1) < -30.0 and i > alpha:
+            break
+    return _log_add(log_a0, log_a1)
 
 
 def posterior_mean_dense(

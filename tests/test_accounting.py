@@ -5,7 +5,7 @@ oracles that share no code with the implementation."""
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import feo2.accounting
@@ -13,6 +13,8 @@ from feo2.accounting import (
     DEFAULT_ORDERS,
     InfinitePrivacyLoss,
     PrivacyLedger,
+    _log_a_frac,
+    _log_a_int,
     account_round,
     epsilon_at_delta,
     rdp_increment,
@@ -45,6 +47,21 @@ def test_increment_rejects_bad_inputs():
         rdp_increment(1.2, 1.0, 2.0)
     with pytest.raises(InfinitePrivacyLoss):
         rdp_increment(0.1, 0.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "count, match",
+    [
+        (-3, "rounds must be >= 1"),
+        (0, "rounds must be >= 1"),
+        (2.5, "rounds must be an integer, got 2.5"),
+        (100.0, "rounds must be an integer, got 100.0"),
+        (True, "rounds must be an integer, got True"),
+    ],
+)
+def test_a_ledger_count_must_be_a_positive_integer(count, match):
+    with pytest.raises(ValueError, match=match):
+        PrivacyLedger(((0.02, 1.0, count),))
 
 
 def test_ledger_charges_count_times_increment():
@@ -151,6 +168,9 @@ def test_solve_z_unreachable_target():
         ({"q": 1.2}, r"q must be in \(0, 1\]"),
         ({"delta": 0.0}, r"delta must be in \(0, 1\)"),
         ({"delta": 1.0}, r"delta must be in \(0, 1\)"),
+        ({"rounds": 100.5}, "rounds must be an integer, got 100.5"),
+        ({"rounds": True}, "rounds must be an integer, got True"),
+        ({"rounds": 0}, "rounds must be >= 1"),
     ],
 )
 def test_solve_z_names_the_bad_argument(kwargs, match):
@@ -197,6 +217,32 @@ def test_pruned_epsilon_equals_the_full_curve_bitwise(counts, delta, start):
     assert (repr(eps), order) == (repr(want_eps), want_order)
 
 
+def _series_bits(q, z, alpha):
+    """repr of the shipped log moment at ``alpha`` and of its per-term helper
+    formulation in `oracles`."""
+    if alpha.is_integer():
+        return repr(_log_a_int(q, z, int(alpha))), repr(oracles.log_a_int_by_helpers(q, z, int(alpha)))
+    return repr(_log_a_frac(q, z, alpha)), repr(oracles.log_a_frac_by_helpers(q, z, alpha))
+
+
+@given(q=st.floats(1e-6, 0.999), z=st.floats(0.1, 100.0), alpha=st.sampled_from(DEFAULT_ORDERS))
+def test_series_equal_their_per_term_helper_formulation_bitwise(q, z, alpha):
+    got, want = _series_bits(q, z, alpha)
+    assert got == want
+
+
+# the long series: 145-294 fractional terms at low orders and small z, and the
+# 257- and 513-term binomial sums
+@pytest.mark.parametrize(
+    "q, z, alpha",
+    [(0.1, z, a) for z in (0.6, 0.8, 1.0) for a in (2.25, 2.5, 2.75, 3.0, 3.25, 3.5)]
+    + [(q, 100.0, a) for q in (0.01, 0.3) for a in (256.0, 512.0)],
+)
+def test_slow_series_equal_their_per_term_helper_formulation_bitwise(q, z, alpha):
+    got, want = _series_bits(q, z, alpha)
+    assert got == want
+
+
 @pytest.mark.parametrize("start", [0, 1.3, 65.0, 1024.0])
 def test_an_epsilon_scan_start_off_the_order_grid_is_rejected(start):
     # start is an order, the unit epsilon_at_delta returns, not an index into the grid
@@ -240,9 +286,19 @@ def test_solve_z_hits_target_within_an_evaluation_budget(target, q, rounds, monk
     monkeypatch.setattr(feo2.accounting, "rdp_increment", counted)
     one_order.cache_clear()
     z = solve_z(target, 1e-5, q, rounds)
-    assert one_order.cache_info().misses <= 115  # 21-105 distinct evaluations at these targets
-    assert calls <= 120  # 30-107
+    assert one_order.cache_info().misses <= 40  # 19-36 distinct evaluations at these targets
+    assert calls <= 40  # each scan reads an order once: as many as the misses
     assert abs(_eps(q, z, rounds) - target) < 1e-3
+
+
+def test_a_subsampled_scan_from_the_default_start_evaluates_a_few_orders():
+    # a start far from the best order, or a gallop that jumps past it and walks
+    # back order by order, costs this ledger 21 fresh evaluations
+    one_order = feo2.accounting.rdp_increment
+    one_order.cache_clear()
+    _, order = epsilon_at_delta(PrivacyLedger(((0.05, 1.0, 2),)), 1e-5)
+    assert order == 6.75
+    assert one_order.cache_info().misses <= 8  # 3 here
 
 
 # repr of solve_z at the plan's targets: a change to the accountant's scan must
@@ -259,3 +315,23 @@ PINNED_Z = {
 @pytest.mark.parametrize("target, q, rounds", list(PINNED_Z))
 def test_solve_z_bits_are_pinned(target, q, rounds):
     assert repr(solve_z(target, 1e-5, q, rounds)) == PINNED_Z[(target, q, rounds)]
+
+
+@pytest.mark.parametrize("target, q, rounds", list(PINNED_Z))
+def test_solve_z_equals_a_full_curve_solve_bitwise(target, q, rounds):
+    # the same Illinois steps with every epsilon from all 255 orders
+    assert repr(solve_z(target, 1e-5, q, rounds)) == repr(oracles.solve_z_full_curve(target, 1e-5, q, rounds))
+
+
+def _solved(solver, target, delta, q, rounds):
+    try:
+        return repr(solver(target, delta, q, rounds))
+    except ValueError:
+        return "no solution"
+
+
+@settings(max_examples=6)
+@given(z=st.floats(0.3, 50.0), q=st.floats(1e-3, 1.0), rounds=st.integers(1, 2000), delta=st.floats(1e-10, 1e-2))
+def test_solve_z_equals_a_full_curve_solve_on_sampled_targets(z, q, rounds, delta):
+    target = oracles.epsilon_full_curve(((q, z, rounds),), delta)[0]  # reachable: 0.1 < z < 100
+    assert _solved(solve_z, target, delta, q, rounds) == _solved(oracles.solve_z_full_curve, target, delta, q, rounds)

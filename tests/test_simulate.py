@@ -64,7 +64,7 @@ def test_a_full_participation_round_evaluates_a_few_orders(monkeypatch):
     monkeypatch.setattr(feo2.accounting, "rdp_increment", counted)
     res = run_experiment(_point_cfg(rounds=50, feo2=FeO2Config(r=0.4, z=48.0, S0=1.5)))
     assert res.ledger.counts == ((1.0, 48.0, 50),)
-    assert calls <= 8 * 50  # 349 here
+    assert calls <= 8 * 50  # 251 here
 
 
 def test_one_round_matches_hand_computation():

@@ -184,8 +184,11 @@ def _log_a_frac(q: float, sigma: float, alpha: float) -> float:
 
 @lru_cache(maxsize=4096)
 def rdp_increment(q: float, z: float, order: float) -> float:
-    """RDP at ``order`` of a single (q, z) subsampled Gaussian round."""
+    """RDP at ``order`` of a single (q, z) subsampled Gaussian round; RDP is
+    defined only at finite orders above 1, and any other order is a ValueError."""
     _check_mechanism(q, z)
+    if not 1.0 < order < math.inf:
+        raise ValueError(f"RDP order must be finite and above 1, got {order!r}")
     if q == 1.0:
         return order / (2.0 * z**2)
     if float(order).is_integer():

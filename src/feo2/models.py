@@ -14,7 +14,8 @@ Models are flat float64 vectors everywhere; the softmax layer is stored as
 ``concat(W.ravel(), b)`` with ``W`` of shape (classes, features).
 
 Training runs on a whole cohort at once: (clients, examples, features) data
-stacks and (clients, dim) model stacks, whose rows never mix.
+stacks and (clients, dim) model stacks, whose rows never mix. A call makes fresh
+arrays unless given ``out=`` ones, like those `simulate.run_experiment` owns.
 """
 
 from __future__ import annotations
@@ -42,22 +43,23 @@ class Cohort:
     personal: Optional[np.ndarray] = None  # (clients, dim) personal models Ditto starts from
 
 
-def _logits(model: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _logits(model: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Class scores x·Wᵀ + b of one model on (n, f) inputs, or of a (clients, dim)
-    stack on (clients, n, f) inputs; their argmax is the predicted class."""
+    stack on (clients, n, f) inputs, written into ``out`` if given; their argmax
+    is the predicted class."""
     size, f = model.shape[-1], x.shape[-1]
     if size % (f + 1) != 0:
         raise ValueError(f"model of size {size} does not fit a linear layer over {f} features")
     c = size // (f + 1)
     w = model[..., : c * f].reshape(*model.shape[:-1], c, f)
-    p = np.matmul(x, np.swapaxes(w, -1, -2))
+    p = np.matmul(x, np.swapaxes(w, -1, -2), out=out)
     p += model[..., None, c * f :]
     return p
 
 
-def _softmax_probs(model: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _softmax_probs(model: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Class probabilities, laid out as in `_logits`."""
-    p = _logits(model, x)
+    p = _logits(model, x, out)
     top = p[..., 0].copy()  # the row max, column by column: a reduction over the short class axis is slower
     for k in range(1, p.shape[-1]):
         np.maximum(top, p[..., k], out=top)
@@ -67,23 +69,30 @@ def _softmax_probs(model: np.ndarray, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], kind) -> np.ndarray:
+def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], kind,
+                   out=None, probs=None) -> np.ndarray:
     """Gradient of each client's mean local loss at its own row of ``models``
-    (clients, dim); ``x`` and ``y`` are laid out as in `Cohort`."""
+    (clients, dim), written into ``out`` if given; ``x`` and ``y`` are laid out as
+    in `Cohort`. A label shard's probabilities go into the leading elements of a
+    contiguous ``probs`` of at least (clients, examples, classes) if given."""
     if kind is PopulationKind.POINT_ESTIMATION:
-        return models - x.mean(axis=1)
+        return np.subtract(models, x.mean(axis=1), out=out)
     if kind is PopulationKind.LINEAR_REGRESSION:
         resid = np.matmul(x, models[:, :, None])[:, :, 0] - y
-        return np.matmul(np.swapaxes(x, 1, 2), resid[:, :, None])[:, :, 0] / x.shape[1]
+        return np.divide(np.matmul(np.swapaxes(x, 1, 2), resid[:, :, None])[:, :, 0], x.shape[1], out=out)
     if kind is PopulationKind.LABEL_SHARD:
-        p = _softmax_probs(models, x)
-        (m, n), c, f = y.shape, p.shape[2], x.shape[2]
+        (m, n), f = y.shape, x.shape[2]
+        c = models.shape[1] // (f + 1)
+        p = _softmax_probs(models, x, None if probs is None else probs.reshape(-1)[: m * n * c].reshape(m, n, c))
         hot = np.arange(m * n) * c + y.reshape(-1)  # the one-hot labels' flat index into p
         np.put(p, hot, p.take(hot) - 1.0)  # put writes into p itself, never into a copy
         err = np.divide(p, n, out=p)
-        grad = np.empty(models.shape)  # weight gradients (c, f) per row, then bias gradients
+        grad = np.empty(models.shape) if out is None else out  # weight gradients (c, f) per row, then bias gradients
         np.matmul(np.swapaxes(err, 1, 2), x, out=grad[:, : c * f].reshape(m, c, f))
-        err.sum(axis=1, out=grad[:, c * f :])
+        bias = err[:, 0].copy()  # err.sum(axis=1)'s order, added up in a contiguous (m, c) array
+        for k in range(1, n):
+            bias += err[:, k]
+        grad[:, c * f :] = bias
         return grad
     raise ValueError(f"unknown population kind {kind!r}")
 
@@ -102,19 +111,22 @@ def _batches(x, y, batch_size: Optional[int], order: Optional[np.ndarray]) -> It
 
 def client_update(
     global_model: np.ndarray, cohort: Cohort, cfg, kind: PopulationKind, ditto=None,
-    order: Optional[np.ndarray] = None,
+    order: Optional[np.ndarray] = None, out: Optional[tuple] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Train every cohort client at once; return (raw deltas (clients, dim),
     personal models). ``cfg`` gives epochs / eta / batch_size, ``order``
     (epochs, clients, examples) each epoch's mini-batch example order per client
-    (None for full batches). The personal models are None without ``ditto``;
-    with it, each starts from ``cohort.personal`` and takes one proximal step
-    per batch. A non-finite delta or personal model raises `NumericFailure`
-    naming the first such client."""
+    (None for full batches). ``out`` gives work arrays for the cohort's rows to
+    write into, (model stack, gradient, probabilities), the last two as
+    `local_gradient` takes them; the deltas returned are then ``out[0]``.
+    The personal models are None without ``ditto``; with it, each starts from
+    ``cohort.personal`` and takes one proximal step per batch. A non-finite
+    delta or personal model raises `NumericFailure` naming the first such client."""
     from .personalization import ditto_step
 
     global_model = np.asarray(global_model, dtype=np.float64)
-    theta = np.repeat(global_model[None, :], len(cohort.ids), axis=0)
+    theta, grad, probs = (np.empty((len(cohort.ids), global_model.size)), None, None) if out is None else out
+    theta[...] = global_model
     personal = None
     if ditto is not None:
         personal = cohort.personal
@@ -123,7 +135,7 @@ def client_update(
     for epoch in range(cfg.epochs):
         epoch_order = None if order is None else order[epoch]
         for xb, yb in _batches(cohort.x, cohort.y, cfg.batch_size, epoch_order):
-            grad = local_gradient(theta, xb, yb, kind)
+            grad = local_gradient(theta, xb, yb, kind, grad, probs)
             theta -= np.multiply(cfg.eta, grad, out=grad)
             if ditto is not None:
                 personal = ditto_step(personal, global_model, xb, yb, kind, lam, eta_p)

@@ -47,28 +47,27 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def clip_rows(rows: np.ndarray, S: float) -> tuple[np.ndarray, np.ndarray]:
+def clip_rows(rows: np.ndarray, S: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row onto the L2 ball of radius ``S``; return (clipped, b) with
-    b[i] = 1 iff ||rows[i]|| <= S before clipping. The rescale loop guards
-    against a scaled norm landing a few ulps above S, which makes a second clip
-    a bitwise no-op (idempotent). Rows are clipped independently: each pass
-    rescales and re-norms only the rows still above S, since a row that fits
-    keeps its bits."""
+    b[i] = 1 iff ||rows[i]|| <= S before clipping. The clipped rows go into
+    ``out`` (``out=rows`` clips in place, as `run_experiment` clips the delta
+    stack it owns), by default a fresh array. One multiply scales each row, by
+    S/||row|| above S and by exactly 1.0 otherwise, so a row that fits keeps its
+    bits. A loop then rescales the rows whose scaled norm landed a few ulps above
+    S, which makes a second clip a bitwise no-op (idempotent)."""
     if S <= 0:
         raise ValueError("clip norm must be positive")
-    out = np.array(rows, dtype=np.float64, copy=True)
-    norms = row_norms(out)
+    rows = np.asarray(rows, dtype=np.float64)
+    norms = row_norms(rows)
     if not np.isfinite(norms).all():
         raise ValueError(f"cannot clip a vector of norm {norms[~np.isfinite(norms)][0]}")
     b = (norms <= S).astype(np.int64)
-    over = np.flatnonzero(norms > S)  # the rows above S, and their norms
-    norms = norms[over]
-    while over.size:
-        scaled = out[over] * (S / norms)[:, None]
-        out[over] = scaled
-        norms = row_norms(scaled)
-        keep = norms > S
-        over, norms = over[keep], norms[keep]
+    over = norms > S
+    out = np.multiply(rows, np.divide(S, norms, out=np.ones_like(norms), where=over)[:, None], out=out)
+    while over.any():
+        norms = row_norms(out)
+        over = norms > S
+        out[over] *= (S / norms[over])[:, None]
     return out, b
 
 

@@ -11,7 +11,11 @@ a stream keyed on (master_seed, purpose, round); at full participation (q = 1)
 the cohort is every client and no cohort stream is built, which moves no other
 draw. A round's mini-batch orders are drawn for the whole sorted cohort before
 it is split into chunks, and clients never mix (clipping included), so reports
-are byte-stable for any number of workers.
+are byte-stable for any number of workers. The run owns the cohort step's work
+arrays: the model stack (then the raw deltas, clipped in place), the gradient
+(then the private group's rows) and the label-shard probabilities, of which
+each chunk writes only its own rows. So after its first round a round
+allocates no cohort-sized array.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
@@ -152,25 +156,30 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     local = None if personal is None else np.full(n, np.nan)
     reports: List[RoundReport] = []
     # Mini-batch runs: each epoch's example order per cohort position, shuffled each round.
-    n_ex, mini = pop.train_x.shape[1], cfg.feo2.batch_size is not None
-    examples = np.tile(np.arange(n_ex), (cfg.feo2.epochs, mech.cohort_size, 1)) if mini else None
+    m, (n_ex, f), mini = mech.cohort_size, pop.train_x.shape[1:], cfg.feo2.batch_size is not None
+    examples = np.tile(np.arange(n_ex), (cfg.feo2.epochs, m, 1)) if mini else None
+    # The work arrays, one row per cohort position (the quadratic kinds have no
+    # classes). Poisson cohorts would need them sized to the largest cohort.
+    batch = min(n_ex, cfg.feo2.batch_size) if mini else n_ex
+    work = (np.empty((m, pop.dim)), np.empty((m, pop.dim)), np.empty((m, batch, pop.dim // (f + 1))))
 
-    def train(ids, batch_order, theta):
-        """The batched client step for the sorted cohort rows ``ids``, with their
-        mini-batch example orders ``batch_order`` (None for full batches): their
-        raw deltas. A Ditto client starts from its personal model once it has
-        trained, from the broadcast ``theta`` before."""
+    def train(ids, batch_order, at, theta):
+        """The batched client step for the sorted cohort rows ``ids`` at cohort
+        positions ``at`` (a slice), with their mini-batch example orders
+        ``batch_order`` (None for full batches): it writes their raw deltas into
+        those rows of the work arrays. A Ditto client starts from its personal
+        model once it has trained, from the broadcast ``theta`` before."""
         # Consecutive ids (all clients under full participation) are sliced, not copied.
         rows = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == len(ids) else ids
         personal_start = None if personal is None else np.where(np.isnan(local[rows, None]), theta, personal[rows])
         y = None if pop.train_y is None else pop.train_y[rows]
         cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, personal_start)
-        deltas, stepped = client_update(theta, cohort, cfg.feo2, pop.kind, cfg.ditto, batch_order)
+        out = tuple(w[at] for w in work)
+        stepped = client_update(theta, cohort, cfg.feo2, pop.kind, cfg.ditto, batch_order, out=out)[1]
         if personal is not None:
             personal[rows] = stepped
-        return deltas
 
-    # Threads take contiguous chunks of the sorted cohort.
+    # Threads take contiguous chunks of the sorted cohort, so they never share a work row.
     with _chunk_map(workers) as run_chunks:
         for t in range(cfg.rounds):
             if mech.cohort_size == n:  # q = 1: every client, and no cohort stream is built
@@ -179,18 +188,20 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
                 ids = np.sort(stream(seed, "cohort", t).choice(n, mech.cohort_size, replace=False))
             batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
             parts = [p for p in np.array_split(np.arange(len(ids)), workers) if p.size]
-            chunks = [(ids[p], None if batch_order is None else batch_order[:, p]) for p in parts]
+            chunks = [(ids[p], batch_order[:, p] if mini else None, slice(p[0], p[-1] + 1)) for p in parts]
             try:  # a NumericFailure from a client's training or the clip norm names the round
-                chunk_deltas = list(run_chunks(lambda c: train(*c, theta), chunks))
-                raw = chunk_deltas[0] if len(chunk_deltas) == 1 else np.concatenate(chunk_deltas)
+                list(run_chunks(lambda c: train(*c, theta), chunks))
                 # Every update, in either group, is clipped to S and releases its clip bit.
-                deltas, indicators = clip_rows(raw, S)
+                deltas, indicators = clip_rows(work[0], S, out=work[0])
                 grouped = in_private_group[ids]
-                priv, nonpriv = deltas[grouped], deltas[~grouped]
+                # The private rows go into the gradient's rows, unused until the next round
+                # trains (mode "clip" spares numpy's copy of ``out``; every index is in range).
+                priv = np.take(deltas, np.flatnonzero(grouped), axis=0, out=work[1][: grouped.sum()], mode="clip")
+                nonpriv = deltas[~grouped]
                 N_p, N_np = len(priv), len(nonpriv)
                 delta_np = group_mean(nonpriv) if N_np else None
                 delta_p = dp_group_mean(priv, S, mech.update_std(S, N_p), stream(seed, "noise", t)) if N_p else None
-                del chunk_deltas, raw, deltas, priv, nonpriv  # not held while the next round trains
+                del priv, nonpriv  # not held while the next round trains
                 try:
                     combined = feo2_combine(delta_np, delta_p, N_np, N_p, cfg.feo2.r)
                     theta = apply_update(theta, combined)

@@ -356,3 +356,36 @@ def label_shard_gradient_three_index(models: np.ndarray, x: np.ndarray, y: np.nd
     np.matmul(np.swapaxes(err, 1, 2), x, out=grad[:, : c * f].reshape(m, c, f))
     err.sum(axis=1, out=grad[:, c * f :])
     return grad
+
+
+def clip_rows_gathering(rows: np.ndarray, S: float) -> tuple[np.ndarray, np.ndarray]:
+    """`feo2.privacy.clip_rows` as a copy that gathers the rows above S, scales
+    the gathered rows and writes them back, re-norming only those on each pass:
+    (clipped, b)."""
+    out = np.array(rows, dtype=np.float64, copy=True)
+    norms = row_norms(out)
+    b = (norms <= S).astype(np.int64)
+    over = np.flatnonzero(norms > S)
+    norms = norms[over]
+    while over.size:
+        scaled = out[over] * (S / norms)[:, None]
+        out[over] = scaled
+        norms = row_norms(scaled)
+        keep = norms > S
+        over, norms = over[keep], norms[keep]
+    return out, b
+
+
+def label_shard_gradient_reduced(models: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The label-shard `feo2.models.local_gradient` of a (clients, dim) stack in
+    fresh arrays, with the one-hot labels subtracted through a flat index and
+    the bias gradients summed by one ``err.sum(axis=1)`` reduction."""
+    p = _softmax_probs(models, x)
+    (m, n), c, f = y.shape, p.shape[2], x.shape[2]
+    hot = np.arange(m * n) * c + y.reshape(-1)
+    np.put(p, hot, p.take(hot) - 1.0)
+    err = np.divide(p, n, out=p)
+    grad = np.empty(models.shape)
+    np.matmul(np.swapaxes(err, 1, 2), x, out=grad[:, : c * f].reshape(m, c, f))
+    err.sum(axis=1, out=grad[:, c * f :])
+    return grad

@@ -49,6 +49,15 @@ def test_increment_rejects_bad_inputs():
         rdp_increment(0.1, 0.0, 2.0)
 
 
+@pytest.mark.parametrize("q", [0.1, 1.0], ids=["subsampled", "full_batch"])
+@pytest.mark.parametrize("order", [math.nan, math.inf, 1.0, 0.5, -3.0])
+def test_increment_rejects_orders_that_are_not_finite_and_above_one(q, order):
+    # a NaN or infinite order never ended the fractional series, order 1 divided
+    # by zero, and orders at or below 1 returned a number (the q = 1 shortcut too)
+    with pytest.raises(ValueError, match=r"^RDP order must be finite and above 1, got "):
+        rdp_increment(q, 1.0, order)
+
+
 @pytest.mark.parametrize(
     "count, match",
     [

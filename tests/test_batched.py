@@ -19,7 +19,13 @@ from feo2.datagen import build_population
 from feo2.models import Cohort, NumericFailure, _softmax_probs, client_update, local_gradient
 from feo2.privacy import clip, clip_rows, row_norms
 from feo2.rng import stream
-from oracles import clip_rows_every_row, label_shard_gradient_three_index, softmax_by_reduction
+from oracles import (
+    clip_rows_every_row,
+    clip_rows_gathering,
+    label_shard_gradient_reduced,
+    label_shard_gradient_three_index,
+    softmax_by_reduction,
+)
 
 SPECS = {
     "point": PopulationSpec(
@@ -118,9 +124,16 @@ def test_clip_rows_matches_clip_of_each_row():
 
 
 def _assert_clips_like_every_row_rescaling(rows, S):
+    """clip_rows, into a fresh array and in place, against both plain
+    formulations, bit for bit; returns the number of rescale passes."""
     out, bits = clip_rows(rows, S)
     want, want_bits, passes = clip_rows_every_row(rows, S)
     assert out.tobytes() == want.tobytes() and np.array_equal(bits, want_bits)
+    gathered, gathered_bits = clip_rows_gathering(rows, S)
+    assert out.tobytes() == gathered.tobytes() and np.array_equal(bits, gathered_bits)
+    inplace = rows.copy()
+    got, got_bits = clip_rows(inplace, S, out=inplace)
+    assert got is inplace and got.tobytes() == out.tobytes() and np.array_equal(got_bits, bits)
     return passes
 
 
@@ -150,8 +163,12 @@ def test_clip_rows_equals_rescaling_every_row_when_rows_need_three_passes():
 
 
 # (clients, examples, classes, features): skewed_shard's full batch, sampled_ditto's
-# mini-batch, and small stacks.
-GRADIENT_SHAPES = ((200, 16, 10, 16), (50, 4, 10, 16), (50, 4, 10, 10), (1, 1, 2, 1), (7, 5, 3, 4))
+# mini-batch, and small stacks: one client, one example, and fewer than 8 or at
+# least 8 examples and classes.
+GRADIENT_SHAPES = (
+    (200, 16, 10, 16), (50, 4, 10, 16), (50, 4, 10, 10), (1, 1, 2, 1), (7, 5, 3, 4),
+    (3, 20, 12, 5), (1, 16, 7, 3), (4, 1, 9, 2), (5, 8, 8, 3),
+)
 
 
 @given(
@@ -176,7 +193,39 @@ def test_label_shard_gradient_equals_reduction_and_three_index_form_bitwise(
     y = rng.integers(0, c, (n, m)).T if strided_y else rng.integers(0, c, (m, n))
     got = local_gradient(models, x, y, PopulationKind.LABEL_SHARD)
     assert got.tobytes() == label_shard_gradient_three_index(models, x, y).tobytes()
+    assert got.tobytes() == label_shard_gradient_reduced(models, x, y).tobytes()
     assert _softmax_probs(models[0], x[0]).tobytes() == softmax_by_reduction(models[0], x[0]).tobytes()
+    # into used work arrays, the probabilities into one sized for a longer batch
+    out, probs = np.full(models.shape, np.nan), np.full((m, n + 3, c), np.nan)
+    assert local_gradient(models, x, y, PopulationKind.LABEL_SHARD, out, probs) is out
+    assert out.tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("with_ditto", [False, True], ids=["plain", "ditto"])
+@pytest.mark.parametrize("batch_size", [None, 3], ids=["full_batch", "mini_batch"])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_client_update_into_work_arrays_equals_fresh_arrays(name, batch_size, with_ditto):
+    pop = build_population(SPECS[name])
+    rng = stream(6, "work-arrays")
+    cfg = FeO2Config(eta=0.4, epochs=2, batch_size=batch_size)
+    ditto = DittoConfig(lambda_p=0.7, lambda_np=0.2) if with_ditto else None
+    (m, n_ex, f), dim = pop.train_x.shape, pop.dim
+    order = None
+    if batch_size is not None:
+        order = stream(9, "minibatch", 0).permuted(np.tile(np.arange(n_ex), (2, m, 1)), axis=-1)
+    start = rng.normal(0.0, 0.5, (m, dim)) if with_ditto else None
+    cohort = Cohort(np.arange(m), pop.private, pop.train_x, pop.train_y, start)
+    theta, other = rng.normal(0.0, 0.5, (2, dim))
+    deltas, personal = client_update(theta, cohort, cfg, pop.kind, ditto, order)
+    kept = deltas.copy()
+    client_update(other, cohort, cfg, pop.kind, ditto, order)  # by default a call owns its arrays
+    assert deltas.tobytes() == kept.tobytes()
+    # used work arrays, the probabilities' sized for full batches (none for the quadratic kinds)
+    out = (np.full((m, dim), np.nan), np.full((m, dim), np.nan), np.full((m, n_ex, dim // (f + 1)), np.nan))
+    got, got_personal = client_update(theta, cohort, cfg, pop.kind, ditto, order, out=out)
+    assert got is out[0] and got.tobytes() == deltas.tobytes()
+    assert (got_personal is None) == (personal is None)
+    assert personal is None or got_personal.tobytes() == personal.tobytes()
 
 
 def test_personalized_failure_names_client_and_round(tmp_path, capsys):

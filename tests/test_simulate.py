@@ -5,17 +5,22 @@ against their closed forms."""
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import feo2.accounting
 import feo2.simulate
 from feo2.aggregation import feo2_combine, group_mean
 from feo2.analytic import AnalyticParams, optimal_ratio, server_variance_at
-from feo2.config import Algorithm, DittoConfig, ExperimentConfig, FeO2Config, PopulationKind, PopulationSpec
+from feo2.cli import main
+from feo2.config import (
+    Algorithm, DittoConfig, ExperimentConfig, FeO2Config, PopulationKind, PopulationSpec, parse_config,
+)
 from feo2.datagen import build_population
-from feo2.privacy import clip
+from feo2.privacy import Mechanism, clip
 from feo2.rng import stream
 from feo2.simulate import (
     RoundReport,
@@ -331,9 +336,9 @@ def test_round_orders_are_permutations_and_an_arange_order_keeps_the_order(monke
 
     update, orders = feo2.simulate.client_update, []
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         orders.append(args[-1])
-        return update(*args)
+        return update(*args, **kwargs)
 
     monkeypatch.setattr(feo2.simulate, "client_update", recording)
     cfg = _sampled_shard_ditto_cfg(3)
@@ -354,6 +359,45 @@ def test_minibatch_reports_are_worker_invariant():
     seq, par = run_experiment(cfg, workers=1), run_experiment(cfg, workers=4)
     assert [r.csv_row() for r in seq.reports] == [r.csv_row() for r in par.reports]
     assert np.array_equal(seq.personal_models, par.personal_models)
+
+
+SKEWED_SHARD = Path(__file__).resolve().parents[1] / "configs" / "skewed_label_shard.yaml"
+
+
+def test_uneven_full_batch_chunks_are_worker_invariant(tmp_path):
+    # 200 clients at q = 1: three workers take chunks of 67, 67 and 66 cohort
+    # positions, each writing only its own rows of the run's work arrays
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({**yaml.safe_load(SKEWED_SHARD.read_text()), "rounds": 4}), encoding="utf-8")
+    rounds = {}
+    for workers in (1, 3):
+        out = tmp_path / f"workers{workers}"
+        assert main(["run", "--config", str(path), "--out", str(out), "--workers", str(workers)]) == 0
+        rounds[workers] = (out / "rounds.csv").read_bytes()
+    assert rounds[1] == rounds[3] and len(rounds[1].splitlines()) == 5
+
+
+def test_a_round_allocates_no_cohort_sized_array():
+    # From its second round on, a run trains in its own work arrays, clips in
+    # place and gathers the private group into them: a round's traced high-water
+    # above its start stays within 1.5 arrays of cohort x dim floats. Fresh
+    # temporaries per round read about 4.
+    cfg = parse_config(str(SKEWED_SHARD))
+    marks = []
+
+    def on_round(report):
+        marks.append(tracemalloc.get_traced_memory())  # (current, peak since the last reset)
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        result = run_experiment(cfg, on_round=on_round)
+    finally:
+        tracemalloc.stop()
+    array = Mechanism.from_config(cfg).cohort_size * result.population.dim * 8
+    highs = [(peak - start) / array for (start, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(highs) == cfg.rounds - 1
+    assert max(highs) <= 1.5, max(highs)
 
 
 # --- Monte Carlo harnesses ----------------------------------------------------

@@ -11,7 +11,9 @@ round ends at the epsilon ``solve-z`` reports for its z, bit for bit.
 Integer orders use the exact binomial expansion of the log moment; fractional
 orders use the two-sided series with Gaussian tail terms. Both are computed
 in log space to stay finite at large orders (the raw moment overflows float64
-around order 64 already for modest q/z).
+around order 64 already for modest q/z). They run only for z in SERIES_Z; at
+q = 1 and at any z outside it the RDP is the unsampled Gaussian's a/(2z²),
+which bounds the subsampled one at every q: +inf where it overflows.
 
 ``eps(a) = rdp(a) + log(1/delta)/(a - 1)`` is quasi-convex, so only orders near
 its minimum are evaluated: {a: eps(a) <= t} is {a: (a - 1)(rdp(a) - t) +
@@ -50,6 +52,12 @@ DEFAULT_ORDERS: tuple[float, ...] = tuple(
 # 1e-9 relative (1e-11 at fractional orders, absolute below 1) and epsilon >=
 # log(1/delta)/511, so e < 1e-8 for any delta <= 0.01
 RISE_MARGIN = 1e-6
+# The series' range of z. Below it a/(2z²) is the subsampled RDP to within an ulp
+# (their gap, about a·log(1/q)/(a - 1), is smaller for q >= 1e-6), and the series
+# overflow from z = 1e-50. Above it their rounding nears the RDP itself (at z = 1e6
+# and q = 0.1 they return 0 for order 1.25, whose RDP is 6.25e-15) and they fail
+# from 1e8, while a/(2z²), never below the RDP, is at most 2.6e-8 per round.
+SERIES_Z = (1e-9, 1e5)
 _LOG_FACTORIAL = tuple(math.lgamma(k + 1) for k in range(int(DEFAULT_ORDERS[-1]) + 1))  # log k!
 
 
@@ -189,6 +197,8 @@ def rdp_increment(q: float, z: float, order: float) -> float:
     _check_mechanism(q, z)
     if not 1.0 < order < math.inf:
         raise ValueError(f"RDP order must be finite and above 1, got {order!r}")
+    if not SERIES_Z[0] <= z <= SERIES_Z[1]:
+        return order / 2.0 / z / z  # no z² to overflow: +inf for the tiniest z, 0 for the largest
     if q == 1.0:
         return order / (2.0 * z**2)
     if float(order).is_integer():
@@ -212,7 +222,7 @@ def _stand_in_start(counts, log_inv: float) -> int:
         u = a - 1.0
         total = -log_inv / (u * u)
         for q, z, count in counts:
-            c, log_q = 0.5 / (z * z), math.log(q)
+            c, log_q = 0.5 / (z * z) if z * z else math.inf, math.log(q)
             if q == 1.0:
                 total += count * c
                 continue

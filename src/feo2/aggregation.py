@@ -25,12 +25,14 @@ def dp_group_mean(
     updates: np.ndarray, S: float, std: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Mean of a (clients, dim) stack of updates clipped to ``S``, plus N(0, std^2)
-    noise per coordinate (`Mechanism.update_std`), drawn from ``rng`` if std > 0."""
+    noise per coordinate (`Mechanism.update_std`), drawn from ``rng`` if std > 0.
+    A norm above S by more than a relative 1e-9, or not finite, is a ValueError."""
     mean = group_mean(updates)
     norms = row_norms(np.asarray(updates, dtype=np.float64))
-    over = norms[~(norms <= S + 1e-9)]  # negated so that a NaN norm fails too
+    over = norms[~(norms <= S * (1.0 + 1e-9))]  # negated so that a NaN norm fails too
     if over.size:
-        raise ValueError(f"private update norm {over[0]:.6g} exceeds clip bound {S}")
+        why = f"exceeds clip bound {S}" if np.isfinite(over[0]) else "is not finite"
+        raise ValueError(f"private update norm {over[0]:.6g} {why}")
     return mean + rng.normal(0.0, std, mean.shape[0]) if std > 0 else mean
 
 

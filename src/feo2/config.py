@@ -175,7 +175,9 @@ class FeO2Config:
     tracking, and the local training loop."""
 
     r: Annotated[float, Range(0, 1)] = 1.0
-    z: Annotated[float, Range(0)] = 0.0
+    # At most 1e100, so that a noised model's squares stay finite for S up to 1e54:
+    # configs/point_demo.yaml overflows them from z = 1e153.
+    z: Annotated[float, Range(0, 1e100)] = 0.0
     z_b: Annotated[float, Range(0)] = 0.0
     S0: Annotated[float, Range(0, lo_open=True)] = 1.0
     kappa: Annotated[float, Range(0, 1)] = 0.5

@@ -3,8 +3,8 @@
 Every random draw in the package comes from a generator derived here, keyed
 by a master seed plus a path of integers (such as a round) and purpose strings.
 Streams depend only on their key, never on execution order: one stream per
-round orders the whole sorted cohort's mini-batches before it is chunked, so
-a cohort trains as one batch or in chunks with the same results.
+round orders the whole sorted cohort's mini-batches, one row per cohort
+position and epoch.
 """
 
 from __future__ import annotations

@@ -9,13 +9,11 @@ stds and the charge. Evaluation uses a per-client score cache (NaN until a
 client first trains) and rescores only the cohort. Every random draw comes from
 a stream keyed on (master_seed, purpose, round); at full participation (q = 1)
 the cohort is every client and no cohort stream is built, which moves no other
-draw. A round's mini-batch orders are drawn for the whole sorted cohort before
-it is split into chunks, and clients never mix (clipping included), so reports
-are byte-stable for any number of workers. The run owns the cohort step's work
+draw. A round's mini-batch orders are drawn for the whole sorted cohort, and
+clients never mix (clipping included). The run owns the cohort step's work
 arrays: the model stack (then the raw deltas, clipped in place), the gradient
-(then the private group's rows) and the label-shard probabilities, of which
-each chunk writes only its own rows. So after its first round a round
-allocates no cohort-sized array.
+(then the private group's rows) and the label-shard probabilities. So after its
+first round a round allocates no cohort-sized array.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
@@ -29,7 +27,6 @@ its cost and memory do not depend on the number of trials.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -126,20 +123,10 @@ def _evaluate(theta, pop: Population, personal, ids, local) -> dict:
     return out
 
 
-@contextlib.contextmanager
-def _chunk_map(workers: int):
-    """A ``map`` over a round's chunks: the builtin when ``workers`` is 1, with no
-    pool imported or started, else one thread pool's for the whole run."""
-    if workers == 1:
-        yield map
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
-
-
 def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> ExperimentResult:
+    # ``workers`` stays only while perfbench/child.py passes it through; it goes then.
+    if workers != 1:
+        raise ValueError(f"workers must be 1: a round trains its cohort in one batched step, got {workers!r}")
     pop = build_population(cfg.population)
     theta = np.zeros(pop.dim)
     S, seed, mech = cfg.feo2.S0, cfg.master_seed, Mechanism.from_config(cfg)
@@ -163,65 +150,61 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     batch = min(n_ex, cfg.feo2.batch_size) if mini else n_ex
     work = (np.empty((m, pop.dim)), np.empty((m, pop.dim)), np.empty((m, batch, pop.dim // (f + 1))))
 
-    def train(ids, batch_order, at, theta):
-        """The batched client step for the sorted cohort rows ``ids`` at cohort
-        positions ``at`` (a slice), with their mini-batch example orders
-        ``batch_order`` (None for full batches): it writes their raw deltas into
-        those rows of the work arrays. A Ditto client starts from its personal
-        model once it has trained, from the broadcast ``theta`` before."""
+    def train(ids, batch_order, theta):
+        """The batched client step for the sorted cohort ``ids``, with their
+        mini-batch example orders ``batch_order`` (None for full batches): it
+        writes their raw deltas into the work arrays. A Ditto client starts from
+        its personal model once it has trained, from the broadcast ``theta``
+        before. Its temporaries are freed when it returns, not held through the
+        round."""
         # Consecutive ids (all clients under full participation) are sliced, not copied.
         rows = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == len(ids) else ids
         personal_start = None if personal is None else np.where(np.isnan(local[rows, None]), theta, personal[rows])
         y = None if pop.train_y is None else pop.train_y[rows]
         cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, personal_start)
-        out = tuple(w[at] for w in work)
-        stepped = client_update(theta, cohort, cfg.feo2, pop.kind, cfg.ditto, batch_order, out=out)[1]
+        stepped = client_update(theta, cohort, cfg.feo2, pop.kind, cfg.ditto, batch_order, out=work)[1]
         if personal is not None:
             personal[rows] = stepped
 
-    # Threads take contiguous chunks of the sorted cohort, so they never share a work row.
-    with _chunk_map(workers) as run_chunks:
-        for t in range(cfg.rounds):
-            if mech.cohort_size == n:  # q = 1: every client, and no cohort stream is built
-                ids = np.arange(n)
-            else:
-                ids = np.sort(stream(seed, "cohort", t).choice(n, mech.cohort_size, replace=False))
-            batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
-            parts = [p for p in np.array_split(np.arange(len(ids)), workers) if p.size]
-            chunks = [(ids[p], batch_order[:, p] if mini else None, slice(p[0], p[-1] + 1)) for p in parts]
-            try:  # a NumericFailure from a client's training or the clip norm names the round
-                list(run_chunks(lambda c: train(*c, theta), chunks))
-                # Every update, in either group, is clipped to S and releases its clip bit.
-                deltas, indicators = clip_rows(work[0], S, out=work[0])
-                grouped = in_private_group[ids]
-                # The private rows go into the gradient's rows, unused until the next round
-                # trains (mode "clip" spares numpy's copy of ``out``; every index is in range).
-                priv = np.take(deltas, np.flatnonzero(grouped), axis=0, out=work[1][: grouped.sum()], mode="clip")
-                nonpriv = deltas[~grouped]
-                N_p, N_np = len(priv), len(nonpriv)
-                delta_np = group_mean(nonpriv) if N_np else None
-                delta_p = dp_group_mean(priv, S, mech.update_std(S, N_p), stream(seed, "noise", t)) if N_p else None
-                del priv, nonpriv  # not held while the next round trains
-                try:
-                    combined = feo2_combine(delta_np, delta_p, N_np, N_p, cfg.feo2.r)
-                    theta = apply_update(theta, combined)
-                except RoundSkipped:
-                    pass  # no usable update; clip norm and accounting still advance
+    for t in range(cfg.rounds):
+        if mech.cohort_size == n:  # q = 1: every client, and no cohort stream is built
+            ids = np.arange(n)
+        else:
+            ids = np.sort(stream(seed, "cohort", t).choice(n, mech.cohort_size, replace=False))
+        batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
+        try:  # a NumericFailure from a client's training or the clip norm names the round
+            train(ids, batch_order, theta)
+            # Every update, in either group, is clipped to S and releases its clip bit.
+            deltas, indicators = clip_rows(work[0], S, out=work[0])
+            grouped = in_private_group[ids]
+            # The private rows go into the gradient's rows, unused until the next round
+            # trains (mode "clip" spares numpy's copy of ``out``; every index is in range).
+            priv = np.take(deltas, np.flatnonzero(grouped), axis=0, out=work[1][: grouped.sum()], mode="clip")
+            nonpriv = deltas[~grouped]
+            N_p, N_np = len(priv), len(nonpriv)
+            delta_np = group_mean(nonpriv) if N_np else None
+            delta_p = dp_group_mean(priv, S, mech.update_std(S, N_p), stream(seed, "noise", t)) if N_p else None
+            del priv, nonpriv  # not held while the next round trains
+            try:
+                combined = feo2_combine(delta_np, delta_p, N_np, N_p, cfg.feo2.r)
+                theta = apply_update(theta, combined)
+            except RoundSkipped:
+                pass  # no usable update; clip norm and accounting still advance
 
-                bit_std = mech.bit_std(len(indicators))
-                S = update_clip_norm(S, indicators, bit_std, cfg.feo2.kappa, cfg.feo2.eta_b, stream(seed, "clip", t))
-            except NumericFailure as exc:
-                raise NumericFailure(f"{exc} in round {t}") from None
+            bit_std = mech.bit_std(len(indicators))
+            S = update_clip_norm(S, indicators, bit_std, cfg.feo2.kappa, cfg.feo2.eta_b, stream(seed, "clip", t))
+        except NumericFailure as exc:
+            raise NumericFailure(f"{exc} in round {t}") from None
 
-            if mech.z > 0 and N_p:
-                ledger = account_round(ledger, mech.q, mech.z)
-            epsilon, order = epsilon_at_delta(ledger, cfg.delta, order) if mech.z > 0 else (math.inf, None)
+        if mech.z > 0 and N_p:
+            ledger = account_round(ledger, mech.q, mech.z)
+        epsilon, order = epsilon_at_delta(ledger, cfg.delta, order) if mech.z > 0 else (math.inf, None)
 
-            metrics = _evaluate(theta, pop, personal, ids, local)
-            report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)
-            reports.append(report)
-            if on_round is not None:
-                on_round(report)
+        metrics = _evaluate(theta, pop, personal, ids, local)
+        report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)
+        reports.append(report)
+        if on_round is not None:
+            on_round(report)
     personal_models = None if personal is None else np.where(np.isnan(local)[:, None], theta, personal)
     return ExperimentResult(reports, ledger, theta, pop, personal_models)
 

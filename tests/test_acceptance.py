@@ -8,7 +8,11 @@ behavioral regression, not a test-plumbing one.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -36,7 +40,6 @@ from feo2.analytic import (
     server_variance_fedavg,
     server_variance_opt,
 )
-from feo2.cli import main as cli_main
 from feo2.config import (
     Algorithm,
     DittoConfig,
@@ -372,7 +375,9 @@ def test_criterion_09_skewed_label_shard_benchmark():
     _gate(9, ok, f"best r={best_r}: acc {best_acc:.2f} >= {base_acc:.2f}+1 (margin {best_acc - base_acc:+.2f}); delta_g {best_dg:.2f} > 0; {elapsed:.0f}s < 600s")
 
 
-def test_criterion_10_rerun_is_byte_identical_across_workers(tmp_path):
+def test_criterion_10_rerun_is_byte_identical_across_processes(tmp_path):
+    # a sampled Ditto run, twice, each in a fresh interpreter: nothing a process
+    # carries (caches, hash seeds, allocation history) may reach an output byte
     cfg_text = """\
 population:
   kind: point_estimation
@@ -398,16 +403,18 @@ master_seed: 123
 """
     cfg_path = tmp_path / "exp.yaml"
     cfg_path.write_text(cfg_text)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     outs = []
-    for workers, name in ((1, "serial"), (3, "threaded")):
+    for name in ("first", "second"):
         out_dir = tmp_path / name
-        rc = cli_main(
-            ["run", "--config", str(cfg_path), "--out", str(out_dir), "--workers", str(workers)]
+        subprocess.run(
+            [sys.executable, "-m", "feo2.cli", "run", "--config", str(cfg_path), "--out", str(out_dir)],
+            env=env, check=True,
         )
-        assert rc == 0
-        outs.append((out_dir / "rounds.csv").read_bytes())
-    ok = outs[0] == outs[1] and len(outs[0]) > 0
-    _gate(10, ok, f"rounds.csv identical across --workers 1 vs 3 ({len(outs[0])} bytes)")
+        outs.append([(out_dir / f).read_bytes() for f in ("rounds.csv", "summary.json")])
+    ok = outs[0] == outs[1] and all(outs[0])
+    sizes = " and ".join(str(len(b)) for b in outs[0])
+    _gate(10, ok, f"rounds.csv and summary.json identical across two processes ({sizes} bytes)")
 
 
 def test_criterion_11_simulator_recovers_optimal_ratio():

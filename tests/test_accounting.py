@@ -58,6 +58,32 @@ def test_increment_rejects_orders_that_are_not_finite_and_above_one(q, order):
         rdp_increment(q, 1.0, order)
 
 
+@pytest.mark.parametrize("q", [0.1, 1.0], ids=["subsampled", "full_batch"])
+@pytest.mark.parametrize("z", [1e-300, 1e-160, 1e-60, 1e160, 1e300])
+def test_extreme_noise_multipliers_give_the_gaussian_bound_and_a_defined_epsilon(q, z):
+    # Outside SERIES_Z every q's RDP is the unsampled Gaussian's a/(2z²): +inf
+    # where it overflows, 0 where it underflows. The series and the shortcut
+    # divided by zero at z = 1e-300, gave NaN at 1e-160, overflowed at 1e-60
+    # (order 63.75) and squared z into an OverflowError at 1e160 and 1e300.
+    curve = [rdp_increment(q, z, a) for a in DEFAULT_ORDERS]
+    assert curve == [a / 2.0 / z / z for a in DEFAULT_ORDERS]
+    ledger = PrivacyLedger(((q, z, 3),))
+    eps, order = epsilon_at_delta(ledger, 1e-5)
+    assert (eps, order) == oracles.epsilon_full_curve(ledger.counts, 1e-5)
+    assert eps == (math.inf if z < 1e-150 else 3 * 0.625 / z / z if z < 1 else math.log(1e5) / 511)
+    assert order == (1.25 if z < 1 else 512.0)
+
+
+@pytest.mark.parametrize("z", [1e6, 1e7])
+def test_rdp_above_the_series_range_is_never_below_the_oracle(z):
+    # the series' rounding there returned 0 at q = 0.1, z = 1e6, order 1.25,
+    # whose RDP is 6.25e-15; a/(2z²) bounds the RDP at every q
+    for q in (0.5, 0.1, 0.001):
+        for alpha in (1.25, 2.0, 63.75):
+            want = oracles.rdp_subsampled_gaussian_quadrature(q, z, alpha)
+            assert want <= rdp_increment(q, z, alpha) == alpha / 2.0 / z / z, (q, alpha)
+
+
 @pytest.mark.parametrize(
     "count, match",
     [

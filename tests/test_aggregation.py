@@ -10,6 +10,7 @@ from feo2.aggregation import (
     feo2_combine,
     group_mean,
 )
+from feo2.privacy import clip
 from feo2.rng import stream
 
 
@@ -41,8 +42,19 @@ def test_dp_group_mean_rejects_unclipped_updates():
 
 def test_dp_group_mean_rejects_non_finite_updates():
     # A NaN norm fails "norm > S" as well as "norm <= S"; it must count as out of bound.
-    with pytest.raises(ValueError, match="exceeds clip bound"):
-        dp_group_mean([np.array([np.nan, 0.0])], S=1.0, std=1.0, rng=stream(0, "n"))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"^private update norm {bad} is not finite$"):
+            dp_group_mean([np.array([bad, 0.0])], S=1.0, std=1.0, rng=stream(0, "n"))
+
+
+def test_dp_group_mean_bound_scales_with_S():
+    # An absolute slack of 1e-9 passed a row of twice the bound at S = 1e-12, a
+    # clip norm that adaptive clipping reaches; the slack is now relative to S.
+    S = 1e-12
+    with pytest.raises(ValueError, match="^private update norm 2e-12 exceeds clip bound 1e-12$"):
+        dp_group_mean([np.array([2e-12, 0.0])], S=S, std=0.0, rng=stream(0, "n"))
+    clipped = clip(np.array([3e-12, -4e-12]), S)[0]
+    assert np.array_equal(dp_group_mean([clipped], S=S, std=0.0, rng=stream(0, "n")), clipped)
 
 
 def test_noise_std_matches_request():

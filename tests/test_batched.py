@@ -1,10 +1,10 @@
 """The batched cohort step keeps clients apart.
 
 Stacking clients must not change any client's bytes: a cohort run as one
-stack, one row at a time, or in two chunks gives bitwise equal deltas and
+stack, one row at a time, or in two parts gives bitwise equal deltas and
 personal models, and clipping those deltas gives bitwise equal clipped deltas
-and indicator bits. This is what lets ``--workers`` split a cohort into chunks
-without changing a run's outputs.
+and indicator bits. So a client's outputs do not depend on which clients the
+round samples beside it.
 """
 
 import numpy as np

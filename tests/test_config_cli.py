@@ -219,7 +219,7 @@ RANGES = {
         "tau2": ">= 0", "beta2": ">= 0", "d": ">= 1", "skew_label": ">= 0",
     },
     FeO2Config: {
-        "r": "in [0, 1]", "z": ">= 0", "z_b": ">= 0", "S0": "> 0", "kappa": "in [0, 1]",
+        "r": "in [0, 1]", "z": "in [0, 1e+100]", "z_b": ">= 0", "S0": "> 0", "kappa": "in [0, 1]",
         "eta_b": "> 0", "eta": "> 0", "epochs": ">= 1", "batch_size": ">= 1",
     },
     DittoConfig: {"lambda_p": ">= 0", "lambda_np": ">= 0", "eta_p": "> 0"},
@@ -935,9 +935,42 @@ def test_analytic_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["r_star"] == pytest.approx(0.512821, abs=1e-6)
 
 
+@pytest.mark.parametrize("cohort_fraction", [0.1, 1.0], ids=["subsampled", "full_batch"])
+@pytest.mark.parametrize("z", [1e-300, 1e-160, 1e-60, 1e160, 1e300])
+def test_a_run_at_an_extreme_noise_multiplier_ends_defined_or_is_refused(tmp_path, capsys, z, cohort_fraction):
+    # These runs trained round 0, then the accountant raised a bare arithmetic
+    # error (exit 1). A tiny z now charges its true, huge or infinite, epsilon;
+    # a z whose noise overflows the model's squares is refused before round 0.
+    cfg = {
+        **GOOD, "population": {**GOOD["population"], "n_clients": 20},
+        "feo2": {**GOOD["feo2"], "z": z}, "cohort_fraction": cohort_fraction,
+    }
+    out = tmp_path / "out"
+    rc = main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if z > 1e100:
+        assert (rc, err, out.exists()) == (2, "config error: z must be in [0, 1e+100]\n", False)
+        return
+    assert (rc, err) == (0, "")
+    eps = [float(row["epsilon"]) for row in csv.DictReader((out / "rounds.csv").read_text().splitlines())]
+    assert len(eps) == 3 and eps == sorted(eps) and not any(map(math.isnan, eps))
+    charged = json.loads((out / "summary.json").read_text())["privacy"]["charged"]
+    assert eps[-1] >= sum(c["rounds"] for c in charged) * 0.625 / z / z  # order 1.25's a/(2z²)
+
+
 def test_workers_flag_validation(tmp_path, capsys):
-    rc = main(["run", "--config", _write(tmp_path, GOOD), "--out", str(tmp_path / "o"), "--workers", "0"])
-    assert rc == 2
+    # a round trains its cohort in one step, so the flag takes only 1, and it
+    # fails before any output is written
+    for workers in ("0", "2"):
+        out = tmp_path / f"o{workers}"
+        rc = main(["run", "--config", _write(tmp_path, GOOD), "--out", str(out), "--workers", workers])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: --workers must be 1, got {workers}\n"
+        assert not out.exists()
+    for out, flag in (("o1", ["--workers", "1"]), ("o", [])):
+        assert main(["run", "--config", _write(tmp_path, GOOD), "--out", str(tmp_path / out), *flag]) == 0
+    assert (tmp_path / "o1" / "rounds.csv").read_bytes() == (tmp_path / "o" / "rounds.csv").read_bytes()
+    assert "workers" not in json.loads((tmp_path / "o1" / "manifest.json").read_text())
 
 
 # --- README -----------------------------------------------------------------

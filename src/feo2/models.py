@@ -15,7 +15,7 @@ Models are flat float64 vectors everywhere; the softmax layer is stored as
 
 Training runs on a whole cohort at once: (clients, examples, features) data
 stacks and (clients, dim) model stacks, whose rows never mix. A call makes fresh
-arrays unless given ``out=`` ones, like those `simulate.run_experiment` owns.
+arrays unless given ``out=`` ones, like `simulate.run_experiment`'s stack and gradient.
 """
 
 from __future__ import annotations
@@ -43,23 +43,22 @@ class Cohort:
     personal: Optional[np.ndarray] = None  # (clients, dim) personal models Ditto starts from
 
 
-def _logits(model: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _logits(model: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class scores x·Wᵀ + b of one model on (n, f) inputs, or of a (clients, dim)
-    stack on (clients, n, f) inputs, written into ``out`` if given; their argmax
-    is the predicted class."""
+    stack on (clients, n, f) inputs; their argmax is the predicted class."""
     size, f = model.shape[-1], x.shape[-1]
     if size % (f + 1) != 0:
         raise ValueError(f"model of size {size} does not fit a linear layer over {f} features")
     c = size // (f + 1)
     w = model[..., : c * f].reshape(*model.shape[:-1], c, f)
-    p = np.matmul(x, np.swapaxes(w, -1, -2), out=out)
+    p = np.matmul(x, np.swapaxes(w, -1, -2))
     p += model[..., None, c * f :]
     return p
 
 
-def _softmax_probs(model: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _softmax_probs(model: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Class probabilities, laid out as in `_logits`."""
-    p = _logits(model, x, out)
+    p = _logits(model, x)
     top = p[..., 0].copy()  # the row max, column by column: a reduction over the short class axis is slower
     for k in range(1, p.shape[-1]):
         np.maximum(top, p[..., k], out=top)
@@ -69,12 +68,10 @@ def _softmax_probs(model: np.ndarray, x: np.ndarray, out: Optional[np.ndarray] =
     return p
 
 
-def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], kind,
-                   out=None, probs=None) -> np.ndarray:
+def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], kind, out=None) -> np.ndarray:
     """Gradient of each client's mean local loss at its own row of ``models``
     (clients, dim), written into ``out`` if given; ``x`` and ``y`` are laid out as
-    in `Cohort`. A label shard's probabilities go into the leading elements of a
-    contiguous ``probs`` of at least (clients, examples, classes) if given."""
+    in `Cohort`."""
     if kind is PopulationKind.POINT_ESTIMATION:
         return np.subtract(models, x.mean(axis=1), out=out)
     if kind is PopulationKind.LINEAR_REGRESSION:
@@ -83,7 +80,7 @@ def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], k
     if kind is PopulationKind.LABEL_SHARD:
         (m, n), f = y.shape, x.shape[2]
         c = models.shape[1] // (f + 1)
-        p = _softmax_probs(models, x, None if probs is None else probs.reshape(-1)[: m * n * c].reshape(m, n, c))
+        p = _softmax_probs(models, x)
         hot = np.arange(m * n) * c + y.reshape(-1)  # the one-hot labels' flat index into p
         np.put(p, hot, p.take(hot) - 1.0)  # put writes into p itself, never into a copy
         err = np.divide(p, n, out=p)
@@ -117,15 +114,15 @@ def client_update(
     personal models). ``cfg`` gives epochs / eta / batch_size, ``order``
     (epochs, clients, examples) each epoch's mini-batch example order per client
     (None for full batches). ``out`` gives work arrays for the cohort's rows to
-    write into, (model stack, gradient, probabilities), the last two as
-    `local_gradient` takes them; the deltas returned are then ``out[0]``.
+    write into, (model stack, gradient); the deltas returned are then ``out[0]``.
     The personal models are None without ``ditto``; with it, each starts from
-    ``cohort.personal`` and takes one proximal step per batch. A non-finite
-    delta or personal model raises `NumericFailure` naming the first such client."""
+    ``cohort.personal`` and takes one proximal step per batch. A non-finite delta,
+    delta norm or personal model raises `NumericFailure` naming the first such client."""
+    from .privacy import row_norms
     from .personalization import ditto_step
 
     global_model = np.asarray(global_model, dtype=np.float64)
-    theta, grad, probs = (np.empty((len(cohort.ids), global_model.size)), None, None) if out is None else out
+    theta, grad = (np.empty((len(cohort.ids), global_model.size)), None) if out is None else out
     theta[...] = global_model
     personal = None
     if ditto is not None:
@@ -135,15 +132,16 @@ def client_update(
     for epoch in range(cfg.epochs):
         epoch_order = None if order is None else order[epoch]
         for xb, yb in _batches(cohort.x, cohort.y, cfg.batch_size, epoch_order):
-            grad = local_gradient(theta, xb, yb, kind, grad, probs)
+            grad = local_gradient(theta, xb, yb, kind, grad)
             theta -= np.multiply(cfg.eta, grad, out=grad)
             if ditto is not None:
                 personal = ditto_step(personal, global_model, xb, yb, kind, lam, eta_p)
     delta = np.subtract(theta, global_model, out=theta)
-    if not (np.isfinite(delta).all() and (ditto is None or np.isfinite(personal).all())):
-        finite = np.isfinite(delta).all(axis=1)
-        personal_ok = np.ones_like(finite) if ditto is None else np.isfinite(personal).all(axis=1)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(row_norms(delta))  # False for a non-finite delta too
+    personal_ok = np.ones_like(finite) if ditto is None else np.isfinite(personal).all(axis=1)
+    if not (finite.all() and personal_ok.all()):
         i = int(np.argmin(finite & personal_ok))
-        what = "update" if personal_ok[i] else "personalized model"
+        what = ("update norm" if np.isfinite(delta[i]).all() else "update") if personal_ok[i] else "personalized model"
         raise NumericFailure(f"non-finite {what} from client {cohort.ids[i]}")
     return delta, personal

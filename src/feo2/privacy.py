@@ -51,10 +51,10 @@ def clip_rows(rows: np.ndarray, S: float, out: np.ndarray | None = None) -> tupl
     """Scale each row onto the L2 ball of radius ``S``; return (clipped, b) with
     b[i] = 1 iff ||rows[i]|| <= S before clipping. The clipped rows go into
     ``out`` (``out=rows`` clips in place, as `run_experiment` clips the delta
-    stack it owns), by default a fresh array. One multiply scales each row, by
-    S/||row|| above S and by exactly 1.0 otherwise, so a row that fits keeps its
-    bits. A loop then rescales the rows whose scaled norm landed a few ulps above
-    S, which makes a second clip a bitwise no-op (idempotent)."""
+    stack it owns), by default a fresh copy. Each pass multiplies only the rows
+    above S, each by S/||row||, so a row that fits keeps its bits; the rows whose
+    scaled norm lands a few ulps above S take another pass, which makes a second
+    clip a bitwise no-op (idempotent)."""
     if S <= 0:
         raise ValueError("clip norm must be positive")
     rows = np.asarray(rows, dtype=np.float64)
@@ -62,12 +62,14 @@ def clip_rows(rows: np.ndarray, S: float, out: np.ndarray | None = None) -> tupl
     if not np.isfinite(norms).all():
         raise ValueError(f"cannot clip a vector of norm {norms[~np.isfinite(norms)][0]}")
     b = (norms <= S).astype(np.int64)
+    out = rows.copy() if out is None else out
+    if out is not rows:
+        out[...] = rows
     over = norms > S
-    out = np.multiply(rows, np.divide(S, norms, out=np.ones_like(norms), where=over)[:, None], out=out)
     while over.any():
+        out[over] *= (S / norms[over])[:, None]
         norms = row_norms(out)
         over = norms > S
-        out[over] *= (S / norms[over])[:, None]
     return out, b
 
 

@@ -10,10 +10,8 @@ client first trains) and rescores only the cohort. Every random draw comes from
 a stream keyed on (master_seed, purpose, round); at full participation (q = 1)
 the cohort is every client and no cohort stream is built, which moves no other
 draw. A round's mini-batch orders are drawn for the whole sorted cohort, and
-clients never mix (clipping included). The run owns the cohort step's work
-arrays: the model stack (then the raw deltas, clipped in place), the gradient
-(then the private group's rows) and the label-shard probabilities. So after its
-first round a round allocates no cohort-sized array.
+clients never mix (clipping included). The run owns the cohort step's model stack
+(then the raw deltas, clipped in place) and gradient, sparing each round their page faults.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
@@ -96,7 +94,8 @@ def _evaluate(theta, pop: Population, personal, ids, local) -> dict:
     the clients' equal segments. ``local`` (None without Ditto) caches each
     client's personal-model score, NaN until its first training: only the
     cohort rows ``ids``, whose personal models just changed, are rescored, and
-    a client not yet trained takes its global score as its local score."""
+    a client not yet trained takes its global score as its local score. A
+    squared error that is not finite raises `NumericFailure`."""
     is_private, n = pop.private, len(pop.private)
     if pop.kind is PopulationKind.LABEL_SHARD:
         x, labels = pop.server_test
@@ -106,11 +105,16 @@ def _evaluate(theta, pop: Population, personal, ids, local) -> dict:
             predicted = _logits(personal[ids], pop.test_x[ids]).argmax(axis=2)
             local[ids] = 100.0 * (predicted == pop.test_y[ids]).mean(axis=1)
     else:
-        acc_g = float(np.sum((theta - pop.truth_global) ** 2))
-        on_global = np.sum((theta - pop.truth_clients) ** 2, axis=1)
-        if local is not None:
-            local[ids] = np.sum((personal[ids] - pop.truth_clients[ids]) ** 2, axis=1)
+        with np.errstate(over="ignore"):  # a finite model's squares can overflow; checked below
+            acc_g = float(np.sum((theta - pop.truth_global) ** 2))
+            on_global = np.sum((theta - pop.truth_clients) ** 2, axis=1)
+            if local is not None:
+                local[ids] = np.sum((personal[ids] - pop.truth_clients[ids]) ** 2, axis=1)
     on_local = on_global if local is None else np.where(np.isnan(local), on_global, local)
+    if not (np.isfinite(acc_g) and np.isfinite(on_global).all()):
+        raise NumericFailure("non-finite squared error of the global model")
+    if not np.isfinite(on_local).all():  # a row per client, so the index is the client id
+        raise NumericFailure(f"non-finite squared error of client {np.argmin(np.isfinite(on_local))}'s personal model")
     out = {
         "acc_g": acc_g,
         "acc_g_p": _group_metric(on_global[is_private]),
@@ -143,12 +147,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     local = None if personal is None else np.full(n, np.nan)
     reports: List[RoundReport] = []
     # Mini-batch runs: each epoch's example order per cohort position, shuffled each round.
-    m, (n_ex, f), mini = mech.cohort_size, pop.train_x.shape[1:], cfg.feo2.batch_size is not None
+    m, n_ex, mini = mech.cohort_size, pop.train_x.shape[1], cfg.feo2.batch_size is not None
     examples = np.tile(np.arange(n_ex), (cfg.feo2.epochs, m, 1)) if mini else None
-    # The work arrays, one row per cohort position (the quadratic kinds have no
-    # classes). Poisson cohorts would need them sized to the largest cohort.
-    batch = min(n_ex, cfg.feo2.batch_size) if mini else n_ex
-    work = (np.empty((m, pop.dim)), np.empty((m, pop.dim)), np.empty((m, batch, pop.dim // (f + 1))))
+    # The work arrays (model stack, gradient), one row per cohort position.
+    # Poisson cohorts would need them sized to the largest cohort.
+    work = (np.empty((m, pop.dim)), np.empty((m, pop.dim)))
 
     def train(ids, batch_order, theta):
         """The batched client step for the sorted cohort ``ids``, with their
@@ -172,15 +175,12 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
         else:
             ids = np.sort(stream(seed, "cohort", t).choice(n, mech.cohort_size, replace=False))
         batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
-        try:  # a NumericFailure from a client's training or the clip norm names the round
+        try:  # a NumericFailure from a client's training, the clip norm or the scores names the round
             train(ids, batch_order, theta)
             # Every update, in either group, is clipped to S and releases its clip bit.
             deltas, indicators = clip_rows(work[0], S, out=work[0])
             grouped = in_private_group[ids]
-            # The private rows go into the gradient's rows, unused until the next round
-            # trains (mode "clip" spares numpy's copy of ``out``; every index is in range).
-            priv = np.take(deltas, np.flatnonzero(grouped), axis=0, out=work[1][: grouped.sum()], mode="clip")
-            nonpriv = deltas[~grouped]
+            priv, nonpriv = deltas[grouped], deltas[~grouped]
             N_p, N_np = len(priv), len(nonpriv)
             delta_np = group_mean(nonpriv) if N_np else None
             delta_p = dp_group_mean(priv, S, mech.update_std(S, N_p), stream(seed, "noise", t)) if N_p else None
@@ -193,14 +193,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 
             bit_std = mech.bit_std(len(indicators))
             S = update_clip_norm(S, indicators, bit_std, cfg.feo2.kappa, cfg.feo2.eta_b, stream(seed, "clip", t))
+            metrics = _evaluate(theta, pop, personal, ids, local)
         except NumericFailure as exc:
             raise NumericFailure(f"{exc} in round {t}") from None
 
         if mech.z > 0 and N_p:
             ledger = account_round(ledger, mech.q, mech.z)
         epsilon, order = epsilon_at_delta(ledger, cfg.delta, order) if mech.z > 0 else (math.inf, None)
-
-        metrics = _evaluate(theta, pop, personal, ids, local)
         report = RoundReport(round=t, S=S, N_p_t=N_p, N_np_t=N_np, epsilon=epsilon, **metrics)
         reports.append(report)
         if on_round is not None:

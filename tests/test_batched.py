@@ -195,9 +195,9 @@ def test_label_shard_gradient_equals_reduction_and_three_index_form_bitwise(
     assert got.tobytes() == label_shard_gradient_three_index(models, x, y).tobytes()
     assert got.tobytes() == label_shard_gradient_reduced(models, x, y).tobytes()
     assert _softmax_probs(models[0], x[0]).tobytes() == softmax_by_reduction(models[0], x[0]).tobytes()
-    # into used work arrays, the probabilities into one sized for a longer batch
-    out, probs = np.full(models.shape, np.nan), np.full((m, n + 3, c), np.nan)
-    assert local_gradient(models, x, y, PopulationKind.LABEL_SHARD, out, probs) is out
+    # into a used gradient work array
+    out = np.full(models.shape, np.nan)
+    assert local_gradient(models, x, y, PopulationKind.LABEL_SHARD, out) is out
     assert out.tobytes() == got.tobytes()
 
 
@@ -209,7 +209,7 @@ def test_client_update_into_work_arrays_equals_fresh_arrays(name, batch_size, wi
     rng = stream(6, "work-arrays")
     cfg = FeO2Config(eta=0.4, epochs=2, batch_size=batch_size)
     ditto = DittoConfig(lambda_p=0.7, lambda_np=0.2) if with_ditto else None
-    (m, n_ex, f), dim = pop.train_x.shape, pop.dim
+    (m, n_ex, _), dim = pop.train_x.shape, pop.dim
     order = None
     if batch_size is not None:
         order = stream(9, "minibatch", 0).permuted(np.tile(np.arange(n_ex), (2, m, 1)), axis=-1)
@@ -220,8 +220,8 @@ def test_client_update_into_work_arrays_equals_fresh_arrays(name, batch_size, wi
     kept = deltas.copy()
     client_update(other, cohort, cfg, pop.kind, ditto, order)  # by default a call owns its arrays
     assert deltas.tobytes() == kept.tobytes()
-    # used work arrays, the probabilities' sized for full batches (none for the quadratic kinds)
-    out = (np.full((m, dim), np.nan), np.full((m, dim), np.nan), np.full((m, n_ex, dim // (f + 1)), np.nan))
+    # used work arrays: (model stack, gradient)
+    out = (np.full((m, dim), np.nan), np.full((m, dim), np.nan))
     got, got_personal = client_update(theta, cohort, cfg, pop.kind, ditto, order, out=out)
     assert got is out[0] and got.tobytes() == deltas.tobytes()
     assert (got_personal is None) == (personal is None)

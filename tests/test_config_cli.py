@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import typing
+import warnings
 from pathlib import Path
 
 import pytest
@@ -956,6 +957,47 @@ def test_a_run_at_an_extreme_noise_multiplier_ends_defined_or_is_refused(tmp_pat
     assert len(eps) == 3 and eps == sorted(eps) and not any(map(math.isnan, eps))
     charged = json.loads((out / "summary.json").read_text())["privacy"]["charged"]
     assert eps[-1] >= sum(c["rounds"] for c in charged) * 0.625 / z / z  # order 1.25's a/(2z²)
+
+
+def _run_recording_warnings(tmp_path, cfg):
+    """(exit code, rounds.csv lines, warnings raised) of one `run` of ``cfg``."""
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)])
+    return rc, (out / "rounds.csv").read_text().splitlines(), caught
+
+
+def test_a_run_whose_model_squares_overflow_fails_naming_the_round(tmp_path, capsys):
+    # The noised round-0 model is finite, but its squared error is not. This run
+    # wrote a round-0 row with acc_g inf and delta_g nan after numpy overflow
+    # warnings, then failed to clip round 1's updates without naming the round.
+    demo = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / "point_demo.yaml").read_text())
+    cfg = {**demo, "feo2": {**demo["feo2"], "z": 1.0e100, "S0": 1.0e60}}
+    rc, lines, caught = _run_recording_warnings(tmp_path, cfg)
+    failed = "non-finite squared error of the global model in round 0"
+    assert (rc, lines[1:], caught) == (1, [f"FAILED,{failed}"], [])
+    assert capsys.readouterr().err == f"run failed: {failed}\n"
+
+
+DIVERGENT_STEP_CASES = [  # (feo2 overrides, ditto, the failure)
+    ({"eta": 3.0}, None, "non-finite update norm from client 4 in round 0"),
+    ({"eta": 0.5}, {"lambda_p": 0.0, "lambda_np": 0.0, "eta_p": 3.0},
+     "non-finite squared error of client 4's personal model in round 0"),
+]
+
+
+@pytest.mark.parametrize("feo2, ditto, failed", DIVERGENT_STEP_CASES, ids=["update", "personal_model"])
+def test_a_run_whose_client_norms_overflow_fails_naming_the_client_and_round(tmp_path, capsys, feo2, ditto, failed):
+    # A step of 3 doubles a model's distance to its client's data mean, so after
+    # 511 steps every model is finite, but those of clients 4, 10 and 11, whose
+    # means lie farther than about 2 from the start, have squared norms above
+    # the largest float: the global step's updates, or Ditto's personal models.
+    pop = {**GOOD["population"], "seed": 14}
+    cfg = {**GOOD, "population": pop, "feo2": {**GOOD["feo2"], "epochs": 511, **feo2}, "ditto": ditto}
+    rc, lines, caught = _run_recording_warnings(tmp_path, cfg)
+    assert (rc, lines[1:], caught) == (1, [f"FAILED,{failed}"], [])
+    assert capsys.readouterr().err == f"run failed: {failed}\n"
 
 
 def test_workers_flag_validation(tmp_path, capsys):

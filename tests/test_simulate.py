@@ -167,6 +167,25 @@ def test_epsilon_accumulates_only_with_noise():
     assert all(r.epsilon == float("inf") for r in quiet)
 
 
+@pytest.mark.parametrize("rho_np", [0.0, 1.0], ids=["all_private", "all_opted_out"])
+def test_an_empty_group_reads_nan_and_an_uncharged_run_the_empty_ledgers_epsilon(rho_np):
+    # The group metrics average over the population's clients of each group, so
+    # a group with none reads NaN, and so does every difference taken with it.
+    # With z > 0 and no private client nothing is ever charged, and every round
+    # reports the empty ledger's epsilon: log(1/delta) / (512 - 1) at the
+    # largest order, 0.02253 at delta = 1e-5.
+    pop = dataclasses.replace(_point_cfg().population, rho_np=rho_np)
+    cfg = _point_cfg(population=pop, rounds=2, ditto=DittoConfig(lambda_p=0.5, lambda_np=0.5))
+    empty = ("acc_g_np", "acc_l_np") if rho_np == 0.0 else ("acc_g_p", "acc_l_p")
+    for r in run_experiment(cfg).reports:
+        nan = {k for k, v in dataclasses.asdict(r).items() if isinstance(v, float) and math.isnan(v)}
+        assert nan == {*empty, "delta_g", "delta_l"}
+        if rho_np == 1.0:
+            assert (r.N_p_t, r.epsilon) == (0, math.log(1e5) / 511) and r.epsilon == pytest.approx(0.02253, abs=1e-5)
+        else:
+            assert r.N_p_t > 0 and r.epsilon > math.log(1e5) / 511
+
+
 def test_skipped_rounds_freeze_model_but_not_clip_norm():
     # all clients private and r = 0: nothing carries weight
     cfg = _point_cfg(
@@ -354,11 +373,13 @@ def test_round_orders_are_permutations_and_an_arange_order_keeps_the_order(monke
 SKEWED_SHARD = Path(__file__).resolve().parents[1] / "configs" / "skewed_label_shard.yaml"
 
 
-def test_a_round_allocates_no_cohort_sized_array():
-    # From its second round on, a run trains in its own work arrays, clips in
-    # place and gathers the private group into them: a round's traced high-water
-    # above its start stays within 1.5 arrays of cohort x dim floats. Fresh
-    # temporaries per round read about 4.
+def test_a_round_trains_and_clips_in_the_runs_work_arrays():
+    # From its second round on, a run trains in its own model stack and
+    # gradient and clips in place; only each step's label-shard probabilities
+    # and the two groups' gathered rows, one cohort x dim array between them,
+    # are fresh. So a round's traced high-water above its start stays within
+    # 1.5 arrays of cohort x dim floats (1.38 on this config). Fresh model and
+    # gradient stacks per round read about 3.
     cfg = parse_config(str(SKEWED_SHARD))
     marks = []
 

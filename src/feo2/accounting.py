@@ -5,8 +5,9 @@ multiplier z). RDP composes by addition, so the ledger's RDP at order a is
 ``Σ count · rdp_increment(q, z, a)``, and `epsilon_at_delta` converts it
 to (epsilon, delta) as the minimum over DEFAULT_ORDERS of
 ``rdp(a) + log(1/delta)/(a - 1)``. That is the only epsilon computation: a
-run, `solve_z` and ``feo2 solve-z`` all call it, so a run that charges every
-round ends at the epsilon ``solve-z`` reports for its z, bit for bit.
+run and `solve_z` both call it, and ``feo2 solve-z`` reports `solve_z`'s last
+scan, so a run that charges every round ends at the epsilon ``solve-z``
+reports for its z, bit for bit.
 
 Integer orders use the exact binomial expansion of the log moment; fractional
 orders use the two-sided series with Gaussian tail terms. Both are computed
@@ -22,16 +23,13 @@ Harremoës, IEEE T-IT 2014). A scan starts by default where a stand-in epsilon
 stops falling, with rdp ``s·a + e^K(a)/(a - 1)`` per round: ``s·a``, with
 ``s = q²(e^(1/z²) - 1)/2``, is the small-q rdp of the binomial expansion's i = 2
 term and ``K(a) = a·log q + a(a - 1)/(2z²)`` the log of its i = a term (at q = 1,
-the exact ``a/(2z²)``); a rescan of the latest scan's ledger starts at its best.
-It gallops downhill in steps of 1, 2, 4, ... orders, again from each new best,
-until both neighbours of the best are worse, then walks out order by order. A
-walk stops once epsilon exceeds the best by the relative margin RISE_MARGIN: if
-the computed epsilon is within relative error e of the quasi-convex curve and
-RISE_MARGIN >= 2e/(1 - e), no order beyond can win. Exact rules stop it too:
-upward once rdp(a) alone reaches the best (rdp never falls as a grows; rounding
-cannot undercut the delta term, >= log(1/delta)/511), downward once the delta
-term alone exceeds it. The start and the gallop set only the cost: the result is
-the full curve's, bit for bit, ties to the lower order.
+the exact ``a/(2z²)``). It gallops downhill in steps of 1, 2, 4, ... orders,
+again from each new best, until both neighbours of the best are worse, then
+walks out order by order. A walk stops once epsilon exceeds the best by the
+relative margin RISE_MARGIN: if the computed epsilon is within relative error e
+of the quasi-convex curve and RISE_MARGIN >= 2e/(1 - e), no order beyond can
+win. The start and the gallop set only the cost: the result is the full
+curve's, bit for bit, ties to the lower order.
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ RISE_MARGIN = 1e-6
 # and q = 0.1 they return 0 for order 1.25, whose RDP is 6.25e-15) and they fail
 # from 1e8, while a/(2z²), never below the RDP, is at most 2.6e-8 per round.
 SERIES_Z = (1e-9, 1e5)
+Z_BRACKET = (0.1, 100.0)  # the range of z that solve_z searches
 _LOG_FACTORIAL = tuple(math.lgamma(k + 1) for k in range(int(DEFAULT_ORDERS[-1]) + 1))  # log k!
 
 
@@ -233,11 +232,6 @@ def _stand_in_start(counts, log_inv: float) -> int:
     return min(bisect.bisect_left(DEFAULT_ORDERS, 0.0, key=slope), len(DEFAULT_ORDERS) - 1)
 
 
-# counts, delta and best order of the latest scan: a scan of the same ledger at the same
-# delta without a start begins at that order, so `feo2 solve-z` rescans its z from cache
-_latest_scan: list = [(), 0.0, DEFAULT_ORDERS[-1]]
-
-
 def epsilon_at_delta(
     ledger: PrivacyLedger, delta: float, start: float | None = None
 ) -> tuple[float, float]:
@@ -245,24 +239,21 @@ def epsilon_at_delta(
     DEFAULT_ORDERS of ``rdp(a) + log(1/delta)/(a - 1)``, found by the scan of
     the module docstring from the order ``start`` (the unit of the best order
     returned, so a run passes back its last one; off the grid, a ValueError),
-    by default from the latest scan's best order if that scan was of this ledger
-    at this delta, else from the stand-in's minimum."""
+    by default from the stand-in's minimum."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     orders, rdp, n = DEFAULT_ORDERS, ledger.rdp, len(DEFAULT_ORDERS)
     log_inv = math.log(1.0 / delta)
-    if start is None and _latest_scan[:2] == [ledger.counts, delta]:
-        start = _latest_scan[2]
     s = _stand_in_start(ledger.counts, log_inv) if start is None else orders.index(start)
 
-    losses: dict[int, float] = {}  # each order's rdp, read once
+    seen: dict[int, float] = {}  # each order's epsilon, its rdp read once
 
     def eps_at(i: int) -> float:
         if not 0 <= i < n:
             return math.inf
-        if i not in losses:
-            losses[i] = rdp(orders[i])
-        return losses[i] + log_inv / (orders[i] - 1.0)
+        if i not in seen:
+            seen[i] = rdp(orders[i]) + log_inv / (orders[i] - 1.0)
+        return seen[i]
 
     b, best, step = s, eps_at(s), 4
     while step > 2:  # gallop downhill by offsets 1, 2, 4, ... from b, again from each new best
@@ -271,17 +262,15 @@ def epsilon_at_delta(
             b, best, step = s + d * step, eps, 2 * step
     best_i = b
     for i in range(b + 1, n):
-        eps = eps_at(i)
-        if losses[i] >= best or eps > best * (1.0 + RISE_MARGIN):
+        if (eps := eps_at(i)) > best * (1.0 + RISE_MARGIN):
             break
         if eps < best:
             best, best_i = eps, i
     for i in range(b - 1, -1, -1):
-        if log_inv / (orders[i] - 1.0) > best or (eps := eps_at(i)) > best * (1.0 + RISE_MARGIN):
+        if (eps := eps_at(i)) > best * (1.0 + RISE_MARGIN):
             break
         if eps <= best:
             best, best_i = eps, i
-    _latest_scan[:] = [ledger.counts, delta, orders[best_i]]
     return best, orders[best_i]
 
 
@@ -290,41 +279,35 @@ def solve_z(
     delta: float,
     q: float,
     rounds: int,
-    z_lo: float = 0.1,
-    z_hi: float = 100.0,
     tol: float = 1e-3,
-) -> float:
-    """Invert the accountant: a z with |epsilon(z) - target| < tol, where
-    epsilon(z) is `epsilon_at_delta` of the ledger charged ``rounds`` (q, z)
-    rounds.
+) -> tuple[float, float, float]:
+    """Invert the accountant: (z, epsilon(z), order) with |epsilon(z) - target|
+    < tol, where (epsilon(z), order) is `epsilon_at_delta` of the ledger charged
+    ``rounds`` (q, z) rounds, as the solve's last scan returned it.
 
     epsilon is strictly decreasing in z, so the root is unique when the target
-    lies between epsilon(z_hi) and epsilon(z_lo). The root is found by Illinois
-    false position on (log z, log epsilon), where the curve is close to a line,
-    so a solve takes about 6-10 epsilon scans, both ends included. A step that
-    leaves the bracket falls back to the bracket's midpoint. The ends scan from
-    the stand-in start; each later scan from the previous one's best order, if
-    below 64, scaled as the stand-in start scales with z (a* - 1 ∝ z for the
-    Gaussian mechanism). Raises ValueError for arguments out of range, and when
-    200 steps do not meet tol.
+    lies between epsilon at the ends of Z_BRACKET, z = 0.1 and z = 100. The
+    root is found by Illinois false position on (log z, log epsilon), where the
+    curve is close to a line, so a solve takes about 6-10 epsilon scans, both
+    ends included. A step that leaves the bracket falls back to the bracket's
+    midpoint. The ends scan from the stand-in start; each later scan from the
+    previous one's best order, if below 64, scaled as the stand-in start scales
+    with z (a* - 1 ∝ z for the Gaussian mechanism). Raises ValueError for
+    arguments out of range, and when 200 steps do not meet tol.
     """
     if target_epsilon <= 0:
         raise ValueError("target epsilon must be > 0")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if not 0 < z_lo < z_hi:
-        raise ValueError(f"need 0 < z_lo < z_hi, got z_lo={z_lo}, z_hi={z_hi}")
-
-    eps_lo = epsilon_at_delta(PrivacyLedger(((q, z_lo, rounds),)), delta)[0]
-    eps_hi = epsilon_at_delta(PrivacyLedger(((q, z_hi, rounds),)), delta)[0]
+    eps_lo, eps_hi = (epsilon_at_delta(PrivacyLedger(((q, z, rounds),)), delta)[0] for z in Z_BRACKET)
     if not (eps_hi <= target_epsilon <= eps_lo):
         raise ValueError(
             f"target epsilon {target_epsilon} outside reachable range "
-            f"[{eps_hi:.4g}, {eps_lo:.4g}] for z in [{z_lo}, {z_hi}]"
+            f"[{eps_hi:.4g}, {eps_lo:.4g}] for z in [{Z_BRACKET[0]}, {Z_BRACKET[1]}]"
         )
     log_target, log_inv = math.log(target_epsilon), math.log(1.0 / delta)
     # f(x) = log epsilon(e^x) - log target, with f(lo) >= 0 >= f(hi).
-    lo, hi = math.log(z_lo), math.log(z_hi)
+    lo, hi = map(math.log, Z_BRACKET)
     f_lo, f_hi = math.log(eps_lo) - log_target, math.log(eps_hi) - log_target
     kept = 0  # which end survived the last step: -1 lo, +1 hi
     last = None  # (stand-in start, best order) of the previous interior scan
@@ -332,7 +315,8 @@ def solve_z(
         x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        ledger = PrivacyLedger(((q, math.exp(x), rounds),))
+        z = math.exp(x)
+        ledger = PrivacyLedger(((q, z, rounds),))
         guess = start = DEFAULT_ORDERS[_stand_in_start(ledger.counts, log_inv)]
         if last is not None and last[1] < 64.0:
             scaled = 1.0 + (guess - 1.0) * (last[1] - 1.0) / (last[0] - 1.0)
@@ -340,7 +324,7 @@ def solve_z(
         e, order = epsilon_at_delta(ledger, delta, start)
         last = (guess, order)
         if abs(e - target_epsilon) < tol:
-            return math.exp(x)
+            return z, e, order
         f = math.log(e) - log_target
         if f > 0:
             lo, f_lo = x, f

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .accounting import PrivacyLedger, epsilon_at_delta, solve_z
+from .accounting import solve_z
 from .analytic import (
     AnalyticParams,
     gap_dpfedavg,
@@ -198,8 +198,7 @@ def _validate(args) -> dict:
 
 
 def _solve_z(args) -> dict:
-    z = solve_z(args.epsilon, args.delta, args.q, args.rounds)
-    achieved, order = epsilon_at_delta(PrivacyLedger(((args.q, z, args.rounds),)), args.delta)
+    z, achieved, order = solve_z(args.epsilon, args.delta, args.q, args.rounds)
     return {
         "z": z, "epsilon": args.epsilon, "delta": args.delta, "q": args.q, "rounds": args.rounds,
         "achieved_epsilon": achieved, "order": order,

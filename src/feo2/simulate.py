@@ -175,7 +175,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
         else:
             ids = np.sort(stream(seed, "cohort", t).choice(n, mech.cohort_size, replace=False))
         batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
-        try:  # a NumericFailure from a client's training, the clip norm or the scores names the round
+        try:  # a NumericFailure from a client's training, the model, the clip norm or the scores names the round
             train(ids, batch_order, theta)
             # Every update, in either group, is clipped to S and releases its clip bit.
             deltas, indicators = clip_rows(work[0], S, out=work[0])
@@ -190,6 +190,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
                 theta = apply_update(theta, combined)
             except RoundSkipped:
                 pass  # no usable update; clip norm and accounting still advance
+            if not np.isfinite(theta).all():  # an overflowed noise std; nothing may score it
+                raise NumericFailure("non-finite global model")
 
             bit_std = mech.bit_std(len(indicators))
             S = update_clip_norm(S, indicators, bit_std, cfg.feo2.kappa, cfg.feo2.eta_b, stream(seed, "clip", t))

@@ -317,7 +317,7 @@ def test_criterion_08_accountant_contract():
     # solve-z round trip
     rt_dev = 0.0
     for target in (0.5, 2.0, 8.0):
-        z = solve_z(target, 1e-5, 0.02, 100)
+        z = solve_z(target, 1e-5, 0.02, 100)[0]
         led = PrivacyLedger()
         for _ in range(100):
             led = account_round(led, 0.02, z)

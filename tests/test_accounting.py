@@ -2,6 +2,7 @@
 RDP curve, cross-checked against quadrature and plain-precision summation
 oracles that share no code with the implementation."""
 
+import itertools
 import math
 
 import pytest
@@ -180,7 +181,7 @@ def test_epsilon_delta_validation():
 
 @pytest.mark.parametrize("target", [0.5, 2.0, 8.0])
 def test_solve_z_roundtrip(target):
-    z = solve_z(target, 1e-5, 0.02, 100)
+    z = solve_z(target, 1e-5, 0.02, 100)[0]
     assert abs(_eps(0.02, z, 100) - target) <= 1e-3
 
 
@@ -196,9 +197,6 @@ def test_solve_z_unreachable_target():
     [
         ({"tol": 0.0}, "tol"),
         ({"tol": -1.0}, "tol"),
-        ({"z_lo": 0.0}, "z_lo"),
-        ({"z_lo": 100.0, "z_hi": 0.1}, "z_lo"),
-        ({"z_lo": 5.0, "z_hi": 5.0}, "z_lo"),
         ({"q": 0.0}, r"q must be in \(0, 1\]"),
         ({"q": 1.2}, r"q must be in \(0, 1\]"),
         ({"delta": 0.0}, r"delta must be in \(0, 1\)"),
@@ -320,7 +318,7 @@ def test_solve_z_hits_target_within_an_evaluation_budget(target, q, rounds, monk
 
     monkeypatch.setattr(feo2.accounting, "rdp_increment", counted)
     one_order.cache_clear()
-    z = solve_z(target, 1e-5, q, rounds)
+    z = solve_z(target, 1e-5, q, rounds)[0]
     assert one_order.cache_info().misses <= 40  # 19-36 distinct evaluations at these targets
     assert calls <= 40  # each scan reads an order once: as many as the misses
     assert abs(_eps(q, z, rounds) - target) < 1e-3
@@ -336,6 +334,30 @@ def test_a_subsampled_scan_from_the_default_start_evaluates_a_few_orders():
     assert one_order.cache_info().misses <= 8  # 3 here
 
 
+def test_default_start_scans_over_a_grid_of_ledgers_read_few_orders(monkeypatch):
+    # the stand-in start, the gallop and the walks' RISE_MARGIN stop set this
+    # cost: 2,054 reads over these 576 ledgers, at most 15 in one scan
+    reads = []
+    rdp = PrivacyLedger.rdp
+
+    def counted(ledger, order):
+        reads[-1] += 1
+        return rdp(ledger, order)
+
+    monkeypatch.setattr(PrivacyLedger, "rdp", counted)
+    grid = itertools.product(
+        (1.0, 0.5, 0.1, 0.02, 1e-3, 1e-5),
+        (0.3, 0.7, 1.0, 2.0, 5.0, 20.0, 100.0, 1e4),
+        (1, 10, 1_000, 100_000),
+        (1e-2, 1e-5, 1e-10),
+    )
+    for q, z, rounds, delta in grid:
+        reads.append(0)
+        epsilon_at_delta(PrivacyLedger(((q, z, rounds),)), delta)
+    assert len(reads) == 576
+    assert sum(reads) <= 2054 and max(reads) <= 15
+
+
 # repr of solve_z at the plan's targets: a change to the accountant's scan must
 # return the same z, bit for bit.
 PINNED_Z = {
@@ -349,13 +371,19 @@ PINNED_Z = {
 
 @pytest.mark.parametrize("target, q, rounds", list(PINNED_Z))
 def test_solve_z_bits_are_pinned(target, q, rounds):
-    assert repr(solve_z(target, 1e-5, q, rounds)) == PINNED_Z[(target, q, rounds)]
+    assert repr(solve_z(target, 1e-5, q, rounds)[0]) == PINNED_Z[(target, q, rounds)]
+
+
+def _full_curve_solve(target, delta, q, rounds):
+    """(z, epsilon, order) as `solve_z` returns them: the same Illinois steps
+    with every epsilon from all 255 orders, then that z's full curve."""
+    z = oracles.solve_z_full_curve(target, delta, q, rounds)
+    return (z, *oracles.epsilon_full_curve(((q, z, rounds),), delta))
 
 
 @pytest.mark.parametrize("target, q, rounds", list(PINNED_Z))
 def test_solve_z_equals_a_full_curve_solve_bitwise(target, q, rounds):
-    # the same Illinois steps with every epsilon from all 255 orders
-    assert repr(solve_z(target, 1e-5, q, rounds)) == repr(oracles.solve_z_full_curve(target, 1e-5, q, rounds))
+    assert repr(solve_z(target, 1e-5, q, rounds)) == repr(_full_curve_solve(target, 1e-5, q, rounds))
 
 
 def _solved(solver, target, delta, q, rounds):
@@ -369,4 +397,4 @@ def _solved(solver, target, delta, q, rounds):
 @given(z=st.floats(0.3, 50.0), q=st.floats(1e-3, 1.0), rounds=st.integers(1, 2000), delta=st.floats(1e-10, 1e-2))
 def test_solve_z_equals_a_full_curve_solve_on_sampled_targets(z, q, rounds, delta):
     target = oracles.epsilon_full_curve(((q, z, rounds),), delta)[0]  # reachable: 0.1 < z < 100
-    assert _solved(solve_z, target, delta, q, rounds) == _solved(oracles.solve_z_full_curve, target, delta, q, rounds)
+    assert _solved(solve_z, target, delta, q, rounds) == _solved(_full_curve_solve, target, delta, q, rounds)

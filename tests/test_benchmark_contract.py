@@ -102,11 +102,12 @@ def test_rdp_increment_keeps_its_cache_counters(perfbench):
     eps, q, rounds = run.SOLVE_Z_TARGETS[0]
     cache = feo2.accounting.rdp_increment
     cache.cache_clear()
-    z = feo2.accounting.solve_z(eps, run.PLAN_DELTA, q, rounds)
+    z, _, order = feo2.accounting.solve_z(eps, run.PLAN_DELTA, q, rounds)
     solved = cache.cache_info()
     assert solved.misses > 0
     ledger = feo2.accounting.PrivacyLedger(((q, z, rounds),))
-    _, order = feo2.accounting.epsilon_at_delta(ledger, run.PLAN_DELTA)  # the solve's last scan
+    # a rescan from the last scan's best order reads only orders that scan read
+    _, order = feo2.accounting.epsilon_at_delta(ledger, run.PLAN_DELTA, order)
     replayed = cache.cache_info()
     assert replayed.misses == solved.misses and replayed.hits > solved.hits
     ledger.rdp(order)

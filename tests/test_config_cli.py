@@ -968,14 +968,23 @@ def _run_recording_warnings(tmp_path, cfg):
     return rc, (out / "rounds.csv").read_text().splitlines(), caught
 
 
-def test_a_run_whose_model_squares_overflow_fails_naming_the_round(tmp_path, capsys):
+OVERFLOW_CASES = [  # (shipped config, overrides, the failure)
     # The noised round-0 model is finite, but its squared error is not. This run
     # wrote a round-0 row with acc_g inf and delta_g nan after numpy overflow
     # warnings, then failed to clip round 1's updates without naming the round.
-    demo = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / "point_demo.yaml").read_text())
-    cfg = {**demo, "feo2": {**demo["feo2"], "z": 1.0e100, "S0": 1.0e60}}
+    ("point_demo.yaml", {"S0": 1.0e60}, {}, "non-finite squared error of the global model in round 0"),
+    # The noise std z·S/N_p overflows to inf, so round 0's global model is not
+    # finite. This run scored that model after numpy matmul warnings, wrote a
+    # round-0 row with finite accuracies, and then blamed client 0 in round 1.
+    ("skewed_label_shard.yaml", {"S0": 1.0e250}, {"rounds": 3}, "non-finite global model in round 0"),
+]
+
+
+@pytest.mark.parametrize("config, feo2, rest, failed", OVERFLOW_CASES, ids=["squares", "model"])
+def test_a_run_whose_global_model_overflows_fails_naming_the_round(tmp_path, capsys, config, feo2, rest, failed):
+    shipped = yaml.safe_load((Path(__file__).resolve().parents[1] / "configs" / config).read_text())
+    cfg = {**shipped, "feo2": {**shipped["feo2"], "z": 1.0e100, **feo2}, **rest}
     rc, lines, caught = _run_recording_warnings(tmp_path, cfg)
-    failed = "non-finite squared error of the global model in round 0"
     assert (rc, lines[1:], caught) == (1, [f"FAILED,{failed}"], [])
     assert capsys.readouterr().err == f"run failed: {failed}\n"
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import feo2.accounting
 from feo2.accounting import (
     DEFAULT_ORDERS,
+    Z_BRACKET,
     InfinitePrivacyLoss,
     PrivacyLedger,
     _log_a_frac,
@@ -210,6 +211,23 @@ def test_solve_z_names_the_bad_argument(kwargs, match):
     args = {"target_epsilon": 2.0, "delta": 1e-5, "q": 0.02, "rounds": 100, **kwargs}
     with pytest.raises(ValueError, match=match):
         solve_z(**args)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["z_lo", "z_hi"])
+def test_solve_z_reaches_each_end_of_its_bracket(end):
+    # a target equal to epsilon at an end of Z_BRACKET is reachable
+    target = _eps(0.02, Z_BRACKET[end], 100)
+    z, eps, _ = solve_z(target, 1e-5, 0.02, 100)
+    assert Z_BRACKET[0] <= z <= Z_BRACKET[1]
+    assert abs(eps - target) < 1e-3
+
+
+@pytest.mark.parametrize("end, factor", [(0, 1.0001), (1, 0.9999)], ids=["below_z_lo", "above_z_hi"])
+def test_solve_z_refuses_a_target_just_past_its_bracket(end, factor):
+    # the bracket is fixed: a target a hair beyond either end is out of reach
+    target = _eps(0.02, Z_BRACKET[end], 100) * factor
+    with pytest.raises(ValueError, match=r"reachable range .* for z in \[0\.1, 100\.0\]"):
+        solve_z(target, 1e-5, 0.02, 100)
 
 
 def test_solve_z_raises_when_the_step_cap_runs_out():

@@ -88,7 +88,7 @@ class PrivacyLedger:
 
     def rdp(self, order: float) -> float:
         """The ledger's RDP at ``order``: Σ count · rdp_increment(q, z, order)."""
-        total = 0.0  # a loop, not sum() of a generator: half the cost per order scanned
+        total = 0.0  # a loop, not sum(): from Python 3.12 sum() compensates float rounding, moving bits
         for q, z, count in self.counts:
             total += count * rdp_increment(q, z, order)
         return total
@@ -135,30 +135,19 @@ def _log_a_int(q: float, sigma: float, alpha: int) -> float:
     """log E[(...)^alpha] via the exact binomial sum at integer alpha."""
     log_q, log_1mq, two_s2 = math.log(q), math.log1p(-q), 2.0 * sigma**2
     lg = _LOG_FACTORIAL if alpha < len(_LOG_FACTORIAL) else [math.lgamma(k + 1) for k in range(alpha + 1)]
-    lg_alpha, log1p, exp = lg[alpha], math.log1p, math.exp
     log_a = -math.inf
     for i in range(alpha + 1):
-        term = (
-            lg_alpha - lg[i] - lg[alpha - i]  # log binom(alpha, i)
-            + i * log_q
-            + (alpha - i) * log_1mq
-            + (i * i - i) / two_s2
-        )
-        if term > log_a:  # _log_add(log_a, term) inline: the larger first
-            log_a, term = term, log_a
-        if term != -math.inf:
-            log_a += log1p(exp(term - log_a))
+        log_binom = lg[alpha] - lg[i] - lg[alpha - i]
+        log_a = _log_add(log_a, log_binom + i * log_q + (alpha - i) * log_1mq + (i * i - i) / two_s2)
     return log_a
 
 
 def _log_a_frac(q: float, sigma: float, alpha: float) -> float:
     """log moment at fractional alpha: two-sided series split at z0."""
-    log_a0 = -math.inf
-    log_a1 = -math.inf
+    log_a0 = log_a1 = -math.inf
     log_q, log_1mq, two_s2 = math.log(q), math.log1p(-q), 2.0 * sigma**2
     sqrt2_sigma, log_half = math.sqrt(2.0) * sigma, math.log(0.5)
     z0 = sigma**2 * math.log(1.0 / q - 1.0) + 0.5
-    log, erfc, log1p, exp, inf = math.log, math.erfc, math.log1p, math.exp, math.inf
     # running log|binom(alpha, i)| and its sign, built by the product rule
     log_coef = 0.0
     sign = 1.0
@@ -166,23 +155,17 @@ def _log_a_frac(q: float, sigma: float, alpha: float) -> float:
     while True:
         if i > 0:
             ratio = (alpha - i + 1.0) / i
-            log_coef += log(abs(ratio))
+            log_coef += math.log(abs(ratio))
             sign *= math.copysign(1.0, ratio)
         j = alpha - i
-        # _log_erfc, _log_add and _log_sub inline, with the same float operations
-        x0, x1 = (i - z0) / sqrt2_sigma, (z0 - j) / sqrt2_sigma
-        log_e0 = log_half + (log(erfc(x0)) if x0 <= 25.0 else _log_erfc(x0))
-        log_e1 = log_half + (log(erfc(x1)) if x1 <= 25.0 else _log_erfc(x1))
+        log_e0 = log_half + _log_erfc((i - z0) / sqrt2_sigma)
+        log_e1 = log_half + _log_erfc((z0 - j) / sqrt2_sigma)
         log_s0 = log_coef + i * log_q + j * log_1mq + (i * i - i) / two_s2 + log_e0
         log_s1 = log_coef + j * log_q + i * log_1mq + (j * j - j) / two_s2 + log_e1
         if sign > 0:
-            hi, lo = (log_a0, log_s0) if log_a0 > log_s0 else (log_s0, log_a0)
-            log_a0 = hi + log1p(exp(lo - hi)) if lo != -inf else hi
-            hi, lo = (log_a1, log_s1) if log_a1 > log_s1 else (log_s1, log_a1)
-            log_a1 = hi + log1p(exp(lo - hi)) if lo != -inf else hi
+            log_a0, log_a1 = _log_add(log_a0, log_s0), _log_add(log_a1, log_s1)
         else:
-            log_a0 = log_a0 + log1p(-exp(log_s0 - log_a0)) if log_a0 > log_s0 > -inf else _log_sub(log_a0, log_s0)
-            log_a1 = log_a1 + log1p(-exp(log_s1 - log_a1)) if log_a1 > log_s1 > -inf else _log_sub(log_a1, log_s1)
+            log_a0, log_a1 = _log_sub(log_a0, log_s0), _log_sub(log_a1, log_s1)
         i += 1
         if i > alpha and max(log_s0, log_s1) < -30.0:
             break

@@ -5,10 +5,10 @@ floats follow YAML 1.2, so ``1e-5`` and JSON's ``1e-05`` are numbers).
 Each field declares its type and, for a bounded number, its `Range` once, in
 its annotation; `check_field_types` enforces both, with one message format
 (``"{name} must be {range}"``), and ``__post_init__`` keeps only the rules that
-span several fields. Parsing is strict: unknown keys and out-of-range values
-are rejected with the offending key named, and a parsed config serializes back
-to the exact mapping that reproduces it (`config_to_dict` /
-`build_experiment_config` round-trip).
+span several fields. Parsing is strict: unknown or repeated keys and
+out-of-range values are rejected with the offending key named, and a parsed
+config serializes back to the exact mapping that reproduces it
+(`config_to_dict` / `build_experiment_config` round-trip).
 """
 
 from __future__ import annotations
@@ -261,11 +261,20 @@ def build_experiment_config(raw: dict) -> ExperimentConfig:
 @functools.cache
 def _yaml_loader():
     """SafeLoader that also reads YAML 1.2 floats, which need no dot: ``1e-5``
-    and JSON's ``1e-05`` are strings to YAML 1.1."""
+    and JSON's ``1e-05`` are strings to YAML 1.1. A key given twice in one
+    mapping is an error, not a silent override of the first."""
     import yaml
 
     class _Loader(yaml.SafeLoader):
-        pass
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise yaml.constructor.ConstructorError(None, None, f"duplicate key {key!r}", key_node.start_mark)
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
 
     _Loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",

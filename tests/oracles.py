@@ -13,7 +13,7 @@ from itertools import combinations_with_replacement
 import mpmath as mp
 import numpy as np
 
-from feo2.accounting import DEFAULT_ORDERS, PrivacyLedger, _log_add, _log_erfc, _log_sub, rdp_increment
+from feo2.accounting import DEFAULT_ORDERS, PrivacyLedger, rdp_increment
 from feo2.config import PopulationKind
 from feo2.models import _logits, _softmax_probs
 from feo2.privacy import row_norms
@@ -105,58 +105,26 @@ def solve_z_full_curve(target_epsilon: float, delta: float, q: float, rounds: in
     raise ValueError("no z within tol after 200 steps")
 
 
-def log_a_int_by_helpers(q: float, sigma: float, alpha: int) -> float:
-    """`feo2.accounting._log_a_int` with ``math.lgamma`` and `_log_add` called per
-    term, its first formulation: the shipped series must equal it bit for bit."""
-    log_q, log_1mq, two_s2 = math.log(q), math.log1p(-q), 2.0 * sigma**2
-    lg_alpha = math.lgamma(alpha + 1)
-    log_a = -math.inf
-    for i in range(alpha + 1):
-        term = (
-            lg_alpha - math.lgamma(i + 1) - math.lgamma(alpha - i + 1)  # log binom(alpha, i)
-            + i * log_q
-            + (alpha - i) * log_1mq
-            + (i * i - i) / two_s2
-        )
-        log_a = _log_add(log_a, term)
-    return log_a
+def gdp_epsilon(mu: float, delta: float) -> float:
+    """Exact epsilon at ``delta`` of a mu-GDP mechanism (Dong, Roth & Su, 2019),
+    which T rounds of the Gaussian mechanism with noise multiplier z are, with
+    mu = sqrt(T)/z: the root of
+    delta(eps) = Phi(-eps/mu + mu/2) - e^eps Phi(-eps/mu - mu/2), which falls
+    in eps, by bisection in high precision (e^eps overflows a float at small z).
+    Returns the bracket's upper end, never below the root."""
+    with mp.workdps(30):
+        m, d = mp.mpf(mu), mp.mpf(delta)
 
+        def excess(eps):
+            return mp.ncdf(-eps / m + m / 2) - mp.exp(eps) * mp.ncdf(-eps / m - m / 2) - d
 
-def log_a_frac_by_helpers(q: float, sigma: float, alpha: float) -> float:
-    """`feo2.accounting._log_a_frac` with `_log_erfc`, `_log_add` and `_log_sub`
-    called per term, its first formulation: the shipped series must equal it bit
-    for bit."""
-    log_a0 = -math.inf
-    log_a1 = -math.inf
-    log_q, log_1mq, two_s2 = math.log(q), math.log1p(-q), 2.0 * sigma**2
-    sqrt2_sigma, log_half = math.sqrt(2.0) * sigma, math.log(0.5)
-    z0 = sigma**2 * math.log(1.0 / q - 1.0) + 0.5
-    # running log|binom(alpha, i)| and its sign, built by the product rule
-    log_coef = 0.0
-    sign = 1.0
-    i = 0
-    while True:
-        if i > 0:
-            ratio = (alpha - i + 1.0) / i
-            log_coef += math.log(abs(ratio))
-            sign *= math.copysign(1.0, ratio)
-        j = alpha - i
-        log_t0 = log_coef + i * log_q + j * log_1mq
-        log_t1 = log_coef + j * log_q + i * log_1mq
-        log_e0 = log_half + _log_erfc((i - z0) / sqrt2_sigma)
-        log_e1 = log_half + _log_erfc((z0 - j) / sqrt2_sigma)
-        log_s0 = log_t0 + (i * i - i) / two_s2 + log_e0
-        log_s1 = log_t1 + (j * j - j) / two_s2 + log_e1
-        if sign > 0:
-            log_a0 = _log_add(log_a0, log_s0)
-            log_a1 = _log_add(log_a1, log_s1)
-        else:
-            log_a0 = _log_sub(log_a0, log_s0)
-            log_a1 = _log_sub(log_a1, log_s1)
-        i += 1
-        if max(log_s0, log_s1) < -30.0 and i > alpha:
-            break
-    return _log_add(log_a0, log_a1)
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        while excess(hi) > 0:
+            lo, hi = hi, 2 * hi
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+        return float(hi)
 
 
 def posterior_mean_dense(

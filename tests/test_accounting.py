@@ -15,8 +15,6 @@ from feo2.accounting import (
     Z_BRACKET,
     InfinitePrivacyLoss,
     PrivacyLedger,
-    _log_a_frac,
-    _log_a_int,
     account_round,
     epsilon_at_delta,
     rdp_increment,
@@ -40,6 +38,18 @@ def test_full_batch_reduces_to_gaussian_rdp():
         for a in DEFAULT_ORDERS:
             got, want = rdp_increment(1.0, z, a), a / (2.0 * z * z)
             assert abs(got - want) <= 1e-12 * max(1.0, want), (z, a)
+
+
+def test_full_batch_epsilon_is_never_below_the_exact_gdp_epsilon():
+    # T full-batch rounds are exactly sqrt(T)/z-GDP, so no valid accountant can
+    # report less; the RDP conversion's slack is 0.018 at its smallest here
+    below = [
+        (z, rounds, delta)
+        for z, rounds, delta in itertools.product((0.8, 1.0, 5.0, 48.0, 100.0), (1, 50), (1e-2, 1e-5, 1e-10))
+        if epsilon_at_delta(PrivacyLedger(((1.0, z, rounds),)), delta)[0]
+        < oracles.gdp_epsilon(math.sqrt(rounds) / z, delta)
+    ]
+    assert below == []
 
 
 def test_increment_rejects_bad_inputs():
@@ -268,32 +278,6 @@ def test_pruned_epsilon_equals_the_full_curve_bitwise(counts, delta, start):
     assert (repr(eps), order) == (repr(want_eps), want_order)
 
 
-def _series_bits(q, z, alpha):
-    """repr of the shipped log moment at ``alpha`` and of its per-term helper
-    formulation in `oracles`."""
-    if alpha.is_integer():
-        return repr(_log_a_int(q, z, int(alpha))), repr(oracles.log_a_int_by_helpers(q, z, int(alpha)))
-    return repr(_log_a_frac(q, z, alpha)), repr(oracles.log_a_frac_by_helpers(q, z, alpha))
-
-
-@given(q=st.floats(1e-6, 0.999), z=st.floats(0.1, 100.0), alpha=st.sampled_from(DEFAULT_ORDERS))
-def test_series_equal_their_per_term_helper_formulation_bitwise(q, z, alpha):
-    got, want = _series_bits(q, z, alpha)
-    assert got == want
-
-
-# the long series: 145-294 fractional terms at low orders and small z, and the
-# 257- and 513-term binomial sums
-@pytest.mark.parametrize(
-    "q, z, alpha",
-    [(0.1, z, a) for z in (0.6, 0.8, 1.0) for a in (2.25, 2.5, 2.75, 3.0, 3.25, 3.5)]
-    + [(q, 100.0, a) for q in (0.01, 0.3) for a in (256.0, 512.0)],
-)
-def test_slow_series_equal_their_per_term_helper_formulation_bitwise(q, z, alpha):
-    got, want = _series_bits(q, z, alpha)
-    assert got == want
-
-
 @pytest.mark.parametrize("start", [0, 1.3, 65.0, 1024.0])
 def test_an_epsilon_scan_start_off_the_order_grid_is_rejected(start):
     # start is an order, the unit epsilon_at_delta returns, not an index into the grid
@@ -313,6 +297,18 @@ PINNED = {
     "0.00040578299913727073, 23.830262183728394)",
     (0.1, 1.5): "(0.00335067202640962, 0.005580634229679797, 0.034996744292210676, "
     "11.827386990524404, 111.47068664741975)",
+    # the long series: 1,587-2,036 fractional terms at order 1.25 and small z, and
+    # the 513-term binomial sum at order 512
+    (0.1, 0.6): "(0.046699034374005244, 0.14048551246615323, 8.12018015275386, "
+    "86.20238699051735, 708.8040199807532)",
+    (0.1, 0.8): "(0.018038670726333972, 0.0370137910562662, 3.411250997087122, "
+    "47.46540782385066, 397.69290886964194)",
+    (0.1, 1.0): "(0.009408440726366374, 0.01703686323617655, 1.2442535854174124, "
+    "29.535720323850672, 253.692908869642)",
+    (0.01, 100.0): "(6.250308009452993e-09, 1.0000499959619846e-08, 3.875215798369745e-08, "
+    "3.1878542659177e-07, 2.5614215748922915e-06)",
+    (0.3, 100.0): "(5.625167253047448e-06, 9.000409511045193e-06, 3.488079901387641e-05, "
+    "0.00028726066873630696, 0.0023291020472144736)",
 }
 
 

@@ -375,6 +375,35 @@ def test_malformed_yaml_is_a_config_error_with_exit_2(tmp_path, capsys):
     assert "expected ',' or ']'" in err
 
 
+# A key given twice in one mapping used to keep its last value silently: a private
+# run's `z: 1.0` followed by `z: 0.0` trained with no noise.
+@pytest.mark.parametrize(
+    "name, text, key, line",
+    [
+        ("cfg.yaml", yaml.safe_dump(GOOD).replace("  z: 0.7\n", "  z: 1.0\n  z: 0.0\n"), "z", 9),
+        ("cfg.json", json.dumps(GOOD, indent=1).replace('"rounds": 3', '"rounds": 2,\n "rounds": 3'), "rounds", 23),
+    ],
+    ids=["yaml", "json"],
+)
+def test_a_key_given_twice_is_a_config_error_with_exit_2(tmp_path, capsys, name, text, key, line):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(path)]) == 2
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count(f"config error: duplicate key '{key}'") == 2
+    assert err.count(f", line {line}, column ") == 2
+
+
+def test_a_key_that_overrides_a_yaml_merge_key_is_not_a_duplicate(tmp_path):
+    text = yaml.safe_dump({k: v for k, v in GOOD.items() if k != "feo2"}) + "feo2:\n  <<: {r: 0.5, z: 0.7}\n  z: 0.9\n"
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert (parse_config(str(path)).feo2.r, parse_config(str(path)).feo2.z) == (0.5, 0.9)
+
+
 def test_an_unusable_out_exits_2_and_writes_nothing(tmp_path, capsys):
     cfg = _write(tmp_path, GOOD)
     (tmp_path / "file").write_text("", encoding="utf-8")

@@ -317,6 +317,38 @@ def test_increment_bits_are_pinned(q, z):
     assert repr(tuple(rdp_increment(q, z, a) for a in PINNED_ORDERS)) == PINNED[(q, z)]
 
 
+# repr of rdp_increment at orders off PINNED_ORDERS where the series are long:
+# 145-294 fractional terms at orders 2.25-3.5 and small z, and the 257-term
+# binomial sum at order 256
+PINNED_SLOW = {
+    (0.1, 0.6, 2.25): "0.214589281430771",
+    (0.1, 0.6, 2.5): "0.34096055286922966",
+    (0.1, 0.6, 2.75): "0.5502787032352017",
+    (0.1, 0.6, 3.0): "0.8583840987277906",
+    (0.1, 0.6, 3.25): "1.2415566360973924",
+    (0.1, 0.6, 3.5): "1.6568194266970386",
+    (0.1, 0.8, 2.25): "0.04627934077503231",
+    (0.1, 0.8, 2.5): "0.05808757108369544",
+    (0.1, 0.8, 2.75): "0.07367279274984181",
+    (0.1, 0.8, 3.0): "0.09505853907615305",
+    (0.1, 0.8, 3.25): "0.125585305645689",
+    (0.1, 0.8, 3.5): "0.17062506553774956",
+    (0.1, 1.0, 2.25): "0.020096164600782042",
+    (0.1, 1.0, 2.5): "0.023503727261061733",
+    (0.1, 1.0, 2.75): "0.027339716358646356",
+    (0.1, 1.0, 3.0): "0.03171230030337659",
+    (0.1, 1.0, 3.25): "0.036770549277841465",
+    (0.1, 1.0, 3.5): "0.04272449080308446",
+    (0.01, 100.0, 256.0): "1.2803860147834338e-06",
+    (0.3, 100.0, 256.0): "0.0011582370585526654",
+}
+
+
+@pytest.mark.parametrize("q, z, alpha", list(PINNED_SLOW))
+def test_slow_series_bits_are_pinned(q, z, alpha):
+    assert repr(rdp_increment(q, z, alpha)) == PINNED_SLOW[(q, z, alpha)]
+
+
 @pytest.mark.parametrize(
     "target, q, rounds",
     [(2.0, 0.02, 100), (1.0, 0.05, 200), (4.0, 0.01, 1000), (8.0, 0.1, 50), (2.0, 1.0, 100)],

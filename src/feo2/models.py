@@ -14,8 +14,11 @@ Models are flat float64 vectors everywhere; the softmax layer is stored as
 ``concat(W.ravel(), b)`` with ``W`` of shape (classes, features).
 
 Training runs on a whole cohort at once: (clients, examples, features) data
-stacks and (clients, dim) model stacks, whose rows never mix. A call makes fresh
-arrays unless given ``out=`` ones, like `simulate.run_experiment`'s stack and gradient.
+stacks and (clients, dim) model stacks, whose rows never mix. With Ditto a
+cohort trains two stacks, its global models and its personal models, and one
+gradient call per batch covers both: `local_gradient` takes a (2, clients, dim)
+pair over the same data. A call makes fresh arrays unless given ``out=`` ones,
+like `simulate.run_experiment`'s stack and gradient.
 """
 
 from __future__ import annotations
@@ -71,25 +74,28 @@ def _softmax_probs(model: np.ndarray, x: np.ndarray) -> np.ndarray:
 def local_gradient(models: np.ndarray, x: np.ndarray, y: Optional[np.ndarray], kind, out=None) -> np.ndarray:
     """Gradient of each client's mean local loss at its own row of ``models``
     (clients, dim), written into ``out`` if given; ``x`` and ``y`` are laid out as
-    in `Cohort`."""
+    in `Cohort`. ``models`` may also be (stacks, clients, dim), several stacks on
+    the same data: each row's gradient is bitwise the one a (clients, dim) call
+    gives, since every row still takes its own matrix products of one shape."""
     if kind is PopulationKind.POINT_ESTIMATION:
         return np.subtract(models, x.mean(axis=1), out=out)
     if kind is PopulationKind.LINEAR_REGRESSION:
-        resid = np.matmul(x, models[:, :, None])[:, :, 0] - y
-        return np.divide(np.matmul(np.swapaxes(x, 1, 2), resid[:, :, None])[:, :, 0], x.shape[1], out=out)
+        resid = np.matmul(x, models[..., None])[..., 0] - y
+        return np.divide(np.matmul(np.swapaxes(x, 1, 2), resid[..., None])[..., 0], x.shape[1], out=out)
     if kind is PopulationKind.LABEL_SHARD:
         (m, n), f = y.shape, x.shape[2]
-        c = models.shape[1] // (f + 1)
+        c = models.shape[-1] // (f + 1)
         p = _softmax_probs(models, x)
-        hot = np.arange(m * n) * c + y.reshape(-1)  # the one-hot labels' flat index into p
+        hot = np.arange(0, p.size, c).reshape(-1, m * n)  # the one-hot labels' flat index into p, a row per stack
+        hot += y.reshape(-1)
         np.put(p, hot, p.take(hot) - 1.0)  # put writes into p itself, never into a copy
         err = np.divide(p, n, out=p)
         grad = np.empty(models.shape) if out is None else out  # weight gradients (c, f) per row, then bias gradients
-        np.matmul(np.swapaxes(err, 1, 2), x, out=grad[:, : c * f].reshape(m, c, f))
-        bias = err[:, 0].copy()  # err.sum(axis=1)'s order, added up in a contiguous (m, c) array
+        np.matmul(np.swapaxes(err, -1, -2), x, out=grad[..., : c * f].reshape(*models.shape[:-1], c, f))
+        bias = err[..., 0, :].copy()  # err.sum(axis=-2)'s order, added up in a contiguous (..., m, c) array
         for k in range(1, n):
-            bias += err[:, k]
-        grad[:, c * f :] = bias
+            bias += err[..., k, :]
+        grad[..., c * f :] = bias
         return grad
     raise ValueError(f"unknown population kind {kind!r}")
 
@@ -113,29 +119,50 @@ def client_update(
     """Train every cohort client at once; return (raw deltas (clients, dim),
     personal models). ``cfg`` gives epochs / eta / batch_size, ``order``
     (epochs, clients, examples) each epoch's mini-batch example order per client
-    (None for full batches). ``out`` gives work arrays for the cohort's rows to
-    write into, (model stack, gradient); the deltas returned are then ``out[0]``.
-    The personal models are None without ``ditto``; with it, each starts from
-    ``cohort.personal`` and takes one proximal step per batch. A non-finite delta,
-    delta norm or personal model raises `NumericFailure` naming the first such client."""
+    (None for full batches). ``out`` gives C-contiguous work arrays (model
+    stack, gradient) of at least a row per client, two with ``ditto``, else
+    ValueError; the deltas returned are then the first rows of ``out[0]``. The
+    personal models are None without ``ditto``; with it, each starts from
+    ``cohort.personal``, copied into the model stack's second half (a run
+    passes that half itself), and takes one proximal step per batch on the
+    gradient of the pass that steps the global stack. A negative lambda or a
+    nonpositive eta_p raises ValueError. A non-finite delta, delta norm or
+    personal model raises `NumericFailure` naming the first such client."""
+    from . import personalization
     from .privacy import row_norms
-    from .personalization import ditto_step
 
     global_model = np.asarray(global_model, dtype=np.float64)
-    theta, grad = (np.empty((len(cohort.ids), global_model.size)), None) if out is None else out
+    m, dim = len(cohort.ids), global_model.size
+    rows = m if ditto is None else 2 * m
+    if out is None:
+        models, grad = np.empty((rows, dim)), None
+    elif any(w.ndim != 2 or len(w) < rows or w.shape[1] != dim or not w.flags.c_contiguous for w in out):
+        raise ValueError(f"work arrays {[w.shape for w in out]} cannot hold the cohort's {rows} rows of {dim} values")
+    else:
+        models, grad = (w[:rows] for w in out)
+    theta = models[:m]
     theta[...] = global_model
     personal = None
     if ditto is not None:
-        personal = cohort.personal
         lam = np.where(cohort.private, ditto.lambda_p, ditto.lambda_np).astype(np.float64)[:, None]
+        if not (lam >= 0).all():
+            raise ValueError("lambda must be >= 0")
         eta_p = 1.0 / (1.0 + lam) if ditto.eta_p is None else ditto.eta_p
+        if not np.all(eta_p > 0):
+            raise ValueError("eta_p must be > 0")
+        models = models.reshape(2, m, dim)  # (global stack, personal stack): a view of the rows
+        grad = None if grad is None else grad.reshape(2, m, dim)
+        personal = models[1]
+        personal[...] = cohort.personal
     for epoch in range(cfg.epochs):
         epoch_order = None if order is None else order[epoch]
         for xb, yb in _batches(cohort.x, cohort.y, cfg.batch_size, epoch_order):
-            grad = local_gradient(theta, xb, yb, kind, grad)
-            theta -= np.multiply(cfg.eta, grad, out=grad)
-            if ditto is not None:
-                personal = ditto_step(personal, global_model, xb, yb, kind, lam, eta_p)
+            grad = local_gradient(models, xb, yb, kind, grad)
+            if ditto is None:
+                theta -= np.multiply(cfg.eta, grad, out=grad)
+            else:
+                theta -= np.multiply(cfg.eta, grad[0], out=grad[0])
+                personalization.ditto_step(personal, global_model, grad[1], lam, eta_p)
     delta = np.subtract(theta, global_model, out=theta)
     with np.errstate(over="ignore"):
         finite = np.isfinite(row_norms(delta))  # False for a non-finite delta too

@@ -5,35 +5,23 @@ Each client keeps a personal model ``theta_j`` trained on
 quadratic families one gradient step with ``eta_p = 1/(1+lambda)`` lands
 exactly on the minimizer ``(phi_hat_j + lambda*theta_global)/(1+lambda)``
 (a test oracle, `tests/oracles.py`). `ditto_step` steps a cohort's personal
-models at once; `models.client_update` checks them.
+models at once on the gradient of ``f_j`` it is given: `models.client_update`
+computes that gradient in the same pass as the global models', validates
+lambda and eta_p once per call, and checks the stepped models.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .config import PopulationKind
-from .models import local_gradient
 
-
-def ditto_step(
-    theta_j: np.ndarray,
-    theta_global: np.ndarray,
-    x: np.ndarray,
-    y: Optional[np.ndarray],
-    kind: PopulationKind,
-    lam,
-    eta_p,
-) -> np.ndarray:
-    """One proximal step of each row of ``theta_j`` (clients, dim) on its client's
-    data: theta_j - eta_p*(grad f_j + lam*(theta_j - theta_global)). ``lam`` and
-    ``eta_p`` are scalars or per-client columns (clients, 1)."""
-    if np.any(np.asarray(lam) < 0):
-        raise ValueError("lambda must be >= 0")
-    if np.any(np.asarray(eta_p) <= 0):
-        raise ValueError("eta_p must be > 0")
-    theta_j = np.asarray(theta_j, dtype=np.float64)
-    g = local_gradient(theta_j, x, y, kind) + lam * (theta_j - np.asarray(theta_global))
-    return theta_j - eta_p * g
+def ditto_step(theta_j: np.ndarray, theta_global: np.ndarray, grad: np.ndarray, lam, eta_p) -> np.ndarray:
+    """One proximal step of each row of ``theta_j`` (clients, dim), in place:
+    theta_j - eta_p*(grad + lam*(theta_j - theta_global)), with ``grad`` each
+    row's gradient of its local loss at theta_j; ``grad`` is overwritten.
+    ``lam`` and ``eta_p`` are scalars or per-client columns (clients, 1).
+    Returns ``theta_j``."""
+    tether = np.subtract(theta_j, theta_global)
+    grad += np.multiply(lam, tether, out=tether)
+    theta_j -= np.multiply(eta_p, grad, out=grad)
+    return theta_j

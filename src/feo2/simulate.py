@@ -11,7 +11,9 @@ a stream keyed on (master_seed, purpose, round); at full participation (q = 1)
 the cohort is every client and no cohort stream is built, which moves no other
 draw. A round's mini-batch orders are drawn for the whole sorted cohort, and
 clients never mix (clipping included). The run owns the cohort step's model stack
-(then the raw deltas, clipped in place) and gradient, sparing each round their page faults.
+(then the raw deltas, clipped in place) and gradient, sparing each round their page faults;
+with Ditto both have a second half for the cohort's personal models, which trains
+in the same gradient pass as the global models.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
@@ -149,25 +151,33 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     # Mini-batch runs: each epoch's example order per cohort position, shuffled each round.
     m, n_ex, mini = mech.cohort_size, pop.train_x.shape[1], cfg.feo2.batch_size is not None
     examples = np.tile(np.arange(n_ex), (cfg.feo2.epochs, m, 1)) if mini else None
-    # The work arrays (model stack, gradient), one row per cohort position.
-    # Poisson cohorts would need them sized to the largest cohort.
-    work = (np.empty((m, pop.dim)), np.empty((m, pop.dim)))
+    # The work arrays (model stack, gradient): a row per cohort position, and
+    # with Ditto a second m rows for the personal models. A cohort of varying
+    # size would need them sized to the largest cohort.
+    shape = (m if personal is None else 2 * m, pop.dim)
+    work = (np.empty(shape), np.empty(shape))
 
     def train(ids, batch_order, theta):
         """The batched client step for the sorted cohort ``ids``, with their
         mini-batch example orders ``batch_order`` (None for full batches): it
-        writes their raw deltas into the work arrays. A Ditto client starts from
-        its personal model once it has trained, from the broadcast ``theta``
-        before. Its temporaries are freed when it returns, not held through the
-        round."""
+        writes their raw deltas into the work arrays and returns them. A Ditto
+        client starts from its personal model once it has trained, from the
+        broadcast ``theta`` before, filled into the model stack's personal half
+        in place. Its temporaries are freed when it returns, not held through
+        the round."""
         # Consecutive ids (all clients under full participation) are sliced, not copied.
         rows = slice(ids[0], ids[-1] + 1) if ids[-1] - ids[0] + 1 == len(ids) else ids
-        personal_start = None if personal is None else np.where(np.isnan(local[rows, None]), theta, personal[rows])
+        start = None
+        if personal is not None:
+            # ids are in range; clip mode gathers straight into the work array, unbuffered
+            start = np.take(personal, ids, axis=0, out=work[0][m:], mode="clip")
+            np.copyto(start, theta, where=np.isnan(local[rows, None]))
         y = None if pop.train_y is None else pop.train_y[rows]
-        cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, personal_start)
-        stepped = client_update(theta, cohort, cfg.feo2, pop.kind, cfg.ditto, batch_order, out=work)[1]
+        cohort = Cohort(ids, pop.private[rows], pop.train_x[rows], y, start)
+        deltas, stepped = client_update(theta, cohort, cfg.feo2, pop.kind, cfg.ditto, batch_order, out=work)
         if personal is not None:
             personal[rows] = stepped
+        return deltas
 
     for t in range(cfg.rounds):
         if mech.cohort_size == n:  # q = 1: every client, and no cohort stream is built
@@ -176,9 +186,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
             ids = np.sort(stream(seed, "cohort", t).choice(n, mech.cohort_size, replace=False))
         batch_order = stream(seed, "minibatch", t).permuted(examples, axis=-1) if mini else None
         try:  # a NumericFailure from a client's training, the model, the clip norm or the scores names the round
-            train(ids, batch_order, theta)
+            deltas = train(ids, batch_order, theta)
             # Every update, in either group, is clipped to S and releases its clip bit.
-            deltas, indicators = clip_rows(work[0], S, out=work[0])
+            deltas, indicators = clip_rows(deltas, S, out=deltas)
             grouped = in_private_group[ids]
             priv, nonpriv = deltas[grouped], deltas[~grouped]
             N_p, N_np = len(priv), len(nonpriv)

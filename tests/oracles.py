@@ -15,7 +15,7 @@ import numpy as np
 
 from feo2.accounting import DEFAULT_ORDERS, PrivacyLedger, rdp_increment
 from feo2.config import PopulationKind
-from feo2.models import _logits, _softmax_probs
+from feo2.models import _batches, _logits, _softmax_probs, local_gradient
 from feo2.privacy import row_norms
 from feo2.rng import stream
 
@@ -357,3 +357,22 @@ def label_shard_gradient_reduced(models: np.ndarray, x: np.ndarray, y: np.ndarra
     np.matmul(np.swapaxes(err, 1, 2), x, out=grad[:, : c * f].reshape(m, c, f))
     err.sum(axis=1, out=grad[:, c * f :])
     return grad
+
+
+def client_update_two_passes(global_model: np.ndarray, cohort, cfg, kind: PopulationKind, ditto, order=None):
+    """`feo2.models.client_update` with Ditto, in fresh arrays and two
+    `local_gradient` calls per batch: the global stack's SGD step, then each
+    personal model's proximal step on a gradient of its own,
+    theta_j - eta_p*(grad f_j + lam*(theta_j - theta_global)):
+    (raw deltas, personal models)."""
+    lam = np.where(cohort.private, ditto.lambda_p, ditto.lambda_np).astype(np.float64)[:, None]
+    eta_p = 1.0 / (1.0 + lam) if ditto.eta_p is None else ditto.eta_p
+    theta = np.tile(global_model, (len(cohort.ids), 1))
+    personal = np.asarray(cohort.personal, dtype=np.float64)
+    for epoch in range(cfg.epochs):
+        epoch_order = None if order is None else order[epoch]
+        for xb, yb in _batches(cohort.x, cohort.y, cfg.batch_size, epoch_order):
+            theta = theta - cfg.eta * local_gradient(theta, xb, yb, kind)
+            g = local_gradient(personal, xb, yb, kind) + lam * (personal - global_model)
+            personal = personal - eta_p * g
+    return theta - global_model, personal

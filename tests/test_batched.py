@@ -13,6 +13,7 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+import feo2.models
 from feo2.cli import main
 from feo2.config import DittoConfig, FeO2Config, PoolSpec, PopulationKind, PopulationSpec
 from feo2.datagen import build_population
@@ -20,6 +21,7 @@ from feo2.models import Cohort, NumericFailure, _softmax_probs, client_update, l
 from feo2.privacy import clip, clip_rows, row_norms
 from feo2.rng import stream
 from oracles import (
+    client_update_two_passes,
     clip_rows_every_row,
     clip_rows_gathering,
     label_shard_gradient_reduced,
@@ -94,6 +96,20 @@ def test_numeric_failure_names_the_first_bad_client_in_cohort_order():
     cohort = Cohort(ids, np.ones(3, dtype=bool), x[ids], None)
     with np.errstate(invalid="ignore"), pytest.raises(NumericFailure, match="update from client 3$"):
         client_update(np.zeros(pop.dim), cohort, FeO2Config(), pop.kind)
+
+
+def test_ditto_numeric_failure_names_the_first_bad_client_and_its_model():
+    # the global and personal stacks share one gradient pass, but no row reads another's
+    pop = build_population(SPECS["point"])
+    ids, ditto = np.array([1, 3, 5]), DittoConfig(lambda_p=0.5, lambda_np=0.5)
+    x, start = pop.train_x[ids].copy(), np.zeros((3, pop.dim))
+    start[1] = np.inf  # client 3's personal model
+    for first, want in ((None, "personalized model from client 3"), (1e200, "update norm from client 1")):
+        if first is not None:
+            x[0] = first  # client 1's delta stays finite, its norm overflows
+        cohort = Cohort(ids, np.ones(3, dtype=bool), x, None, start)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericFailure, match=f"{want}$"):
+            client_update(np.zeros(pop.dim), cohort, FeO2Config(), pop.kind, ditto)
 
 
 def test_population_datasets_are_views_of_the_stacks():
@@ -199,6 +215,23 @@ def test_label_shard_gradient_equals_reduction_and_three_index_form_bitwise(
     out = np.full(models.shape, np.nan)
     assert local_gradient(models, x, y, PopulationKind.LABEL_SHARD, out) is out
     assert out.tobytes() == got.tobytes()
+    # two stacks on the same data, as Ditto's global and personal models: each as if alone
+    other = models[::-1] * 0.5
+    pair_out = np.full((2, *models.shape), np.nan)
+    pair = local_gradient(np.stack([models, other]), x, y, PopulationKind.LABEL_SHARD, pair_out)
+    assert pair is pair_out and pair[0].tobytes() == got.tobytes()
+    assert pair[1].tobytes() == local_gradient(other, x, y, PopulationKind.LABEL_SHARD).tobytes()
+
+
+def _full_cohort(pop, batch_size, with_ditto, rng):
+    """Every client of ``pop`` as one cohort, with personal models drawn from
+    ``rng`` under Ditto, and a two-epoch mini-batch order: (cohort, order)."""
+    (m, n_ex, _), dim = pop.train_x.shape, pop.dim
+    order = None
+    if batch_size is not None:
+        order = stream(9, "minibatch", 0).permuted(np.tile(np.arange(n_ex), (2, m, 1)), axis=-1)
+    start = rng.normal(0.0, 0.5, (m, dim)) if with_ditto else None
+    return Cohort(np.arange(m), pop.private, pop.train_x, pop.train_y, start), order
 
 
 @pytest.mark.parametrize("with_ditto", [False, True], ids=["plain", "ditto"])
@@ -209,23 +242,81 @@ def test_client_update_into_work_arrays_equals_fresh_arrays(name, batch_size, wi
     rng = stream(6, "work-arrays")
     cfg = FeO2Config(eta=0.4, epochs=2, batch_size=batch_size)
     ditto = DittoConfig(lambda_p=0.7, lambda_np=0.2) if with_ditto else None
-    (m, n_ex, _), dim = pop.train_x.shape, pop.dim
-    order = None
-    if batch_size is not None:
-        order = stream(9, "minibatch", 0).permuted(np.tile(np.arange(n_ex), (2, m, 1)), axis=-1)
-    start = rng.normal(0.0, 0.5, (m, dim)) if with_ditto else None
-    cohort = Cohort(np.arange(m), pop.private, pop.train_x, pop.train_y, start)
+    cohort, order = _full_cohort(pop, batch_size, with_ditto, rng)
+    m, dim = len(cohort.ids), pop.dim
     theta, other = rng.normal(0.0, 0.5, (2, dim))
     deltas, personal = client_update(theta, cohort, cfg, pop.kind, ditto, order)
     kept = deltas.copy()
     client_update(other, cohort, cfg, pop.kind, ditto, order)  # by default a call owns its arrays
     assert deltas.tobytes() == kept.tobytes()
-    # used work arrays: (model stack, gradient)
-    out = (np.full((m, dim), np.nan), np.full((m, dim), np.nan))
-    got, got_personal = client_update(theta, cohort, cfg, pop.kind, ditto, order, out=out)
-    assert got is out[0] and got.tobytes() == deltas.tobytes()
-    assert (got_personal is None) == (personal is None)
-    assert personal is None or got_personal.tobytes() == personal.tobytes()
+    # used work arrays (model stack, gradient): a row per client, two with Ditto;
+    # a stack sized for a larger cohort uses its first rows
+    rows = m if ditto is None else 2 * m
+    for size in (rows, rows + 3):
+        out = (np.full((size, dim), np.nan), np.full((size, dim), np.nan))
+        got, got_personal = client_update(theta, cohort, cfg, pop.kind, ditto, order, out=out)
+        assert got.base is out[0] and got.tobytes() == deltas.tobytes()
+        assert (got_personal is None) == (personal is None)
+        assert personal is None or (got_personal.base is out[0] and got_personal.tobytes() == personal.tobytes())
+    # the model stack's personal half as the cohort's start, as a run passes it
+    if ditto is not None:
+        out = (np.full((rows, dim), np.nan), np.full((rows, dim), np.nan))
+        out[0][m:] = cohort.personal
+        in_place = Cohort(cohort.ids, cohort.private, cohort.x, cohort.y, out[0][m:])
+        got, got_personal = client_update(theta, in_place, cfg, pop.kind, ditto, order, out=out)
+        assert got.tobytes() == deltas.tobytes() and got_personal.tobytes() == personal.tobytes()
+
+
+@pytest.mark.parametrize("with_ditto", [False, True], ids=["plain", "ditto"])
+def test_work_arrays_too_small_for_the_cohort_are_rejected(with_ditto):
+    pop = build_population(SPECS["label_shard"])
+    ditto = DittoConfig(lambda_p=0.7, lambda_np=0.2) if with_ditto else None
+    cohort, _ = _full_cohort(pop, None, with_ditto, stream(6, "small-work"))
+    m, dim = len(cohort.ids), pop.dim
+    rows = m if ditto is None else 2 * m
+    for shape in ((rows - 1, dim), (rows, dim - 1), (rows, dim + 1)):
+        for out in ((np.zeros(shape), np.zeros((rows, dim))), (np.zeros((rows, dim)), np.zeros(shape))):
+            with pytest.raises(ValueError, match=rf"cannot hold the cohort's {rows} rows of {dim} values"):
+                client_update(np.zeros(dim), cohort, FeO2Config(), pop.kind, ditto, out=out)
+    fortran = np.zeros((rows, dim), order="F")
+    with pytest.raises(ValueError, match="cannot hold"):
+        client_update(np.zeros(dim), cohort, FeO2Config(), pop.kind, ditto, out=(fortran, np.zeros((rows, dim))))
+
+
+DITTO_ARMS = {
+    "lambda_per_class": DittoConfig(lambda_p=0.7, lambda_np=0.2),
+    "lambda_per_class_eta_p": DittoConfig(lambda_p=0.7, lambda_np=0.2, eta_p=0.3),
+    "lambda_np_zero_eta_p": DittoConfig(lambda_p=1.5, lambda_np=0.0, eta_p=0.45),
+}
+
+
+@pytest.mark.parametrize("arm", sorted(DITTO_ARMS))
+@pytest.mark.parametrize("batch_size", [None, 3], ids=["full_batch", "mini_batch"])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_one_gradient_pass_per_batch_steps_both_stacks_like_two_passes(name, batch_size, arm, monkeypatch):
+    pop = build_population(SPECS[name])
+    assert 0 < pop.private.sum() < len(pop.private)  # both lambda classes
+    rng = stream(7, "two-passes")
+    cfg = FeO2Config(eta=0.4, epochs=2, batch_size=batch_size)
+    cohort, order = _full_cohort(pop, batch_size, True, rng)
+    theta = rng.normal(0.0, 0.5, pop.dim)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape)
+        return local_gradient(*args)
+
+    monkeypatch.setattr(feo2.models, "local_gradient", counting)
+    deltas, personal = client_update(theta, cohort, cfg, pop.kind, DITTO_ARMS[arm], order)
+    want_deltas, want_personal = client_update_two_passes(theta, cohort, cfg, pop.kind, DITTO_ARMS[arm], order)
+    assert deltas.tobytes() == want_deltas.tobytes()
+    assert personal.tobytes() == want_personal.tobytes()
+    n_ex = pop.train_x.shape[1]
+    batches = cfg.epochs * (1 if batch_size is None else -(-n_ex // batch_size))
+    assert calls == [(2, len(cohort.ids), pop.dim)] * batches  # one call per batch, over both stacks
+    calls.clear()
+    client_update(theta, cohort, cfg, pop.kind, None, order)
+    assert calls == [(len(cohort.ids), pop.dim)] * batches
 
 
 def test_personalized_failure_names_client_and_round(tmp_path, capsys):

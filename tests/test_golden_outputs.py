@@ -1,7 +1,7 @@
-"""Golden digests of run outputs: the shipped example configs, three inline
+"""Golden digests of run outputs: the shipped example configs, four inline
 configs that cover mini-batches with an uneven last batch, several epochs,
-Ditto, sampled cohorts, every algorithm and every model kind, and the analysis
-plan's printed answers.
+Ditto with full and mini-batches, sampled cohorts, every algorithm and every
+model kind, and the analysis plan's printed answers.
 
 Every change to the simulator must leave ``rounds.csv`` and ``summary.json``
 byte-identical for these configs, or say why they moved.
@@ -48,6 +48,22 @@ INLINE = {
         },
         "3096d9498291a356ccad3d7fbc89d48acadc4702ce598ca43c5d9d887464f0e0",
         "7d56237bb7c0477ec64f4462823d1c1117e8133f23db0a8b58ae0e8af89187fb",
+    ),
+    "label_shard_full_batch_ditto": (
+        {
+            "population": {
+                "kind": "label_shard", "n_clients": 90, "rho_np": 0.2, "samples_per_client": 15,
+                "seed": 6, "pool": {"classes": 6, "per_class": 150, "feature_dim": 5, "spread": 1.0},
+            },
+            "algorithm": "feo2",
+            "feo2": {"r": 0.3, "z": 0.8, "z_b": 5.0, "S0": 1.0, "eta": 0.4, "epochs": 2},
+            "ditto": {"lambda_p": 0.8, "lambda_np": 0.1},
+            "rounds": 12,
+            "cohort_fraction": 0.2,
+            "master_seed": 13,
+        },
+        "3f3861357b762e4b2cf517b9c5e073aae7654ed1941d2b934339983c8a2db3b8",
+        "8fffeab8c8119c3c00227993b02ea97402e89173fb2574f4f41adc061ad3221f",
     ),
     "regression_dpfedavg_minibatch": (
         {

@@ -7,6 +7,8 @@ one-client stacks here; tests/test_batched.py checks that stacking changes no
 row.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,3 +188,16 @@ def test_ditto_initializes_personal_model_from_broadcast():
     # one proximal step with eta_p = 1/(1+lam) from theta0:
     target = (obs.mean(axis=0) + 1.0 * theta0) / 2.0
     assert np.allclose(personal, target, atol=1e-12)
+
+
+def test_client_update_validates_lambda_and_eta_p():
+    # DittoConfig rejects these first; client_update checks the values it is
+    # given once per call, before any training step
+    cohort = _cohort((np.ones((2, 1)), None), personal=np.zeros((1, 1)))
+    for ditto, message in (
+        (SimpleNamespace(lambda_p=-0.1, lambda_np=0.1, eta_p=None), "lambda must be >= 0"),
+        (SimpleNamespace(lambda_p=float("nan"), lambda_np=0.1, eta_p=None), "lambda must be >= 0"),
+        (SimpleNamespace(lambda_p=0.1, lambda_np=0.1, eta_p=0.0), "eta_p must be > 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            _update(np.zeros(1), cohort, FeO2Config(), PopulationKind.POINT_ESTIMATION, ditto=ditto)

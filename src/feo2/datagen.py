@@ -94,10 +94,13 @@ def gen_label_shard_population(spec: PopulationSpec, features: np.ndarray, label
 
     Each client's draw is split 80/20 into train/test; the server test set
     pools every client's test split. With a skew label set, all opted-out
-    clients are drawn from the clients holding that label.
+    clients are drawn from the clients holding that label. An empty pool, or a
+    label with fewer examples than a client draws, raises ValueError.
     """
     if spec.kind is not PopulationKind.LABEL_SHARD:
         raise ValueError("spec kind must be label_shard")
+    if labels.size == 0:
+        raise ValueError("empty label-shard pool: it holds no examples to draw clients from")
     rng = stream(spec.seed, "population")
     n, n_samp = spec.n_clients, spec.samples_per_client
     labels_present = np.flatnonzero(np.bincount(labels))  # np.unique would import numpy.ma

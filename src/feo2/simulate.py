@@ -5,15 +5,17 @@ client step per round, then each privacy step in one place: the loop clips the
 cohort's raw updates to S, aggregates the two groups at the config's ratio r
 with the private mean noised, adapts S from the noised clip bits, and charges
 the accountant; the run's `privacy.Mechanism` gives the cohort size, both noise
-stds and the charge. Evaluation uses a per-client score cache (NaN until a
-client first trains) and rescores only the cohort. Every random draw comes from
-a stream keyed on (master_seed, purpose, round); at full participation (q = 1)
+stds and the charge. Evaluation scores the global model class-major (`_hits`)
+and keeps a per-client score cache (NaN until a client first trains) that
+rescores only the cohort. Every random draw comes from a stream keyed on
+(master_seed, purpose, round); at full participation (q = 1)
 the cohort is every client and no cohort stream is built, which moves no other
 draw. A round's mini-batch orders are drawn for the whole sorted cohort, and
 clients never mix (clipping included). The run owns the cohort step's model stack
 (then the raw deltas, clipped in place) and gradient, sparing each round their page faults;
 with Ditto both have a second half for the cohort's personal models, which trains
-in the same gradient pass as the global models.
+in the same gradient pass as the global models. A label-shard run also owns the
+global model's (classes, examples) score array.
 
 `monte_carlo_server_variance` and `lambda_sweep` sample the estimation model
 directly (noise folded to the client side, which is variance-equivalent) to
@@ -88,24 +90,54 @@ def _group_metric(values: np.ndarray) -> float:
     return float(np.mean(values)) if len(values) else float("nan")
 
 
-def _evaluate(theta, pop: Population, personal, ids, local) -> dict:
+def _hits(model: np.ndarray, x: np.ndarray, labels: np.ndarray, scores: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``_logits(model, x).argmax(axis=1) == labels`` for one model on (N, f)
+    inputs, bit for bit and with argmax's first-maximum rule, scored
+    class-major: the logits go into the (classes, N) work array ``scores``, and
+    ``flat`` is ``labels * N + arange(N)``, each label logit's flat index into
+    it. A label logit that equals its column's maximum is a hit, unless that
+    maximum occurs more than once; only those columns take an argmax, and only
+    a round with such a column counts them. A non-finite logit raises
+    `NumericFailure`."""
+    c, f = scores.shape[0], x.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite model's logits can overflow; checked below
+        np.matmul(model[: c * f].reshape(c, f), x.T, out=scores)  # the view x.T keeps _logits' bits; a copy would not
+        for row, bias in zip(scores, model[c * f :].tolist()):  # a broadcast add is slower past ~2,000 columns
+            row += bias
+    if not np.isfinite(scores).all():
+        raise NumericFailure("non-finite logits of the global model")
+    top = scores.max(axis=0)
+    hits = scores.take(flat) == top
+    at_top = scores == top
+    if np.count_nonzero(at_top) > top.size:
+        ties = np.flatnonzero(at_top.sum(axis=0, dtype=np.min_scalar_type(c)) > 1)
+        hits[ties] = scores[:, ties].argmax(axis=0) == labels[ties]
+    return hits
+
+
+def _evaluate(theta, pop: Population, personal, ids, local, scoring) -> dict:
     """Per-round metrics. Classification: percent accuracy on test splits.
     Quadratic kinds: squared error against the hidden truths (lower is better).
 
     The global model is scored once, on the pooled server test set split into
-    the clients' equal segments. ``local`` (None without Ditto) caches each
+    the clients' equal segments; for label shards ``scoring`` is `_hits`' run-owned
+    (scores, flat) pair, else None. ``local`` (None without Ditto) caches each
     client's personal-model score, NaN until its first training: only the
     cohort rows ``ids``, whose personal models just changed, are rescored, and
     a client not yet trained takes its global score as its local score. A
-    squared error that is not finite raises `NumericFailure`."""
+    non-finite logit or squared error raises `NumericFailure`."""
     is_private, n = pop.private, len(pop.private)
     if pop.kind is PopulationKind.LABEL_SHARD:
         x, labels = pop.server_test
-        hits = (_logits(theta, x).argmax(axis=1) == labels).reshape(n, -1)
+        hits = _hits(theta, x, labels, *scoring).reshape(n, -1)
         acc_g, on_global = 100.0 * float(np.mean(hits)), 100.0 * hits.mean(axis=1)
         if local is not None:
-            predicted = _logits(personal[ids], pop.test_x[ids]).argmax(axis=2)
-            local[ids] = 100.0 * (predicted == pop.test_y[ids]).mean(axis=1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                logits = _logits(personal[ids], pop.test_x[ids])
+            if not np.isfinite(logits).all():
+                bad = ids[np.argmin(np.isfinite(logits).all(axis=(1, 2)))]
+                raise NumericFailure(f"non-finite logits of client {bad}'s personal model")
+            local[ids] = 100.0 * (logits.argmax(axis=2) == pop.test_y[ids]).mean(axis=1)
     else:
         with np.errstate(over="ignore"):  # a finite model's squares can overflow; checked below
             acc_g = float(np.sum((theta - pop.truth_global) ** 2))
@@ -156,6 +188,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
     # size would need them sized to the largest cohort.
     shape = (m if personal is None else 2 * m, pop.dim)
     work = (np.empty(shape), np.empty(shape))
+    scoring = None  # label shards: `_hits`' class-major scores of the global model and its label index
+    if pop.kind is PopulationKind.LABEL_SHARD:
+        x, labels = pop.server_test
+        scoring = (np.empty((pop.dim // (x.shape[1] + 1), len(x))), labels * len(x) + np.arange(len(x)))
 
     def train(ids, batch_order, theta):
         """The batched client step for the sorted cohort ``ids``, with their
@@ -205,7 +241,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1, on_round=None) -> Ex
 
             bit_std = mech.bit_std(len(indicators))
             S = update_clip_norm(S, indicators, bit_std, cfg.feo2.kappa, cfg.feo2.eta_b, stream(seed, "clip", t))
-            metrics = _evaluate(theta, pop, personal, ids, local)
+            metrics = _evaluate(theta, pop, personal, ids, local, scoring)
         except NumericFailure as exc:
             raise NumericFailure(f"{exc} in round {t}") from None
 

@@ -10,16 +10,17 @@ round samples beside it.
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import feo2.models
 from feo2.cli import main
 from feo2.config import DittoConfig, FeO2Config, PoolSpec, PopulationKind, PopulationSpec
 from feo2.datagen import build_population
-from feo2.models import Cohort, NumericFailure, _softmax_probs, client_update, local_gradient
+from feo2.models import Cohort, NumericFailure, _logits, _softmax_probs, client_update, local_gradient
 from feo2.privacy import clip, clip_rows, row_norms
 from feo2.rng import stream
+from feo2.simulate import _hits
 from oracles import (
     client_update_two_passes,
     clip_rows_every_row,
@@ -221,6 +222,42 @@ def test_label_shard_gradient_equals_reduction_and_three_index_form_bitwise(
     pair = local_gradient(np.stack([models, other]), x, y, PopulationKind.LABEL_SHARD, pair_out)
     assert pair is pair_out and pair[0].tobytes() == got.tobytes()
     assert pair[1].tobytes() == local_gradient(other, x, y, PopulationKind.LABEL_SHARD).tobytes()
+
+
+@settings(max_examples=300)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.sampled_from((1, 2, 3, 7, 100, 800, 4000)),
+    f=st.sampled_from((1, 3, 16, 17)),
+    c=st.sampled_from((1, 2, 3, 7, 10, 12)),
+    model=st.sampled_from(("drawn", "tie", "one_tie", "zero")),
+)
+def test_class_major_scoring_equals_logits_and_argmax_bitwise(seed, N, f, c, model):
+    # "tie" copies a class's weights and bias onto a later class, so the two tie
+    # in every column. "one_tie" gives the two the largest bias and one example
+    # all-zero features, so they tie at the top of that column alone. The
+    # all-zero model ties every class everywhere. c = 1 is a one-class pool.
+    # N = 4000 and 800 are the benchmarks' server test sets.
+    rng = np.random.default_rng(seed)
+    w, b = rng.normal(0.0, 1.0, (c, f)), rng.normal(0.0, 1.0, c)
+    x, labels = rng.normal(0.0, 1.0, (N, f)), rng.integers(0, c, N)
+    if model in ("tie", "one_tie") and c > 1:
+        first, later = sorted(rng.choice(c, 2, replace=False))
+        if model == "tie":
+            w[later], b[later] = w[first], b[first]
+        else:
+            b[first] = b[later] = b.max() + 1.0
+            x[rng.integers(N)] = 0.0
+    if model == "zero":
+        w, b = np.zeros((c, f)), np.zeros(c)
+    theta = np.concatenate([w.ravel(), b])
+    scores = np.full((c, N), np.nan)  # a used work array
+    hits = _hits(theta, x, labels, scores, labels * N + np.arange(N))
+    logits = _logits(theta, x)
+    assert scores.tobytes() == np.ascontiguousarray(logits.T).tobytes()
+    assert np.array_equal(hits, logits.argmax(axis=1) == labels)
+    if model == "zero":  # argmax takes the first of the tied classes
+        assert np.array_equal(hits, labels == 0)
 
 
 def _full_cohort(pop, batch_size, with_ditto, rng):

@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 import typing
@@ -634,6 +635,17 @@ def test_an_idx_pool_refuses_the_blob_fields(tmp_path, capsys, key, value):
     raw = _with(SHARD, "population.pool", {**idx, key: value})
     assert main(["validate", "--config", _write(tmp_path, raw)]) == 2
     assert capsys.readouterr().err == f"config error: {key} only applies to synthetic pools, not beside idx_images\n"
+
+
+def test_an_empty_idx_pool_is_a_config_error_naming_it(tmp_path, capsys):
+    # A zero-length IDX pair parses; sharding it died inside numpy's choice with
+    # "a cannot be empty unless no samples are taken".
+    (tmp_path / "i.idx").write_bytes(struct.pack(">IIII", 0x00000803, 0, 28, 28))
+    (tmp_path / "l.idx").write_bytes(struct.pack(">II", 0x00000801, 0))
+    idx = {"idx_images": str(tmp_path / "i.idx"), "idx_labels": str(tmp_path / "l.idx")}
+    assert main(["validate", "--config", _write(tmp_path, _with(SHARD, "population.pool", idx))]) == 2
+    want = "config error: empty label-shard pool: it holds no examples to draw clients from\n"
+    assert capsys.readouterr().err == want
 
 
 def test_fields_a_kind_does_not_read_are_accepted_at_their_defaults(tmp_path):

@@ -306,15 +306,49 @@ def test_cached_local_scores_equal_full_rescoring(cfg):
 
 
 def test_a_sampled_round_scores_only_its_cohort(monkeypatch):
-    logits, rows = feo2.simulate._logits, []
+    # The global model is scored class-major by `_hits`, the personal models by `_logits`.
+    rows = []
 
-    def counting(model, x):
-        rows.append(1 if model.ndim == 1 else len(model))
-        return logits(model, x)
+    def counting(name):
+        scorer = getattr(feo2.simulate, name)
 
-    monkeypatch.setattr(feo2.simulate, "_logits", counting)
+        def counted(model, *args):
+            rows.append(1 if model.ndim == 1 else len(model))
+            return scorer(model, *args)
+
+        monkeypatch.setattr(feo2.simulate, name, counted)
+
+    counting("_hits")
+    counting("_logits")
     run_experiment(_sampled_shard_ditto_cfg(9))
     assert rows == [1, 6] * 9  # the global model, then the cohort's personal models
+
+
+@pytest.mark.parametrize("whose", ["global", "personal"])
+def test_a_finite_model_whose_logits_overflow_fails_naming_it_and_the_round(monkeypatch, whose):
+    # Weights of 1e308 are finite, but a feature beyond 1.8 overflows its product.
+    # Argmax ranked such logits by its first-NaN rule, after numpy warnings, which
+    # this suite turns into errors.
+    real_update, real_step, cohorts = feo2.simulate.apply_update, feo2.simulate.client_update, []
+
+    def huge_global(theta, combined):
+        return np.full_like(real_update(theta, combined), 1e308)
+
+    def huge_third_personal(global_model, cohort, *args, **kwargs):
+        deltas, stepped = real_step(global_model, cohort, *args, **kwargs)
+        stepped[2] = 1e308
+        cohorts.append(cohort.ids.copy())
+        return deltas, stepped
+
+    if whose == "global":
+        monkeypatch.setattr(feo2.simulate, "apply_update", huge_global)
+        want = "non-finite logits of the global model in round 0"
+    else:
+        monkeypatch.setattr(feo2.simulate, "client_update", huge_third_personal)
+        want = "non-finite logits of client {}'s personal model in round 0"
+    with pytest.raises(feo2.simulate.NumericFailure) as failed:
+        run_experiment(_sampled_shard_ditto_cfg(3))
+    assert str(failed.value) == want.format(*(ids[2] for ids in cohorts))
 
 
 def _stream_paths(monkeypatch, cfg):
